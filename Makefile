@@ -13,7 +13,7 @@ MAINS := \
 	./examples/quickstart \
 	./examples/timeline
 
-.PHONY: tier1 vet build test race alloc purego bins bench bench-tensor bench-dag bench-input bench-kernel bench-comm bench-serve bench-adapt serve chaos checkpoint clean
+.PHONY: tier1 vet build test race alloc purego bins bench bench-tensor bench-dag bench-input bench-kernel bench-comm bench-serve bench-adapt serve chaos checkpoint stats clean
 
 # tier1 is the CI gate: vet, build, the full test suite under the race
 # detector (the host-side parallel engine must stay race-clean), the
@@ -137,6 +137,22 @@ bench-serve:
 # JSON (drop -json for the human-readable report).
 serve:
 	$(GO) run ./cmd/glp4nn-serve -net CIFAR10 -glp4nn -dag -requests 128 -clients 8 -json
+
+# Simplicity trajectory (ROADMAP item 5): the numbers a simplifying PR
+# quotes before and after in CHANGES.md. Non-test Go lines outside
+# benchmark/ (total, then per package with its exported-symbol count),
+# glp4nn-train's flag count, and the façade's exported-symbol count. Tier-1
+# wall time is `time make test`.
+stats:
+	@printf 'non-test Go lines (outside benchmark/): '; \
+		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+	@for p in dnn parallel core; do \
+		printf 'internal/%s: %s lines, %s exported symbols\n' $$p \
+			$$(find internal/$$p -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) \
+			$$($(GO) doc -short ./internal/$$p | wc -l); \
+	done
+	@printf 'glp4nn-train flags: '; $(GO) run ./cmd/glp4nn-train -h 2>&1 | grep -c '^  -'
+	@printf 'facade exported symbols: '; $(GO) doc -short ./ | wc -l
 
 clean:
 	rm -rf bin

@@ -131,9 +131,6 @@ type (
 	// storage droppable via Compact, outputs bitwise identical to the
 	// training net's Test phase under serial and DAG dispatch alike.
 	FrozenNet = dnn.FrozenNet
-	// ForwardPlan is the inference plan inside a FrozenNet (kept steps,
-	// aliased blobs, operator DAG).
-	ForwardPlan = dnn.ForwardPlan
 	// Server answers concurrent single-sample Predict calls by dynamically
 	// batching them into a FrozenNet's fixed device batch, flushing on
 	// batch-full or a deadline; every answer is bitwise independent of
@@ -304,9 +301,9 @@ func NewParallelContext(l Launcher, seed int64, pool *HostPool) *Context {
 }
 
 // WithDAG switches a network onto the operator DAG scheduler and returns
-// it: independent layers execute concurrently (Net.ForwardDAG /
-// Net.BackwardDAG), gated so profiling iterations still run serially and
-// with a fixed gradient fold order — trained parameters stay bitwise
+// it: Net.Forward and Net.Backward dispatch independent layers
+// concurrently, gated so profiling iterations still run serially and with
+// a fixed gradient fold order — trained parameters stay bitwise
 // identical to the serial schedule. Net.DAGStats reports how much
 // inter-layer parallelism the network offers.
 func WithDAG(net *Net) *Net {

@@ -83,10 +83,10 @@ func (b *Budget) Acquire(want int) int {
 		b.peak = b.used
 	}
 	throttled := grant < want
-	used, cap, peak := b.used, b.cap, b.peak
+	cap, peak := b.cap, b.peak
 	b.mu.Unlock()
 	if b.ledger != nil {
-		b.ledger.addBudgetAcquire(throttled, used, cap, peak)
+		b.ledger.addBudgetAcquire(throttled, cap, peak)
 	}
 	return grant
 }

@@ -30,55 +30,11 @@ import (
 type Ledger struct {
 	mu sync.Mutex
 
-	memTT    int64
-	memK     int64
-	memCUPTI int64
-
-	tp time.Duration
-	ta time.Duration
-	ts time.Duration
-
-	profiledKernels int64
-	analyzedLayers  int64
-	dispatches      int64
-	dagDispatches   int64
-	profileFailures int64
-	analyzeFailures int64
-
-	launchRetries     int64
-	launchFailures    int64
-	syncRetries       int64
-	memcpyRetries     int64
-	streamQuarantines int64
-	degradations      int64
-	watchdogTrips     int64
-
-	prefetchHits   int64
-	prefetchStalls int64
-	stallNs        int64
-	copyOverlapNs  int64
-
-	serveRequests int64
-	serveBatches  int64
-	serveSamples  int64
+	// s holds every counter under mu. Its four Serve*P quantile fields stay
+	// zero here; Snapshot fills them from the latency windows.
+	s             Snapshot
 	serveReqLat   *LatencyWindow
 	serveBatchLat *LatencyWindow
-
-	evictions  int64
-	shardMoves int64
-	resumes    int64
-
-	bucketsReduced int64
-	overlappedComm time.Duration
-	exposedComm    time.Duration
-
-	driftEvents     int64
-	reprofiles      int64
-	planSwaps       int64
-	budgetAcquires  int64
-	budgetThrottles int64
-	budgetPeak      int
-	budgetCap       int
 }
 
 // Per-record host memory for the tracker's own structures: two 8-byte
@@ -164,7 +120,7 @@ type Snapshot struct {
 	// folded across replicas; OverlappedCommNs is modeled ring time hidden
 	// under residual backward compute; ExposedCommNs is the ring time left
 	// on the critical path (what StepResult.CommTime charges).
-	BucketsReduced int64
+	BucketsReduced   int64
 	OverlappedCommNs int64
 	ExposedCommNs    int64
 
@@ -255,74 +211,74 @@ func (s Snapshot) String() string {
 func (l *Ledger) addProfiling(records int64, tp time.Duration, memCupti int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.profiledKernels += records
-	l.memTT += records * MemTTPerRecord
-	l.memK += records * MemKPerRecord
-	if memCupti > l.memCUPTI {
-		l.memCUPTI = memCupti
+	l.s.ProfiledKernels += records
+	l.s.MemTT += records * MemTTPerRecord
+	l.s.MemK += records * MemKPerRecord
+	if memCupti > l.s.MemCUPTI {
+		l.s.MemCUPTI = memCupti
 	}
-	l.tp += tp
+	l.s.Tp += tp
 }
 
 func (l *Ledger) addAnalysis(ta time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.analyzedLayers++
-	l.ta += ta
+	l.s.AnalyzedLayers++
+	l.s.Ta += ta
 }
 
 func (l *Ledger) addProfileFailure() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.profileFailures++
+	l.s.ProfileFailures++
 }
 
 func (l *Ledger) addAnalyzeFailure() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.analyzeFailures++
+	l.s.AnalyzeFailures++
 }
 
 func (l *Ledger) addLaunchRetry() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.launchRetries++
+	l.s.LaunchRetries++
 }
 
 func (l *Ledger) addLaunchFailure() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.launchFailures++
+	l.s.LaunchFailures++
 }
 
 func (l *Ledger) addSyncRetry() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.syncRetries++
+	l.s.SyncRetries++
 }
 
 func (l *Ledger) addMemcpyRetry() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.memcpyRetries++
+	l.s.MemcpyRetries++
 }
 
 func (l *Ledger) addStreamQuarantine() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.streamQuarantines++
+	l.s.StreamQuarantines++
 }
 
 func (l *Ledger) addDegradation() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.degradations++
+	l.s.Degradations++
 }
 
 func (l *Ledger) addWatchdogTrip() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.watchdogTrips++
+	l.s.WatchdogTrips++
 }
 
 // PrefetchHit implements data.Observer: wiring a runtime's ledger into a
@@ -331,15 +287,15 @@ func (l *Ledger) addWatchdogTrip() {
 func (l *Ledger) PrefetchHit() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.prefetchHits++
+	l.s.PrefetchHits++
 }
 
 // PrefetchStall implements data.Observer (see PrefetchHit).
 func (l *Ledger) PrefetchStall(wait time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.prefetchStalls++
-	l.stallNs += int64(wait)
+	l.s.PrefetchStalls++
+	l.s.PrefetchStallNs += int64(wait)
 }
 
 // ServeRequest implements serve.Observer: one client request answered,
@@ -348,7 +304,7 @@ func (l *Ledger) PrefetchStall(wait time.Duration) {
 func (l *Ledger) ServeRequest(lat time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.serveRequests++
+	l.s.ServeRequests++
 	if l.serveReqLat == nil {
 		l.serveReqLat = NewLatencyWindow(0)
 	}
@@ -360,8 +316,8 @@ func (l *Ledger) ServeRequest(lat time.Duration) {
 func (l *Ledger) ServeBatch(size int, lat time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.serveBatches++
-	l.serveSamples += int64(size)
+	l.s.ServeBatches++
+	l.s.ServeSamples += int64(size)
 	if l.serveBatchLat == nil {
 		l.serveBatchLat = NewLatencyWindow(0)
 	}
@@ -373,7 +329,7 @@ func (l *Ledger) ServeBatch(size int, lat time.Duration) {
 func (l *Ledger) AddEviction() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.evictions++
+	l.s.Evictions++
 }
 
 // AddShardMoves counts n batch shards reassigned from an evicted replica
@@ -381,7 +337,7 @@ func (l *Ledger) AddEviction() {
 func (l *Ledger) AddShardMoves(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.shardMoves += int64(n)
+	l.s.ShardMoves += int64(n)
 }
 
 // AddResume counts one trainer restore from a durable on-disk checkpoint
@@ -389,7 +345,7 @@ func (l *Ledger) AddShardMoves(n int) {
 func (l *Ledger) AddResume() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.resumes++
+	l.s.Resumes++
 }
 
 // AddBucketReduce accounts one step's gradient all-reduce: buckets folded,
@@ -399,41 +355,40 @@ func (l *Ledger) AddResume() {
 func (l *Ledger) AddBucketReduce(buckets int, overlapped, exposed time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.bucketsReduced += int64(buckets)
-	l.overlappedComm += overlapped
-	l.exposedComm += exposed
+	l.s.BucketsReduced += int64(buckets)
+	l.s.OverlappedCommNs += int64(overlapped)
+	l.s.ExposedCommNs += int64(exposed)
 }
 
 func (l *Ledger) addDriftEvent() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.driftEvents++
+	l.s.DriftEvents++
 }
 
 func (l *Ledger) addReprofile() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.reprofiles++
+	l.s.Reprofiles++
 }
 
 func (l *Ledger) addPlanSwap() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.planSwaps++
+	l.s.PlanSwaps++
 }
 
-func (l *Ledger) addBudgetAcquire(throttled bool, used, cap, peak int) {
+func (l *Ledger) addBudgetAcquire(throttled bool, cap, peak int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.budgetAcquires++
+	l.s.BudgetAcquires++
 	if throttled {
-		l.budgetThrottles++
+		l.s.BudgetThrottles++
 	}
-	if peak > l.budgetPeak {
-		l.budgetPeak = peak
+	if peak > l.s.BudgetPeak {
+		l.s.BudgetPeak = peak
 	}
-	l.budgetCap = cap
-	_ = used
+	l.s.BudgetCap = cap
 }
 
 // addCopyOverlap credits modeled copy time issued on the dedicated copy
@@ -441,7 +396,7 @@ func (l *Ledger) addBudgetAcquire(throttled bool, used, cap, peak int) {
 func (l *Ledger) addCopyOverlap(d time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.copyOverlapNs += int64(d)
+	l.s.CopyOverlapNs += int64(d)
 }
 
 // tsPerDispatch is the nominal cost of one round-robin stream-selection
@@ -452,8 +407,8 @@ const tsPerDispatch = 25 * time.Nanosecond
 func (l *Ledger) addDispatch() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.dispatches++
-	l.ts += tsPerDispatch
+	l.s.Dispatches++
+	l.s.Ts += tsPerDispatch
 }
 
 // addDAGDispatch counts a pool-stream dispatch issued from a concurrent
@@ -461,63 +416,21 @@ func (l *Ledger) addDispatch() {
 func (l *Ledger) addDAGDispatch() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.dispatches++
-	l.dagDispatches++
-	l.ts += tsPerDispatch
+	l.s.Dispatches++
+	l.s.DAGDispatches++
+	l.s.Ts += tsPerDispatch
 }
 
 // Snapshot returns a copy of the counters.
 func (l *Ledger) Snapshot() Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return Snapshot{
-		MemTT: l.memTT, MemK: l.memK, MemCUPTI: l.memCUPTI,
-		Tp: l.tp, Ta: l.ta, Ts: l.ts,
-		ProfiledKernels: l.profiledKernels,
-		AnalyzedLayers:  l.analyzedLayers,
-		Dispatches:      l.dispatches,
-		DAGDispatches:   l.dagDispatches,
-		ProfileFailures: l.profileFailures,
-		AnalyzeFailures: l.analyzeFailures,
-
-		LaunchRetries:     l.launchRetries,
-		LaunchFailures:    l.launchFailures,
-		SyncRetries:       l.syncRetries,
-		MemcpyRetries:     l.memcpyRetries,
-		StreamQuarantines: l.streamQuarantines,
-		Degradations:      l.degradations,
-		WatchdogTrips:     l.watchdogTrips,
-
-		PrefetchHits:    l.prefetchHits,
-		PrefetchStalls:  l.prefetchStalls,
-		PrefetchStallNs: l.stallNs,
-		CopyOverlapNs:   l.copyOverlapNs,
-
-		ServeRequests: l.serveRequests,
-		ServeBatches:  l.serveBatches,
-		ServeSamples:  l.serveSamples,
-		ServeReqP50:   quantileOrZero(l.serveReqLat, 0.50),
-		ServeReqP99:   quantileOrZero(l.serveReqLat, 0.99),
-		ServeBatchP50: quantileOrZero(l.serveBatchLat, 0.50),
-		ServeBatchP99: quantileOrZero(l.serveBatchLat, 0.99),
-
-		Evictions:  l.evictions,
-		ShardMoves: l.shardMoves,
-		Resumes:    l.resumes,
-
-		BucketsReduced:   l.bucketsReduced,
-		OverlappedCommNs: int64(l.overlappedComm),
-		ExposedCommNs:    int64(l.exposedComm),
-
-		DriftEvents: l.driftEvents,
-		Reprofiles:  l.reprofiles,
-		PlanSwaps:   l.planSwaps,
-
-		BudgetAcquires:  l.budgetAcquires,
-		BudgetThrottles: l.budgetThrottles,
-		BudgetPeak:      l.budgetPeak,
-		BudgetCap:       l.budgetCap,
-	}
+	s := l.s
+	s.ServeReqP50 = quantileOrZero(l.serveReqLat, 0.50)
+	s.ServeReqP99 = quantileOrZero(l.serveReqLat, 0.99)
+	s.ServeBatchP50 = quantileOrZero(l.serveBatchLat, 0.50)
+	s.ServeBatchP99 = quantileOrZero(l.serveBatchLat, 0.99)
+	return s
 }
 
 func quantileOrZero(w *LatencyWindow, q float64) time.Duration {

@@ -3,18 +3,16 @@ package dnn
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/hostpool"
-	"repro/internal/tensor"
 )
 
-// This file is the operator-level DAG scheduler: the inter-layer
+// This file builds the operator-level dependency DAG: the inter-layer
 // parallelism axis complementing GLP4NN's intra-layer batch splitting
 // (Opara-style operator parallelism). The no-in-place-tops invariant of
 // Builder.Add means every blob has exactly one producer, so the layer
-// dependency DAG is implicit in the net definition; ForwardDAG/BackwardDAG
-// recover it and dispatch every ready layer concurrently, while keeping
-// trained parameters bitwise identical to serial execution.
+// dependency DAG is implicit in the net definition; buildLayerDAG recovers
+// it, and the executor's wavefront scheduler (program.go) dispatches every
+// ready layer concurrently, while keeping trained parameters bitwise
+// identical to serial execution.
 //
 // The numeric contract (why DAG execution is convergence-invariant):
 //
@@ -444,348 +442,19 @@ func (*AccuracyLayer) addOnceBackward()        {}
 
 func (*DropoutLayer) usesHostRNG() {}
 
-// EnableDAG switches the net between serial execution and the operator
-// DAG scheduler. With DAG on, Forward and Backward dispatch independent
-// layers concurrently whenever the launcher supports concurrent sessions
-// (LayerSessionForker) and the DAG offers parallelism; otherwise they run
-// the exact serial order. Trained parameters are bitwise identical either
-// way.
+// EnableDAG lets Forward and Backward take the executor's wavefront
+// scheduler, which dispatches independent layers concurrently (see
+// program.wavefront for when it applies; otherwise they run the exact serial
+// order). Trained parameters are bitwise identical either way.
 func (n *Net) EnableDAG(on bool) { n.dagOn = on }
 
 // DAGEnabled reports whether the operator DAG scheduler is active.
 func (n *Net) DAGEnabled() bool { return n.dagOn }
 
-// DAGStats builds (or reuses) the net's dependency DAG and returns its
-// parallelism statistics.
+// DAGStats returns the parallelism statistics of the net's dependency DAG.
 func (n *Net) DAGStats() (DAGStats, error) {
-	d, err := n.ensureDAG()
-	if err != nil {
-		return DAGStats{}, err
-	}
-	return d.stats, nil
-}
-
-// invalidateDAG drops the cached DAG; called when the dependency structure
-// changes after construction (parameter sharing).
-func (n *Net) invalidateDAG() {
-	n.dag = nil
-	n.dagErr = nil
-}
-
-// ensureDAG lazily builds and caches the net's dependency DAG.
-func (n *Net) ensureDAG() (*layerDAG, error) {
-	if n.dag == nil && n.dagErr == nil {
-		n.dag, n.dagErr = n.buildDAG()
-	}
-	return n.dag, n.dagErr
-}
-
-// buildDAG derives the dagSpecs and shared-parameter groups from the
-// net's entries and constructs the DAG.
-func (n *Net) buildDAG() (*layerDAG, error) {
-	specs := make([]dagSpec, len(n.entries))
-	for i := range n.entries {
-		e := &n.entries[i]
-		_, addOnce := e.layer.(addOnceLayer)
-		_, rng := e.layer.(hostRNGLayer)
-		specs[i] = dagSpec{
-			Name:      e.layer.Name(),
-			Bottoms:   e.bottoms,
-			Tops:      e.tops,
-			Propagate: e.propagate,
-			AddOnce:   addOnce,
-			UsesRNG:   rng,
-		}
-	}
-	// Parameter blobs shared by several layers (Siamese twins via
-	// ShareParams) serialize their owners' backward passes. Owners append
-	// in entry order, so each group is already ascending.
-	owners := map[*Blob][]int{}
-	for i := range n.entries {
-		for _, p := range n.entries[i].layer.Params() {
-			owners[p] = append(owners[p], i)
-		}
-	}
-	var groups [][]int
-	dedup := map[string]bool{}
-	for _, g := range owners {
-		if len(g) < 2 {
-			continue
-		}
-		key := fmt.Sprint(g)
-		if dedup[key] {
-			continue
-		}
-		dedup[key] = true
-		groups = append(groups, g)
-	}
-	return buildLayerDAG(specs, n.inputs, groups)
-}
-
-// dagRunnable reports whether the DAG path applies for this context and
-// direction; when false the caller runs the exact serial loop.
-func (n *Net) dagRunnable(ctx *Context, d *layerDAG, backward bool) bool {
-	if backward && d.bwdChain || !backward && d.fwdChain {
-		return false
-	}
-	if _, ok := ctx.L.(LayerSessionForker); !ok {
-		return false
-	}
-	if gate, ok := ctx.L.(DAGGate); ok {
-		keys := d.fwdKeys
-		if backward {
-			keys = d.bwdKeys
-		}
-		if !gate.DAGReady(keys) {
-			return false
-		}
-	}
-	return true
-}
-
-// ForwardDAG runs the forward pass through the DAG scheduler (serial
-// fallback when the DAG is a chain or the launcher cannot fork sessions)
-// and returns the weighted loss summed in insertion order, exactly like
-// Forward.
-func (n *Net) ForwardDAG(ctx *Context) (float64, error) {
 	if !n.built {
-		return 0, fmt.Errorf("net %s: not built", n.name)
+		return DAGStats{}, fmt.Errorf("net %s: not built", n.name)
 	}
-	d, err := n.ensureDAG()
-	if err != nil {
-		return 0, fmt.Errorf("net %s: dag: %w", n.name, err)
-	}
-	if !n.dagRunnable(ctx, d, false) {
-		return n.forwardSerial(ctx)
-	}
-	if err := n.runDAG(ctx, d, false); err != nil {
-		return 0, err
-	}
-	loss := 0.0
-	for i := range n.entries {
-		e := &n.entries[i]
-		if ll, ok := e.layer.(LossLayer); ok {
-			loss += float64(ll.LossWeight()) * float64(e.topB[0].Data.Data()[0])
-		}
-	}
-	return loss, nil
-}
-
-// BackwardDAG runs the backward pass through the DAG scheduler (serial
-// fallback like ForwardDAG), accumulating gradients bitwise identically to
-// Backward.
-func (n *Net) BackwardDAG(ctx *Context) error {
-	if !n.built {
-		return fmt.Errorf("net %s: not built", n.name)
-	}
-	d, err := n.ensureDAG()
-	if err != nil {
-		return fmt.Errorf("net %s: dag: %w", n.name, err)
-	}
-	if !n.dagRunnable(ctx, d, true) {
-		return n.backwardSerial(ctx)
-	}
-	return n.runDAG(ctx, d, true)
-}
-
-// foldScratch is the per-run state of one foldGroup: a private shadow blob
-// (shared data, scratch diff) per consumer, folded into the real diff in
-// the group's descending-entry order when the last consumer finishes.
-type foldScratch struct {
-	dst       *Blob
-	shadows   []*Blob // parallel to foldGroup.consumers (descending order)
-	remaining int
-}
-
-// runDAG executes one direction of the net with a dependency-counter
-// scheduler: every layer whose dependencies (and, in backward, whose
-// consumers' scratch folds) have completed is dispatched onto a detached
-// hostpool task; its kernel chains ride the context's pool lanes and its
-// streams come from a forked launcher session. Ready layers dispatch in
-// ascending entry-index order, bounded by the launcher's concurrency cap.
-func (n *Net) runDAG(ctx *Context, d *layerDAG, backward bool) error {
-	forker := ctx.L.(LayerSessionForker) // checked by dagRunnable
-
-	nNodes := len(d.nodes)
-	deps := make([]int, nNodes)
-	for i := range d.nodes {
-		if backward {
-			deps[i] = len(d.nodes[i].bwdDeps)
-		} else {
-			deps[i] = len(d.nodes[i].fwdDeps)
-		}
-	}
-
-	// Lease and substitute shared-bottom scratch diffs.
-	var folds []*foldScratch
-	var bufs []*tensor.Buf
-	bottoms := make([][]*Blob, nNodes)
-	if backward && ctx.Compute && len(d.folds) > 0 {
-		defer func() { tensor.PutBufs(bufs) }()
-		for _, g := range d.folds {
-			blob := n.blobs[g.blob]
-			fs := &foldScratch{dst: blob, remaining: len(g.consumers)}
-			for _, c := range g.consumers {
-				buf := tensor.GetZeroBuf(blob.Count())
-				bufs = append(bufs, buf)
-				shadow := &Blob{
-					Name: blob.Name, Data: blob.Data,
-					Diff:   tensor.FromSlice(buf.Data, blob.Shape()...),
-					LrMult: blob.LrMult, DecayMult: blob.DecayMult,
-				}
-				fs.shadows = append(fs.shadows, shadow)
-				if bottoms[c] == nil {
-					bottoms[c] = append([]*Blob(nil), n.entries[c].bottomB...)
-				}
-				for bi, name := range n.entries[c].bottoms {
-					if name == g.blob {
-						bottoms[c][bi] = shadow
-					}
-				}
-			}
-			folds = append(folds, fs)
-		}
-	}
-
-	// The wavefront cap is re-queried every scheduling round rather than
-	// computed once: a capper backed by the runtime's unified SM budget
-	// (core.Runtime.LayerConcurrencyCap) reports the budget *currently*
-	// free, which moves as chain streams and copy transfers acquire and
-	// release their own shares mid-step.
-	capBase := d.stats.MaxWavefront
-	if backward {
-		capBase = d.stats.MaxBwdWavefront
-	}
-	capper, hasCapper := ctx.L.(ConcurrencyCapper)
-	capFn := func() int {
-		capN := capBase
-		if hasCapper {
-			if m := capper.LayerConcurrencyCap(); m > 0 && m < capN {
-				capN = m
-			}
-		}
-		if capN < 1 {
-			capN = 1
-		}
-		return capN
-	}
-
-	var ready []int // ascending entry index
-	push := func(id int) {
-		at := sort.SearchInts(ready, id)
-		ready = append(ready, 0)
-		copy(ready[at+1:], ready[at:])
-		ready[at] = id
-	}
-	for i := 0; i < nNodes; i++ {
-		if deps[i] == 0 {
-			push(i)
-		}
-	}
-
-	group := hostpool.NewGroup(nNodes)
-	running, finished := 0, 0
-	var firstErr error
-	for finished < nNodes {
-		if firstErr == nil {
-			for len(ready) > 0 && running < capFn() {
-				id := ready[0]
-				ready = ready[1:]
-				running++
-				nb := bottoms[id]
-				group.Go(id, func() error { return n.runDAGNode(ctx, forker, id, backward, nb) })
-			}
-		}
-		if running == 0 {
-			if firstErr == nil {
-				// Unreachable for a validated DAG; fail loudly over hanging.
-				firstErr = fmt.Errorf("net %s: dag scheduler stalled with %d/%d layers done",
-					n.name, finished, nNodes)
-			}
-			break
-		}
-		res := group.Next()
-		running--
-		finished++
-		if res.Err != nil {
-			if firstErr == nil {
-				firstErr = res.Err
-			}
-			continue
-		}
-		if firstErr != nil {
-			continue // drain in-flight nodes, dispatch nothing new
-		}
-		// Scratch folds run on the scheduler goroutine the moment their
-		// last consumer completes — and before that completion releases
-		// the producer below, so the producer always reads a folded diff.
-		// folds is empty on forward and timing-only runs (no scratch leased).
-		if len(folds) > 0 {
-			for _, fi := range d.nodeFolds[res.ID] {
-				fs := folds[fi]
-				if fs.remaining--; fs.remaining == 0 {
-					dst := fs.dst.Diff.Data()
-					for _, sh := range fs.shadows {
-						src := sh.Diff.Data()
-						for i, v := range src {
-							dst[i] += v
-						}
-					}
-				}
-			}
-		}
-		// Gradient-ready hooks fire on the scheduler goroutine (serialized
-		// per net, as OnLayerBackward promises), after the node's scratch
-		// folds are applied, in completion order rather than the serial
-		// path's strict reverse order — readiness consumers track per-layer
-		// retirement, not ordering.
-		if backward {
-			n.fireLayerBackward(res.ID)
-		}
-		succs := d.nodes[res.ID].fwdSuccs
-		if backward {
-			succs = d.nodes[res.ID].bwdSuccs
-		}
-		for _, s := range succs {
-			if deps[s]--; deps[s] == 0 {
-				push(s)
-			}
-		}
-	}
-	return firstErr
-}
-
-// runDAGNode executes one layer invocation on a private context: a forked
-// launcher session and a private chain set, sharing the phase, RNG,
-// compute flag and host pool with the parent.
-func (n *Net) runDAGNode(ctx *Context, forker LayerSessionForker, id int, backward bool, bottomB []*Blob) error {
-	e := &n.entries[id]
-	sub, ok := forker.ForkLayerSession().(Launcher)
-	if !ok {
-		return fmt.Errorf("net %s: launcher %T forked a session that is not a Launcher", n.name, ctx.L)
-	}
-	nctx := &Context{L: sub, Phase: ctx.Phase, RNG: ctx.RNG, Compute: ctx.Compute, Pool: ctx.Pool}
-	var err error
-	if backward {
-		if bottomB == nil {
-			bottomB = e.bottomB
-		}
-		nctx.Begin(e.layer.Name() + "/bwd")
-		if err = e.layer.Backward(nctx, e.topB, e.propagate, bottomB); err != nil {
-			err = fmt.Errorf("net %s: backward %s: %w", n.name, e.layer.Name(), err)
-		}
-	} else {
-		nctx.Begin(e.layer.Name() + "/fwd")
-		if err = e.layer.Forward(nctx, e.bottomB, e.topB); err != nil {
-			err = fmt.Errorf("net %s: forward %s: %w", n.name, e.layer.Name(), err)
-		}
-	}
-	// Layers end with ctx.Barrier(), which already drained the private
-	// chain set; this covers layers (or error paths) that bailed out with
-	// closures still in flight, so no kernel can outlive the node and race
-	// a dependent layer or a released scratch buffer.
-	if derr := nctx.drainChains(); derr != nil && err == nil {
-		err = fmt.Errorf("net %s: %s chains: %w", n.name, e.layer.Name(), derr)
-	}
-	return err
+	return n.prog.dag.stats, nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/hostpool"
-	"repro/internal/simgpu"
 )
 
 // ForkLayerSession lets the width-forcing test launcher serve concurrent
@@ -403,10 +402,7 @@ func TestDAGStatsShapes(t *testing.T) {
 	// The shared-bottom conv net must serialize conv_a/conv_b in backward
 	// (non-add-once consumers) while keeping forward parallelism.
 	shared := buildSharedBottomConvNet(t, 2, 1)
-	d, err := shared.ensureDAG()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := shared.prog.dag
 	if len(d.folds) != 0 {
 		t.Fatalf("conv consumers must not scratch-fold: %+v", d.folds)
 	}
@@ -425,10 +421,7 @@ func TestDAGStatsShapes(t *testing.T) {
 	}
 
 	// The branchy net's shared blob t folds (both consumers add-once).
-	db, err := branchy.ensureDAG()
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := branchy.prog.dag
 	foldBlobs := map[string]bool{}
 	for _, g := range db.folds {
 		foldBlobs[g.blob] = true
@@ -438,8 +431,8 @@ func TestDAGStatsShapes(t *testing.T) {
 	}
 }
 
-// TestDAGShareParamsInvalidates verifies parameter sharing rebuilds the
-// DAG with the owners' backward passes serialized.
+// TestDAGShareParamsInvalidates verifies parameter sharing recompiles the
+// program with the owners' backward passes serialized.
 func TestDAGShareParamsInvalidates(t *testing.T) {
 	ctx := NewContext(HostLauncher{}, 3)
 	cc := Conv(3, 3, 1, 1)
@@ -460,20 +453,14 @@ func TestDAGShareParamsInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := net.ensureDAG()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := net.prog.dag
 	if len(d.nodes[0].bwdDeps) != 1 { // only concat feeds conv_a's backward
 		t.Fatalf("unexpected pre-share deps: %+v", d.nodes[0])
 	}
 	if err := net.ShareParams("conv_a", "conv_b"); err != nil {
 		t.Fatal(err)
 	}
-	d, err = net.ensureDAG()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = net.prog.dag
 	found := false
 	for _, dep := range d.nodes[0].bwdDeps {
 		if dep == 1 {
@@ -484,36 +471,3 @@ func TestDAGShareParamsInvalidates(t *testing.T) {
 		t.Fatalf("ShareParams did not add the conv_b→conv_a backward edge: %+v", d.nodes[0])
 	}
 }
-
-// TestDAGErrorPropagates verifies a failing layer surfaces its error
-// through the concurrent scheduler instead of hanging it.
-func TestDAGErrorPropagates(t *testing.T) {
-	net := buildBranchyNet(t, 4, 5)
-	net.EnableDAG(true)
-	fillTinyInputs(t, net, 99)
-	// A launcher whose forked sessions fail every launch.
-	ctx := NewContext(failForkLauncher{}, 7)
-	if _, err := net.Forward(ctx); err == nil {
-		t.Fatal("expected an error from the DAG scheduler")
-	}
-}
-
-type failForkLauncher struct{}
-
-func (failForkLauncher) BeginLayer(string) {}
-func (failForkLauncher) Launch(k *simgpu.Kernel, _ int) error {
-	k.Fn()
-	return nil
-}
-func (failForkLauncher) Sync() error           { return nil }
-func (failForkLauncher) Width() int            { return 1 }
-func (failForkLauncher) ForkLayerSession() any { return failingLauncher{} }
-
-type failingLauncher struct{}
-
-func (failingLauncher) BeginLayer(string) {}
-func (failingLauncher) Launch(_ *simgpu.Kernel, _ int) error {
-	return fmt.Errorf("injected launch failure")
-}
-func (failingLauncher) Sync() error { return nil }
-func (failingLauncher) Width() int  { return 1 }

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/hostpool"
 	"repro/internal/tensor"
 )
 
 // This file is the freeze path of the train→freeze→serve pipeline: Freeze
-// turns a trained Net into a forward-only FrozenNet backed by a ForwardPlan.
+// turns a trained Net into a forward-only FrozenNet.
 // Freezing drops everything inference does not need — loss and accuracy
 // layers (and therefore the label/similarity inputs only they consume),
 // dropout layers (identity at test time, so their tops alias their bottoms
@@ -19,56 +18,36 @@ import (
 // identical to the training net run in the Test phase — the inference face
 // of the repo's convergence-invariance contract.
 //
-// The plan reuses the operator DAG machinery of dag.go: independent layers
+// A frozen net is the net's forward program minus its training-only ops,
+// run through the same executor as training (program.go): independent layers
 // (inception branches, Siamese towers) dispatch as concurrent wavefronts
-// whenever the launcher can fork layer sessions, with the same serial
-// fallback and profiling gate as training. Forward-only bit-identity needs
-// no fold-order bookkeeping: every top has one producer and nothing
-// accumulates.
+// under the same conditions. Forward-only bit-identity needs no fold-order
+// bookkeeping: every top has one producer and nothing accumulates.
 
-// frozenStep is one layer invocation of a ForwardPlan: the layer object is
-// shared with the source net (weights are not copied), the bottoms are
-// resolved through any dropout aliases.
-type frozenStep struct {
-	layer   Layer
-	bottomB []*Blob
-	topB    []*Blob
-	key     string // "<layer>/fwd", the scheduler/profiling key
-}
-
-// ForwardPlan is the frozen forward program: the surviving layer steps in
-// topological order plus the blob namespace and dependency DAG they run
-// over. A plan is immutable after Freeze.
-type ForwardPlan struct {
-	name    string
-	steps   []frozenStep
-	blobs   map[string]*Blob
-	inputs  []string // external inputs still consumed, sorted
-	outputs []string // terminal tops, sorted
-	dag     *layerDAG
-}
-
-// FrozenNet is the ForwardPlan-backed forward-only executor produced by
-// Freeze. It shares layer objects and parameter storage with the source
-// net; run it through any Launcher exactly like a Net, but only forward.
-// A FrozenNet forces the Test phase internally and draws nothing from the
-// context RNG, so outputs depend only on the weights and the inputs.
+// FrozenNet is the forward-only executor produced by Freeze. It shares layer
+// objects and parameter storage with the source net; run it through any
+// Launcher exactly like a Net, but only forward. A FrozenNet forces the Test
+// phase internally and draws nothing from the context RNG, so outputs depend
+// only on the weights and the inputs.
 type FrozenNet struct {
-	plan  *ForwardPlan
-	dagOn bool
+	name    string
+	prog    *program // surviving ops, bottoms resolved through dropout aliases
+	blobs   map[string]*Blob
+	outputs []string // terminal tops, sorted
+	dagOn   bool
 }
 
 // Freeze builds a forward-only executor from a built net: loss and
 // accuracy layers are stripped, dropout layers fold to identity (their
 // tops alias their bottoms), and inputs consumed only by stripped layers
-// (labels, pair similarity) disappear from the plan. The frozen net shares
+// (labels, pair similarity) disappear from the program. The frozen net shares
 // parameters and activation storage with the source — freezing copies no
 // weights — and inherits the net's DAG setting.
 func Freeze(n *Net) (*FrozenNet, error) {
 	if !n.built {
 		return nil, fmt.Errorf("dnn: freeze %s: net not built", n.name)
 	}
-	p := &ForwardPlan{name: n.name, blobs: map[string]*Blob{}}
+	f := &FrozenNet{name: n.name, blobs: map[string]*Blob{}, dagOn: n.dagOn}
 	// alias maps a dropped layer's top to the live blob its consumers
 	// should read instead (transitive, for stacked dropouts).
 	alias := map[string]string{}
@@ -81,7 +60,7 @@ func Freeze(n *Net) (*FrozenNet, error) {
 			name = a
 		}
 	}
-	var specs []dagSpec
+	var ops []entry
 	consumed := map[string]bool{}
 	produced := map[string]bool{}
 	for i := range n.entries {
@@ -99,286 +78,132 @@ func Freeze(n *Net) (*FrozenNet, error) {
 			alias[e.tops[0]] = resolve(e.bottoms[0])
 			continue
 		}
-		st := frozenStep{layer: e.layer, key: e.layer.Name() + "/fwd"}
-		bottoms := make([]string, len(e.bottoms))
-		for bi, name := range e.bottoms {
+		op := entry{layer: e.layer, tops: e.tops, topB: e.topB}
+		for _, name := range e.bottoms {
 			rn := resolve(name)
-			bottoms[bi] = rn
 			blob := n.blobs[rn]
 			if blob == nil {
 				return nil, fmt.Errorf("dnn: freeze %s: layer %s bottom %q unresolved", n.name, e.layer.Name(), rn)
 			}
-			st.bottomB = append(st.bottomB, blob)
-			p.blobs[rn] = blob
+			op.bottoms = append(op.bottoms, rn)
+			op.bottomB = append(op.bottomB, blob)
+			f.blobs[rn] = blob
 			consumed[rn] = true
 		}
-		for _, name := range e.tops {
-			blob := n.blobs[name]
-			st.topB = append(st.topB, blob)
-			p.blobs[name] = blob
+		for ti, name := range e.tops {
+			f.blobs[name] = e.topB[ti]
 			produced[name] = true
 		}
-		p.steps = append(p.steps, st)
-		specs = append(specs, dagSpec{Name: e.layer.Name(), Bottoms: bottoms, Tops: e.tops})
+		ops = append(ops, op)
 	}
-	if len(p.steps) == 0 {
+	if len(ops) == 0 {
 		return nil, fmt.Errorf("dnn: freeze %s: no layers survive freezing", n.name)
 	}
-	for name := range n.inputs {
+	var inputs []string
+	for _, name := range n.prog.inputs {
 		if consumed[name] {
-			p.inputs = append(p.inputs, name)
+			inputs = append(inputs, name)
 		}
 	}
-	sort.Strings(p.inputs)
 	for name := range produced {
 		if !consumed[name] {
-			p.outputs = append(p.outputs, name)
+			f.outputs = append(f.outputs, name)
 		}
 	}
-	sort.Strings(p.outputs)
-	dag, err := buildLayerDAG(specs, n.inputs, nil)
+	sort.Strings(f.outputs)
+	var err error
+	f.prog, err = compileProgram("dnn: frozen "+n.name, ops, f.blobs, n.inputs, inputs, false)
 	if err != nil {
-		return nil, fmt.Errorf("dnn: freeze %s: dag: %w", n.name, err)
+		return nil, err
 	}
-	p.dag = dag
-	return &FrozenNet{plan: p, dagOn: n.dagOn}, nil
+	return f, nil
 }
 
 // Name returns the source net's name.
-func (f *FrozenNet) Name() string { return f.plan.name }
+func (f *FrozenNet) Name() string { return f.name }
 
-// Inputs returns the plan's external input blob names, sorted. Inputs the
+// Inputs returns the program's external input blob names, sorted. Inputs the
 // training net fed only to stripped layers (labels) are absent.
-func (f *FrozenNet) Inputs() []string { return append([]string(nil), f.plan.inputs...) }
+func (f *FrozenNet) Inputs() []string { return append([]string(nil), f.prog.inputs...) }
 
-// Outputs returns the plan's terminal blob names, sorted: every top no
+// Outputs returns the program's terminal blob names, sorted: every top no
 // surviving layer consumes (e.g. "scores"; the Siamese pair "feat",
 // "feat_p").
-func (f *FrozenNet) Outputs() []string { return append([]string(nil), f.plan.outputs...) }
+func (f *FrozenNet) Outputs() []string { return append([]string(nil), f.outputs...) }
 
-// Blob returns the named plan blob, or nil.
-func (f *FrozenNet) Blob(name string) *Blob { return f.plan.blobs[name] }
+// Blob returns the named program blob, or nil.
+func (f *FrozenNet) Blob(name string) *Blob { return f.blobs[name] }
 
 // Batch returns the leading dimension of the first input blob — the device
 // batch size every Forward processes.
 func (f *FrozenNet) Batch() int {
-	if len(f.plan.inputs) == 0 {
+	if len(f.prog.inputB) == 0 {
 		return 0
 	}
-	return f.plan.blobs[f.plan.inputs[0]].Num()
+	return f.prog.inputB[0].Num()
 }
 
-// EnableDAG switches the frozen executor between serial step order and the
-// operator DAG wavefront scheduler (inherited from the source net at
-// Freeze time). Outputs are bitwise identical either way.
+// EnableDAG lets Forward take the executor's wavefront scheduler, like
+// Net.EnableDAG (inherited from the source net at Freeze time). Outputs are
+// bitwise identical either way.
 func (f *FrozenNet) EnableDAG(on bool) { f.dagOn = on }
 
-// DAGStats returns the forward-parallelism statistics of the frozen plan.
-func (f *FrozenNet) DAGStats() DAGStats { return f.plan.dag.stats }
+// DAGStats returns the forward-parallelism statistics of the frozen program.
+func (f *FrozenNet) DAGStats() DAGStats { return f.prog.dag.stats }
 
 // SetInput copies values into the named input blob, exactly like
 // Net.SetInputData.
 func (f *FrozenNet) SetInput(name string, values []float32) error {
-	b := f.plan.blobs[name]
+	b := f.blobs[name]
 	if b == nil {
-		return fmt.Errorf("dnn: frozen %s: no blob %q", f.plan.name, name)
+		return fmt.Errorf("dnn: frozen %s: no blob %q", f.name, name)
 	}
 	ok := false
-	for _, in := range f.plan.inputs {
+	for _, in := range f.prog.inputs {
 		if in == name {
 			ok = true
 			break
 		}
 	}
 	if !ok {
-		return fmt.Errorf("dnn: frozen %s: blob %q is not an input", f.plan.name, name)
+		return fmt.Errorf("dnn: frozen %s: blob %q is not an input", f.name, name)
 	}
 	if len(values) != b.Count() {
-		return fmt.Errorf("dnn: frozen %s: input %q wants %d values, got %d", f.plan.name, name, b.Count(), len(values))
+		return fmt.Errorf("dnn: frozen %s: input %q wants %d values, got %d", f.name, name, b.Count(), len(values))
 	}
 	copy(b.Data.Data(), values)
 	return nil
 }
 
-// Output returns the data of the named output blob (any plan blob resolves,
-// so intermediate activations can be inspected too).
+// Output returns the data of the named output blob (any program blob
+// resolves, so intermediate activations can be inspected too).
 func (f *FrozenNet) Output(name string) ([]float32, error) {
-	b := f.plan.blobs[name]
+	b := f.blobs[name]
 	if b == nil {
-		return nil, fmt.Errorf("dnn: frozen %s: no blob %q", f.plan.name, name)
+		return nil, fmt.Errorf("dnn: frozen %s: no blob %q", f.name, name)
 	}
 	return b.Data.Data(), nil
 }
 
-// StageInputs models the host→device transfer of every plan input through
-// the launcher's dedicated copy stream when it has one, falling back to the
-// default-stream upload — Net.StageInputs for the frozen plan. Dropped
-// inputs (labels) transfer nothing, exactly as a serving path should.
+// StageInputs is Net.StageInputs for the frozen program. Dropped inputs
+// (labels) transfer nothing, exactly as a serving path should.
 func (f *FrozenNet) StageInputs(ctx *Context) error {
-	st, stOK := ctx.L.(InputStager)
-	up, upOK := ctx.L.(Uploader)
-	for _, name := range f.plan.inputs {
-		b := f.plan.blobs[name]
-		n := int64(b.Count()) * 4
-		var err error
-		switch {
-		case stOK:
-			err = st.StageInput(n)
-		case upOK:
-			err = up.UploadBytes(n)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.prog.transferInputs(ctx.L, true)
 }
 
-// Forward runs the frozen plan. The context's phase is ignored — a frozen
+// Forward runs the frozen program. The context's phase is ignored — a frozen
 // net always executes Test-phase semantics — and the context RNG is never
-// drawn. With DAG enabled and a session-forking launcher, independent
-// layers dispatch as concurrent wavefronts; outputs are bitwise identical
-// to the serial step order.
+// drawn. Outputs are bitwise identical whichever branch the executor takes.
 func (f *FrozenNet) Forward(ctx *Context) error {
 	fctx := &Context{L: ctx.L, Phase: Test, RNG: ctx.RNG, Compute: ctx.Compute, Pool: ctx.Pool}
-	if f.dagOn && f.dagRunnable(fctx) {
-		return f.forwardDAG(fctx)
+	if err := f.prog.run(fctx, false, f.dagOn, nil); err != nil {
+		return err
 	}
-	return f.forwardSerial(fctx)
+	return fctx.drainChains()
 }
 
-// forwardSerial executes the steps in plan order — the numeric reference
-// the wavefront path reproduces bit for bit.
-func (f *FrozenNet) forwardSerial(ctx *Context) error {
-	for i := range f.plan.steps {
-		st := &f.plan.steps[i]
-		ctx.Begin(st.key)
-		if err := st.layer.Forward(ctx, st.bottomB, st.topB); err != nil {
-			return fmt.Errorf("dnn: frozen %s: forward %s: %w", f.plan.name, st.layer.Name(), err)
-		}
-	}
-	return ctx.drainChains()
-}
-
-// dagRunnable mirrors Net.dagRunnable for the forward-only plan: the DAG
-// must offer parallelism, the launcher must fork sessions, and a gating
-// launcher (GLP4NN's runtime) must have analyzed every step — until then
-// the plan runs serially, so profiling iterations match a serial run.
-func (f *FrozenNet) dagRunnable(ctx *Context) bool {
-	d := f.plan.dag
-	if d.fwdChain {
-		return false
-	}
-	if _, ok := ctx.L.(LayerSessionForker); !ok {
-		return false
-	}
-	if gate, ok := ctx.L.(DAGGate); ok {
-		keys := make([]string, len(f.plan.steps))
-		for i := range f.plan.steps {
-			keys[i] = f.plan.steps[i].key
-		}
-		if !gate.DAGReady(keys) {
-			return false
-		}
-	}
-	return true
-}
-
-// forwardDAG is the wavefront scheduler of dag.go specialized to the
-// forward-only plan: dependency counters, ready steps dispatched in
-// ascending plan order onto detached hostpool tasks, each on a forked
-// launcher session. No scratch folds — forward writes are disjoint.
-func (f *FrozenNet) forwardDAG(ctx *Context) error {
-	forker := ctx.L.(LayerSessionForker) // checked by dagRunnable
-	d := f.plan.dag
-	nSteps := len(f.plan.steps)
-	deps := make([]int, nSteps)
-	for i := range d.nodes {
-		deps[i] = len(d.nodes[i].fwdDeps)
-	}
-	capN := d.stats.MaxWavefront
-	if c, ok := ctx.L.(ConcurrencyCapper); ok {
-		if m := c.LayerConcurrencyCap(); m > 0 && m < capN {
-			capN = m
-		}
-	}
-	if capN < 1 {
-		capN = 1
-	}
-	var ready []int
-	push := func(id int) {
-		at := sort.SearchInts(ready, id)
-		ready = append(ready, 0)
-		copy(ready[at+1:], ready[at:])
-		ready[at] = id
-	}
-	for i := 0; i < nSteps; i++ {
-		if deps[i] == 0 {
-			push(i)
-		}
-	}
-	group := hostpool.NewGroup(nSteps)
-	running, finished := 0, 0
-	var firstErr error
-	for finished < nSteps {
-		if firstErr == nil {
-			for len(ready) > 0 && running < capN {
-				id := ready[0]
-				ready = ready[1:]
-				running++
-				group.Go(id, func() error { return f.runStep(ctx, forker, id) })
-			}
-		}
-		if running == 0 {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("dnn: frozen %s: dag scheduler stalled with %d/%d steps done",
-					f.plan.name, finished, nSteps)
-			}
-			break
-		}
-		res := group.Next()
-		running--
-		finished++
-		if res.Err != nil {
-			if firstErr == nil {
-				firstErr = res.Err
-			}
-			continue
-		}
-		if firstErr != nil {
-			continue // drain in-flight steps, dispatch nothing new
-		}
-		for _, s := range d.nodes[res.ID].fwdSuccs {
-			if deps[s]--; deps[s] == 0 {
-				push(s)
-			}
-		}
-	}
-	return firstErr
-}
-
-// runStep executes one frozen step on a private context: a forked launcher
-// session and a private chain set, like Net.runDAGNode.
-func (f *FrozenNet) runStep(ctx *Context, forker LayerSessionForker, id int) error {
-	st := &f.plan.steps[id]
-	sub, ok := forker.ForkLayerSession().(Launcher)
-	if !ok {
-		return fmt.Errorf("dnn: frozen %s: launcher %T forked a session that is not a Launcher", f.plan.name, ctx.L)
-	}
-	nctx := &Context{L: sub, Phase: Test, RNG: ctx.RNG, Compute: ctx.Compute, Pool: ctx.Pool}
-	nctx.Begin(st.key)
-	var err error
-	if err = st.layer.Forward(nctx, st.bottomB, st.topB); err != nil {
-		err = fmt.Errorf("dnn: frozen %s: forward %s: %w", f.plan.name, st.layer.Name(), err)
-	}
-	if derr := nctx.drainChains(); derr != nil && err == nil {
-		err = fmt.Errorf("dnn: frozen %s: %s chains: %w", f.plan.name, st.layer.Name(), derr)
-	}
-	return err
-}
-
-// Compact releases the gradient storage of every plan blob and parameter —
-// the memory a served model no longer needs. Irreversible, and shared with
+// Compact releases the gradient storage of every program blob and parameter
+// — the memory a served model no longer needs. Irreversible, and shared with
 // the source net: after Compact the source must not run Backward or a
 // solver update. Returns the number of float32 gradient elements freed.
 func (f *FrozenNet) Compact() int {
@@ -389,13 +214,11 @@ func (f *FrozenNet) Compact() int {
 			b.Diff = tensor.New(0)
 		}
 	}
-	for _, b := range f.plan.blobs {
+	for _, b := range f.blobs {
 		drop(b)
 	}
-	for i := range f.plan.steps {
-		for _, p := range f.plan.steps[i].layer.Params() {
-			drop(p)
-		}
+	for _, p := range f.prog.params {
+		drop(p)
 	}
 	return freed
 }

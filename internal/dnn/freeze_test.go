@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/tensor"
 )
@@ -64,7 +66,7 @@ func TestFreezeStripsTrainingOnlyPieces(t *testing.T) {
 	if fz.Blob("d1") != nil {
 		t.Fatal("dropout top survived freezing")
 	}
-	for _, st := range fz.plan.steps {
+	for _, st := range fz.prog.ops {
 		if _, isDrop := st.layer.(*DropoutLayer); isDrop {
 			t.Fatal("dropout step survived freezing")
 		}
@@ -73,7 +75,7 @@ func TestFreezeStripsTrainingOnlyPieces(t *testing.T) {
 		}
 	}
 	// The IP layer now reads the dropout's bottom directly.
-	last := fz.plan.steps[len(fz.plan.steps)-1]
+	last := fz.prog.ops[len(fz.prog.ops)-1]
 	if last.layer.Name() != "ip1" || last.bottomB[0] != net.Blob("r1") {
 		t.Fatalf("ip1 bottom not aliased through the folded dropout")
 	}
@@ -156,34 +158,70 @@ func TestFrozenSetInputAndOutput(t *testing.T) {
 	}
 }
 
-// TestFrozenDAGMatchesSerial: the wavefront dispatch path produces bitwise
-// the serial plan order's outputs (tiny net, but it exercises the forked
-// sessions and dependency counters; the four real workloads are covered in
-// internal/models).
-func TestFrozenDAGMatchesSerial(t *testing.T) {
-	net := buildServeNet(t, 4, 407)
-	fillTinyInputs(t, net, 408)
+// dropCapLauncher is a forking host launcher whose concurrency cap drops from
+// 4 to 1 after its first query — a unified SM budget that other axes claimed
+// mid-pass. Its sessions count how many layer invocations are in flight.
+type dropCapLauncher struct {
+	HostLauncher
+	queries, inFlight, maxInFlight *atomic.Int64
+}
+
+func (l dropCapLauncher) LayerConcurrencyCap() int {
+	if l.queries.Add(1) == 1 {
+		return 4
+	}
+	return 1
+}
+
+func (l dropCapLauncher) ForkLayerSession() any { return &dropCapSession{dropCapLauncher: l} }
+
+type dropCapSession struct {
+	dropCapLauncher
+	active bool
+}
+
+func (s *dropCapSession) BeginLayer(string) {
+	s.active = true
+	if n := s.inFlight.Add(1); n > s.maxInFlight.Load() {
+		s.maxInFlight.Store(n)
+	}
+	// Hold the invocation open long enough for a sibling dispatched in the
+	// same round to begin too.
+	time.Sleep(2 * time.Millisecond)
+}
+
+func (s *dropCapSession) Sync() error {
+	if s.active {
+		s.active = false
+		s.inFlight.Add(-1)
+	}
+	return nil
+}
+
+// TestFrozenWavefrontFollowsCap: the frozen wavefront re-queries the
+// launcher's concurrency cap every scheduling round, like training does — a
+// cap that drops to 1 after the first round leaves no later round with two
+// layers in flight. (The serving path is the one that holds budget grants
+// per flush, so it is the one that must follow them.)
+func TestFrozenWavefrontFollowsCap(t *testing.T) {
+	net := buildBranchyNet(t, 4, 5)
+	fillTinyInputs(t, net, 99)
 	fz, err := Freeze(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	fz.EnableDAG(false)
-	if err := fz.Forward(NewContext(HostLauncher{}, 1)); err != nil {
-		t.Fatal(err)
+	if st := fz.DAGStats(); st.MaxWavefront < 2 {
+		t.Fatalf("branchy frozen program offers no parallelism: %+v", st)
 	}
-	want := captureBits(t, net.Blob("scores"))
-
-	net.Blob("scores").Data.Zero()
 	fz.EnableDAG(true)
-	if err := fz.Forward(NewContext(HostLauncher{}, 1)); err != nil {
+	l := dropCapLauncher{queries: new(atomic.Int64), inFlight: new(atomic.Int64), maxInFlight: new(atomic.Int64)}
+	if err := fz.Forward(NewContext(l, 1)); err != nil {
 		t.Fatal(err)
 	}
-	got := captureBits(t, net.Blob("scores"))
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("scores[%d]: dag %08x vs serial %08x", i, got[i], want[i])
-		}
+	// The first round has only conv0 ready, so one in flight is the most any
+	// round may reach.
+	if got := l.maxInFlight.Load(); got != 1 {
+		t.Fatalf("%d layers in flight after the cap dropped to 1", got)
 	}
 }
 

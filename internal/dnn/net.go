@@ -26,12 +26,11 @@ type Net struct {
 	entries []entry
 	built   bool
 
-	// Operator DAG scheduler state (see dag.go): dagOn routes
-	// Forward/Backward through ForwardDAG/BackwardDAG; dag/dagErr cache
-	// the lazily built dependency graph.
-	dagOn  bool
-	dag    *layerDAG
-	dagErr error
+	// prog is the compiled step program every Forward/Backward runs (see
+	// program.go); non-nil once built. dagOn lets the executor take its
+	// wavefront scheduler (see dag.go).
+	prog  *program
+	dagOn bool
 
 	// fusionOn records whether EnableFusion activated any fused GEMM
 	// epilogues (see fusion.go).
@@ -69,19 +68,12 @@ func (n *Net) LayerByName(name string) Layer {
 }
 
 // Params returns every distinct learnable blob (shared parameters are
-// deduplicated).
+// deduplicated). The slice is the program's own: read it, do not modify it.
 func (n *Net) Params() []*Blob {
-	seen := map[*Blob]bool{}
-	var out []*Blob
-	for _, e := range n.entries {
-		for _, p := range e.layer.Params() {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
+	if !n.built {
+		return nil
 	}
-	return out
+	return n.prog.params
 }
 
 // LayerCount returns the number of layer entries in forward order.
@@ -93,22 +85,13 @@ func (n *Net) LayerCount() int { return len(n.entries) }
 // sharing layer, each of which accumulates into the blob's diff during
 // backward. A parameter's gradient is final once *all* of its owner layers
 // have retired their backward — the readiness condition gradient-bucketing
-// consumers (internal/parallel's overlapped all-reduce) build on.
+// consumers (internal/parallel's overlapped all-reduce) build on. The slices
+// are the program's own: do not modify them.
 func (n *Net) ParamOwners() [][]int {
-	idx := map[*Blob]int{}
-	var owners [][]int
-	for ei, e := range n.entries {
-		for _, p := range e.layer.Params() {
-			pi, ok := idx[p]
-			if !ok {
-				pi = len(owners)
-				idx[p] = pi
-				owners = append(owners, nil)
-			}
-			owners[pi] = append(owners[pi], ei)
-		}
+	if !n.built {
+		return nil
 	}
-	return owners
+	return n.prog.owners
 }
 
 // OnLayerBackward registers fn to be called after each layer entry finishes
@@ -130,13 +113,6 @@ func (n *Net) OnLayerBackward(fn func(layer int)) {
 	n.bwdHooks = append(n.bwdHooks, fn)
 }
 
-// fireLayerBackward invokes the registered gradient-ready hooks for entry i.
-func (n *Net) fireLayerBackward(i int) {
-	for _, fn := range n.bwdHooks {
-		fn(i)
-	}
-}
-
 // SetInputData copies values into the named input blob.
 func (n *Net) SetInputData(name string, values []float32) error {
 	b := n.blobs[name]
@@ -153,59 +129,34 @@ func (n *Net) SetInputData(name string, values []float32) error {
 	return nil
 }
 
-// UploadInputs models the host→device transfer of every input blob through
-// the launcher (a no-op for launchers without transfer modeling). Call it
-// after SetInputData when input-copy time should appear on the simulated
-// timeline.
+// UploadInputs models the host→device transfer of every input blob on the
+// launcher's default stream (a no-op for launchers without transfer
+// modeling). Call it after SetInputData when input-copy time should appear on
+// the simulated timeline.
 func (n *Net) UploadInputs(ctx *Context) error {
-	up, ok := ctx.L.(Uploader)
-	if !ok {
-		return nil
+	if !n.built {
+		return fmt.Errorf("net %s: not built", n.name)
 	}
-	for _, name := range n.inputNames() {
-		if b := n.blobs[name]; b != nil {
-			if err := up.UploadBytes(int64(b.Count()) * 4); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return n.prog.transferInputs(ctx.L, false)
 }
 
-// StageInputs models the host→device transfer of every input blob through
-// the launcher's dedicated copy stream when it has one (InputStager), so
-// input copies overlap compute; launchers without a copy stream fall back
-// to the default-stream UploadInputs path. The copies land identical bytes
-// either way — only the simulated timeline differs.
+// StageInputs is UploadInputs through the launcher's dedicated copy stream
+// when it has one (InputStager), so input copies overlap compute.
 func (n *Net) StageInputs(ctx *Context) error {
-	st, ok := ctx.L.(InputStager)
-	if !ok {
-		return n.UploadInputs(ctx)
+	if !n.built {
+		return fmt.Errorf("net %s: not built", n.name)
 	}
-	for _, name := range n.inputNames() {
-		if b := n.blobs[name]; b != nil {
-			if err := st.StageInput(int64(b.Count()) * 4); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return n.prog.transferInputs(ctx.L, true)
 }
 
 // InputNames returns the input blob names in sorted order — the
 // deterministic order modeled transfers and the elastic trainer's shard
-// stashes iterate in.
-func (n *Net) InputNames() []string { return n.inputNames() }
-
-// inputNames returns the input blob names sorted, so modeled transfer
-// order (and therefore simulated timelines) is reproducible run to run.
-func (n *Net) inputNames() []string {
-	names := make([]string, 0, len(n.inputs))
-	for name := range n.inputs {
-		names = append(names, name)
+// stashes iterate in. The slice is the program's own: do not modify it.
+func (n *Net) InputNames() []string {
+	if !n.built {
+		return nil
 	}
-	sort.Strings(names)
-	return names
+	return n.prog.inputs
 }
 
 // ClearDiffs zeroes all blob and parameter gradients; call at the start of
@@ -220,31 +171,21 @@ func (n *Net) ClearDiffs() {
 }
 
 // Forward runs all layers and returns the weighted sum of loss-layer
-// outputs. With ctx.Compute disabled the returned loss is meaningless (the
-// kernel stream is still exact). With EnableDAG(true) independent layers
-// execute concurrently through the operator DAG scheduler; trained
-// numerics are bitwise identical either way.
+// outputs, summed in insertion order. With ctx.Compute disabled the returned
+// loss is meaningless (the kernel stream is still exact). With
+// EnableDAG(true) independent layers execute concurrently through the
+// executor's wavefront scheduler; trained numerics are bitwise identical
+// either way.
 func (n *Net) Forward(ctx *Context) (float64, error) {
-	if n.dagOn {
-		return n.ForwardDAG(ctx)
-	}
-	return n.forwardSerial(ctx)
-}
-
-// forwardSerial is the exact insertion-order forward pass — the numeric
-// reference the DAG path must reproduce bit for bit, and the path every
-// profiling iteration takes.
-func (n *Net) forwardSerial(ctx *Context) (float64, error) {
 	if !n.built {
 		return 0, fmt.Errorf("net %s: not built", n.name)
+	}
+	if err := n.prog.run(ctx, false, n.dagOn, nil); err != nil {
+		return 0, err
 	}
 	loss := 0.0
 	for i := range n.entries {
 		e := &n.entries[i]
-		ctx.Begin(e.layer.Name() + "/fwd")
-		if err := e.layer.Forward(ctx, e.bottomB, e.topB); err != nil {
-			return 0, fmt.Errorf("net %s: forward %s: %w", n.name, e.layer.Name(), err)
-		}
 		if ll, ok := e.layer.(LossLayer); ok {
 			loss += float64(ll.LossWeight()) * float64(e.topB[0].Data.Data()[0])
 		}
@@ -252,31 +193,13 @@ func (n *Net) forwardSerial(ctx *Context) (float64, error) {
 	return loss, nil
 }
 
-// Backward runs all layers in reverse, accumulating gradients. With
-// EnableDAG(true) it routes through the operator DAG scheduler.
+// Backward runs all layers in reverse, accumulating gradients, through the
+// same executor as Forward.
 func (n *Net) Backward(ctx *Context) error {
-	if n.dagOn {
-		return n.BackwardDAG(ctx)
-	}
-	return n.backwardSerial(ctx)
-}
-
-// backwardSerial is the exact reverse-insertion-order backward pass — the
-// fold order the DAG path's serialization edges and scratch folds
-// reproduce.
-func (n *Net) backwardSerial(ctx *Context) error {
 	if !n.built {
 		return fmt.Errorf("net %s: not built", n.name)
 	}
-	for i := len(n.entries) - 1; i >= 0; i-- {
-		e := &n.entries[i]
-		ctx.Begin(e.layer.Name() + "/bwd")
-		if err := e.layer.Backward(ctx, e.topB, e.propagate, e.bottomB); err != nil {
-			return fmt.Errorf("net %s: backward %s: %w", n.name, e.layer.Name(), err)
-		}
-		n.fireLayerBackward(i)
-	}
-	return nil
+	return n.prog.run(ctx, true, n.dagOn, n.bwdHooks)
 }
 
 // ForwardBackward is one full pass: clear diffs, forward, backward.
@@ -315,10 +238,9 @@ func (n *Net) ShareParams(src, dst string) error {
 	if err := sharer.ShareParamsWith(s); err != nil {
 		return err
 	}
-	// Sharing adds backward serialization edges between the owners; a
-	// cached DAG would miss them.
-	n.invalidateDAG()
-	return nil
+	// Sharing changes the parameter list and adds backward serialization
+	// edges between the owners; the compiled program has neither.
+	return n.compile()
 }
 
 // ParamSharer is implemented by layers that support Caffe-style parameter
@@ -440,7 +362,22 @@ func (b *Builder) Build(ctx *Context) (*Net, error) {
 		}
 	}
 	b.net.built = true
+	if err := b.net.compile(); err != nil {
+		return nil, err
+	}
 	return b.net, nil
+}
+
+// compile (re)builds the net's step program from its entries.
+func (n *Net) compile() error {
+	inputs := make([]string, 0, len(n.inputs))
+	for name := range n.inputs {
+		inputs = append(inputs, name)
+	}
+	sort.Strings(inputs)
+	var err error
+	n.prog, err = compileProgram("net "+n.name, n.entries, n.blobs, n.inputs, inputs, true)
+	return err
 }
 
 // Summary renders a human-readable table of layers and blob shapes.

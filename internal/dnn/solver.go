@@ -94,23 +94,6 @@ func (s *Solver) Step() (float64, error) {
 	return loss, nil
 }
 
-// StepFed performs one training iteration fed by feed: the mini-batch is
-// copied into the net's input blobs, staged to the device through the
-// launcher's copy stream when it has one (default-stream upload
-// otherwise), and the solver steps. It is the canonical loop body for the
-// asynchronous input pipeline; a nil feed skips straight to staging.
-func (s *Solver) StepFed(feed func(*Net) error) (float64, error) {
-	if feed != nil {
-		if err := feed(s.net); err != nil {
-			return 0, err
-		}
-	}
-	if err := s.net.StageInputs(s.ctx); err != nil {
-		return 0, err
-	}
-	return s.Step()
-}
-
 // HistorySnapshot deep-copies the momentum history, keyed by parameter
 // blob. Together with the parameter data, the step counter, and the context
 // RNG state it forms a complete in-memory training checkpoint.

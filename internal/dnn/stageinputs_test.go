@@ -77,20 +77,27 @@ func TestStageInputsFallsBackToUploader(t *testing.T) {
 	}
 }
 
-// TestStepFedFeedsStagesSteps: StepFed is feed → stage → step, and a feed
-// error short-circuits before any staging.
-func TestStepFedFeedsStagesSteps(t *testing.T) {
+// TestFeedStageStep: the canonical loop body of the asynchronous input
+// pipeline — feed, stage, step — stages every input once per iteration.
+func TestFeedStageStep(t *testing.T) {
 	net := buildTinyNet(t, 4, 1)
 	l := &stagerLauncher{}
 	ctx := NewContext(l, 1)
 	solver := NewSolver(net, ctx, CIFAR10QuickSolver())
 
 	fed := 0
-	loss, err := solver.StepFed(func(n *Net) error {
+	feed := func(n *Net) error {
 		fed++
 		fillTinyInputs(t, n, 2)
 		return nil
-	})
+	}
+	if err := feed(net); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.StageInputs(ctx); err != nil {
+		t.Fatal(err)
+	}
+	loss, err := solver.Step()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,13 @@ func trainWorkloadPipe(t *testing.T, name string, batch, width, steps int, pool 
 	defer pipe.Close()
 	s := dnn.NewSolver(net, ctx, dnn.SolverConfig{BaseLR: 0.001, Momentum: 0.9, WeightDecay: 0.001})
 	for i := 0; i < steps; i++ {
-		if _, err := s.StepFed(pipe.Feed); err != nil {
+		if err := pipe.Feed(net); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.StageInputs(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}

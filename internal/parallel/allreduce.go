@@ -12,10 +12,11 @@ import (
 
 // Bucketed, overlapped, deterministic ring all-reduce.
 //
-// The blocking Phase-2 all-reduce waits for every replica to finish its
-// whole backward pass, then folds all gradients in one host loop and
-// charges the full ring time as exposed communication. This file replaces
-// that monolith the way production data-parallel stacks do: parameters are
+// A blocking Phase-2 all-reduce waits for every replica to finish its whole
+// backward pass, then folds all gradients and charges the full ring time as
+// exposed communication (Config.BlockingAllReduce keeps that as the
+// reference arm). This file overlaps it the way production data-parallel
+// stacks do: parameters are
 // partitioned into fixed-size buckets in reverse layer order (gradients
 // that retire first reduce first), each bucket's ring transfer is launched
 // the moment its last gradient lands — while earlier layers are still
@@ -396,44 +397,27 @@ func (rd *reduceRun) commTimes(computeTime time.Duration) (exposed, overlapped t
 	return exposed, total - exposed
 }
 
-// foldBucket averages one bucket's gradients across all replicas, banded
-// across hostpool workers. Per element: ascending-replica additions into
-// replica 0's buffer, scale by 1/n last, broadcast — bit-for-bit the serial
-// reference fold, in any band order and at any concurrency.
+// foldBucket averages one bucket's gradients over the N batch shards into
+// the lead (first surviving) replica's diff buffers and broadcasts the result
+// to the other survivors, banded across hostpool workers. Per element: shard
+// 0, plus shards 1..N-1 in ascending order, scaled by 1/N last with N the
+// *original* replica count — bit-for-bit the serial reference fold, in any
+// band order, at any concurrency and on any surviving device set.
 func (t *Trainer) foldBucket(b *bucketSpec) error {
-	n := len(t.replicas)
-	inv := float32(1) / float32(n)
-	return t.runBands(len(b.bands), func(task int) {
-		bd := b.bands[task]
-		acc := t.replicas[0].params[bd.param].Diff.Data()[bd.lo:bd.hi]
-		for _, r := range t.replicas[1:] {
-			src := r.params[bd.param].Diff.Data()[bd.lo:bd.hi]
-			for j, v := range src {
-				acc[j] += v
-			}
-		}
-		for j := range acc {
-			acc[j] *= inv
-		}
-		for _, r := range t.replicas[1:] {
-			copy(r.params[bd.param].Diff.Data()[bd.lo:bd.hi], acc)
-		}
-	})
-}
-
-// foldBucketShards is the degraded-mode fold over per-shard gradient
-// stashes: copy shard 0, add shards 1..N-1 in ascending shard order, scale
-// by 1/N with N the *original* replica count, broadcast to the other
-// survivors — the same per-element operation order as the healthy fold.
-func (t *Trainer) foldBucketShards(b *bucketSpec, lead *replica, nShards int) error {
+	nShards := len(t.owners)
 	inv := float32(1) / float32(nShards)
+	lead := t.firstSurvivor()
+	// A healthy lead still owns just shard 0, whose gradient is already in
+	// the accumulator; any other shard 0 has to be copied in first.
+	seeded := t.replicas[t.owners[0]] == lead && len(t.shardsOf[t.owners[0]]) == 1
 	return t.runBands(len(b.bands), func(task int) {
 		bd := b.bands[task]
 		acc := lead.params[bd.param].Diff.Data()[bd.lo:bd.hi]
-		copy(acc, t.gradStash[0][bd.param][bd.lo:bd.hi])
+		if !seeded {
+			copy(acc, t.shardGrad(0, bd.param)[bd.lo:bd.hi])
+		}
 		for s := 1; s < nShards; s++ {
-			src := t.gradStash[s][bd.param][bd.lo:bd.hi]
-			for j, v := range src {
+			for j, v := range t.shardGrad(s, bd.param)[bd.lo:bd.hi] {
 				acc[j] += v
 			}
 		}
@@ -441,12 +425,27 @@ func (t *Trainer) foldBucketShards(b *bucketSpec, lead *replica, nShards int) er
 			acc[j] *= inv
 		}
 		for _, r := range t.replicas {
-			if r.lost || r == lead {
-				continue
+			if !r.lost && r != lead {
+				copy(r.params[bd.param].Diff.Data()[bd.lo:bd.hi], acc)
 			}
-			copy(r.params[bd.param].Diff.Data()[bd.lo:bd.hi], acc)
 		}
 	})
+}
+
+// shardGrad is the fold's shard-source rule: the gradient of shard s for one
+// parameter is its owner's live diff buffer when that replica ran only this
+// shard (so a healthy step copies nothing), and the stash taken after the
+// shard's backward when the owner went on to run another. The accumulator
+// (the lead's live buffer) never aliases a source still to be added: a lead
+// running several shards reads all of its own from the stash, and a lead
+// running one shard is replica 0 with shard 0 — evict hands the lowest
+// orphaned shard to the least-loaded, lowest-index survivor, so once replica
+// 0 is gone whoever holds shard 0 holds at least two.
+func (t *Trainer) shardGrad(s, param int) []float32 {
+	if o := t.owners[s]; len(t.shardsOf[o]) == 1 {
+		return t.replicas[o].params[param].Diff.Data()
+	}
+	return t.gradStash[s][param]
 }
 
 // runBands executes n band tasks on the trainer's host pool, or serially
@@ -463,8 +462,8 @@ func (t *Trainer) runBands(n int, fn func(task int)) error {
 }
 
 // layerRetired is the per-replica gradient-ready hook registered at trainer
-// build. Outside a step (rd nil: degraded shard replays, checkpoint
-// restores) it is a no-op.
+// build. With no reducer armed (the blocking arm, degraded steps) it is a
+// no-op.
 func (t *Trainer) layerRetired(i, li int) {
 	if rd := t.red; rd != nil {
 		rd.layerDone(i, li)

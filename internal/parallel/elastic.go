@@ -3,10 +3,7 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/dnn"
 )
 
@@ -28,10 +25,12 @@ import (
 //     position before each extra shard, so each shard sees exactly the
 //     draws its healthy owner would have seen and the stream still advances
 //     by one step per iteration.
-//   - Per-shard gradients are stashed and folded in ascending shard order —
-//     the same float additions, in the same order, as the healthy fold over
-//     replicas 0..N-1 — then scaled by 1/N with N the original replica
-//     count.
+//   - Per-shard gradients fold in ascending shard order — the same float
+//     additions, in the same order, as the healthy fold over replicas
+//     0..N-1 — then scale by 1/N with N the original replica count. A
+//     survivor running several shards stashes each one's gradient before
+//     the next pass overwrites its diff buffers (foldBucket's shard-source
+//     rule).
 //
 // Together these make post-eviction training bitwise identical to the
 // healthy N-device run, which the device-loss chaos soak asserts.
@@ -117,6 +116,15 @@ func (t *Trainer) firstSurvivor() *replica {
 	return nil
 }
 
+// indexShards rebuilds shardsOf from owners; shards ascend because owners is
+// walked in shard order.
+func (t *Trainer) indexShards() {
+	t.shardsOf = make([][]int, len(t.owners))
+	for s, o := range t.owners {
+		t.shardsOf[o] = append(t.shardsOf[o], s)
+	}
+}
+
 // heir picks the survivor to inherit one shard: fewest owned shards,
 // ties to the lowest replica index — deterministic, so equal runs make
 // equal reassignments.
@@ -162,6 +170,7 @@ func (t *Trainer) evict(idx int) error {
 		ev.Shards = append(ev.Shards, s)
 		ev.To = append(ev.To, h)
 	}
+	t.indexShards()
 	t.evictions++
 	t.shardMoves += len(ev.Shards)
 	t.events = append(t.events, ev)
@@ -174,14 +183,15 @@ func (t *Trainer) evict(idx int) error {
 }
 
 // ensureStash builds the per-shard input stash from the current owners'
-// nets. A no-op once built — from then on the Step feed loop refreshes it
-// after every feed.
+// nets (and the empty gradient stash beside it). A no-op once built — from
+// then on the Step feed loop refreshes it after every feed.
 func (t *Trainer) ensureStash() {
 	if t.stash != nil {
 		return
 	}
 	t.inputNames = t.replicas[0].net.InputNames()
 	t.stash = make([][][]float32, len(t.owners))
+	t.gradStash = make([][][]float32, len(t.owners))
 	for s, o := range t.owners {
 		t.stashShard(s, t.replicas[o].net)
 	}
@@ -212,188 +222,19 @@ func (t *Trainer) loadShard(s int, net *dnn.Net) {
 	}
 }
 
-// stashGrads copies net's parameter gradients as shard s's contribution to
+// stashGrads copies r's parameter gradients as shard s's contribution to
 // the fold (the owner's diff buffers are overwritten by its next shard).
-func (t *Trainer) stashGrads(s int, net *dnn.Net) {
-	params := net.Params()
+func (t *Trainer) stashGrads(s int, r *replica) {
 	dst := t.gradStash[s]
 	if dst == nil {
-		dst = make([][]float32, len(params))
+		dst = make([][]float32, len(r.params))
 		t.gradStash[s] = dst
 	}
-	for pi, p := range params {
+	for pi, p := range r.params {
 		g := p.Diff.Data()
 		if dst[pi] == nil {
 			dst[pi] = make([]float32, len(g))
 		}
 		copy(dst[pi], g)
 	}
-}
-
-// stepDegraded is stepOnce on a reduced device set: every survivor
-// processes its owned shards sequentially (ascending shard order, RNG
-// rewound per shard), per-shard gradients are folded in ascending shard
-// order and scaled by 1/N with N the original replica count, and survivors
-// apply the identical update — bit-for-bit the healthy iteration.
-func (t *Trainer) stepDegraded() (StepResult, error) {
-	var res StepResult
-	nShards := len(t.owners)
-	compute := t.replicas[0].ctx.Compute
-
-	shardsOf := make([][]int, len(t.replicas))
-	for s, o := range t.owners {
-		shardsOf[o] = append(shardsOf[o], s) // ascending: s iterates in order
-	}
-	if compute && t.gradStash == nil {
-		t.gradStash = make([][][]float32, nShards)
-	}
-
-	losses := make([]float64, nShards)
-	errs := make([]error, len(t.replicas))
-	times := make([]time.Duration, len(t.replicas))
-	var wg sync.WaitGroup
-	for i, r := range t.replicas {
-		if r.lost {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, r *replica, shards []int) {
-			defer wg.Done()
-			if err := r.dev.ResetClocks(); err != nil {
-				errs[i] = &replicaError{i, err}
-				return
-			}
-			var rt *core.Runtime
-			if t.fw != nil {
-				rt = t.fw.Runtime(r.dev)
-			}
-			rng, rngOK := r.ctx.RNGState()
-			for k, s := range shards {
-				if k > 0 {
-					if rngOK {
-						// Each shard replays the step's draws from the same
-						// starting position its healthy owner would have used.
-						r.ctx.RestoreRNG(rng)
-					}
-					// An inherited pass while this runtime is still inside
-					// its profiling iteration must run at width 1, exactly
-					// like the shard's healthy owner (itself profiling in
-					// lockstep) would have run it. Discard the open window
-					// so the repeat sighting does not analyze plans
-					// mid-iteration and dispatch at planned width early —
-					// width is part of the numeric contract.
-					if rt != nil && rt.Profiling() {
-						rt.ResetProfiling()
-					}
-				}
-				t.loadShard(s, r.net)
-				loss, err := r.net.ForwardBackward(r.ctx)
-				if err != nil {
-					errs[i] = &replicaError{i, fmt.Errorf("parallel: replica %d shard %d: %w", i, s, err)}
-					return
-				}
-				losses[s] = loss
-				if compute {
-					t.stashGrads(s, r.net)
-				}
-			}
-			d, err := r.dev.Synchronize()
-			if err != nil {
-				errs[i] = &replicaError{i, err}
-				return
-			}
-			if h := r.dev.HostTime(); h > d {
-				d = h
-			}
-			times[i] = d
-		}(i, r, shardsOf[i])
-	}
-	wg.Wait()
-	for i := range t.replicas {
-		if errs[i] != nil {
-			return res, errs[i]
-		}
-		if times[i] > res.ComputeTime {
-			res.ComputeTime = times[i]
-		}
-	}
-	var lossSum float64
-	for s := 0; s < nShards; s++ {
-		lossSum += losses[s]
-	}
-	res.MeanLoss = lossSum / float64(nShards)
-
-	// Fold in ascending shard order — the same additions, in the same
-	// order, as the healthy fold over replicas 0..N-1 — into the first
-	// survivor's diff buffers, then broadcast to the other survivors. The
-	// fold routes through the same bucket plan as the healthy overlapped
-	// path (banded across hostpool workers, bucket by bucket); per-element
-	// operation order is unchanged, so the bits are too. Unlike the healthy
-	// path there is no overlap to claim: a survivor's diff buffers are
-	// overwritten by each inherited shard replay, so no gradient is final
-	// until the whole degraded Phase 1 ends — the ring time stays fully
-	// exposed.
-	if nShards > 1 && compute {
-		lead := t.firstSurvivor()
-		for bi := range t.plan.buckets {
-			if err := t.foldBucketShards(&t.plan.buckets[bi], lead, nShards); err != nil {
-				return res, err
-			}
-		}
-	}
-	res.CommTime = t.bus.AllReduceTime(t.survivorCount(), t.gradBytes)
-	if t.survivorCount() > 1 || (nShards > 1 && compute) {
-		buckets := 0
-		if nShards > 1 && compute {
-			buckets = t.plan.NumBuckets()
-			res.BucketsReduced = buckets
-		}
-		t.accountComm(buckets, 0, res.CommTime)
-	}
-
-	// Phase 3 mirrors stepOnce: concurrent identical updates on the
-	// survivors, errors surfaced in ascending replica order.
-	uTimes := make([]time.Duration, len(t.replicas))
-	uErrs := make([]error, len(t.replicas))
-	var uwg sync.WaitGroup
-	for i, r := range t.replicas {
-		if r.lost {
-			continue
-		}
-		uwg.Add(1)
-		go func(i int, r *replica) {
-			defer uwg.Done()
-			if err := r.dev.ResetClocks(); err != nil {
-				uErrs[i] = &replicaError{i, err}
-				return
-			}
-			if err := r.solver.ApplyUpdate(); err != nil {
-				uErrs[i] = &replicaError{i, fmt.Errorf("parallel: update replica %d: %w", i, err)}
-				return
-			}
-			d, err := r.dev.Synchronize()
-			if err != nil {
-				uErrs[i] = &replicaError{i, err}
-				return
-			}
-			if h := r.dev.HostTime(); h > d {
-				d = h
-			}
-			uTimes[i] = d
-			r.solver.SetIter(t.iter + 1)
-		}(i, r)
-	}
-	uwg.Wait()
-	var updateTime time.Duration
-	for i := range t.replicas {
-		if uErrs[i] != nil {
-			return res, uErrs[i]
-		}
-		if uTimes[i] > updateTime {
-			updateTime = uTimes[i]
-		}
-	}
-	res.IterTime = res.ComputeTime + res.CommTime + updateTime
-	t.iter++
-	return res, nil
 }

@@ -99,11 +99,13 @@ type Trainer struct {
 
 	// Elastic state (see elastic.go). owners maps each of the original N
 	// batch shards to the replica currently processing it — identity until
-	// a device is lost. stash holds each shard's fed inputs (by sorted
-	// input name) once the trainer is degraded; gradStash holds per-shard
-	// gradient contributions for the shard-order fold.
+	// a device is lost — and shardsOf is its inverse, each replica's shards
+	// ascending. stash holds each shard's fed inputs (by sorted input name)
+	// once the trainer is degraded; gradStash holds the gradients of shards
+	// whose owner runs more than one (the fold's shard-source rule).
 	elastic    bool
 	owners     []int
+	shardsOf   [][]int
 	inputNames []string
 	stash      [][][]float32
 	gradStash  [][][]float32
@@ -167,11 +169,10 @@ type Config struct {
 	// which is invariant across bucket sizes — any BucketBytes trains the
 	// same bits.
 	BucketBytes int64
-	// BlockingAllReduce selects the legacy Phase-2 monolith: wait for every
-	// replica's full backward, fold all gradients in one host loop, charge
-	// the whole ring time as exposed comm. Trains bitwise identically to
-	// the default overlapped path; kept as the reference arm for tests and
-	// benchmarks.
+	// BlockingAllReduce waits for every replica's full backward, then runs
+	// the bucket fold over every bucket and charges the whole ring time as
+	// exposed comm. Trains bitwise identically to the default overlapped
+	// path; kept as the reference arm for tests and benchmarks.
 	BlockingAllReduce bool
 	// Adaptive, with UseGLP, arms the online concurrency controller: each
 	// replica's runtime watches per-layer kernel timings, layers whose
@@ -206,6 +207,7 @@ func NewTrainer(machine *simgpu.Machine, build BuildFunc, cfg Config) (*Trainer,
 	for i := range t.owners {
 		t.owners[i] = i
 	}
+	t.indexShards()
 	if cfg.UseGLP {
 		t.fw = core.New()
 		t.adaptive = cfg.Adaptive
@@ -300,7 +302,7 @@ type StepResult struct {
 	// CommTime is the *exposed* ring all-reduce time — the part left on the
 	// critical path after per-bucket transfers overlapped residual backward
 	// compute. Under Config.BlockingAllReduce (and in degraded post-eviction
-	// steps) it is the full modeled ring time.
+	// steps) it is the full modeled ring time over the survivors.
 	CommTime       time.Duration
 	OverlappedComm time.Duration // modeled ring time hidden under backward
 	BucketsReduced int           // gradient buckets folded this step
@@ -385,22 +387,82 @@ func (t *Trainer) Step(feed FeedFunc) (StepResult, error) {
 	return res, err
 }
 
-// stepOnce runs one synchronous iteration attempt.
-func (t *Trainer) stepOnce() (StepResult, error) {
-	if t.evictions > 0 {
-		return t.stepDegraded()
+// syncTime drains dev and returns the later of its device and host clocks.
+func syncTime(dev *simgpu.Device) (time.Duration, error) {
+	d, err := dev.Synchronize()
+	if err != nil {
+		return 0, err
 	}
+	if h := dev.HostTime(); h > d {
+		d = h
+	}
+	return d, nil
+}
+
+// onSurvivors runs one phase of a step on every live replica concurrently —
+// one goroutine per replica, mirroring the real hardware where each GPU (and
+// its driving host thread) advances independently: reset the device clocks,
+// run fn, drain. It returns the slowest replica's time. Errors are attributed
+// to their replica and surface in ascending replica order, so the outcome is
+// deterministic no matter which goroutine finished first.
+func (t *Trainer) onSurvivors(fn func(i int, r *replica) error) (time.Duration, error) {
+	times := make([]time.Duration, len(t.replicas))
+	errs := make([]error, len(t.replicas))
+	var wg sync.WaitGroup
+	for i, r := range t.replicas {
+		if r.lost {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, r *replica) {
+			defer wg.Done()
+			err := r.dev.ResetClocks()
+			if err == nil {
+				err = fn(i, r)
+			}
+			if err == nil {
+				times[i], err = syncTime(r.dev)
+			}
+			if err != nil {
+				errs[i] = &replicaError{i, err}
+			}
+		}(i, r)
+	}
+	wg.Wait()
+	var slowest time.Duration
+	for i, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+		if times[i] > slowest {
+			slowest = times[i]
+		}
+	}
+	return slowest, nil
+}
+
+// stepOnce runs one synchronous iteration attempt over the original N batch
+// shards on whatever replicas survive. A healthy trainer is the case of one
+// shard per replica; after an eviction a survivor runs its shards back to
+// back (see elastic.go for why that trains the same bits).
+func (t *Trainer) stepOnce() (StepResult, error) {
 	var res StepResult
-	n := len(t.replicas)
+	nShards := len(t.owners)
+	survivors := t.survivorCount()
+	healthy := survivors == nShards // one shard per replica
 	compute := t.replicas[0].ctx.Compute
+	fold := compute && nShards > 1
 
 	// Arm the overlapped reducer before Phase 1 launches: gradient-ready
 	// hooks fire inside the replica goroutines, snapshot device launch
 	// sequences for the timeline model, and start each bucket's fold the
-	// moment its last gradient lands. The goroutine launch below publishes
-	// t.red to the hooks; the join plus finish() below retires it.
+	// moment its last gradient lands. That needs every gradient final when
+	// its layer retires, so it arms only while every survivor owns exactly
+	// one shard: an inherited shard's replay overwrites the diff buffers, and
+	// nothing is final until the whole Phase 1 ends. The goroutine launch in
+	// onSurvivors publishes t.red to the hooks; finish() below retires it.
 	var rd *reduceRun
-	if !t.blocking && n > 1 {
+	if !t.blocking && healthy && nShards > 1 {
 		for i := range t.replicas {
 			t.retire[i].reset()
 		}
@@ -408,39 +470,44 @@ func (t *Trainer) stepOnce() (StepResult, error) {
 		t.red = rd
 	}
 
-	// Phase 1: local forward/backward on every replica, concurrently — one
-	// goroutine per replica, mirroring the real hardware where each GPU (and
-	// its driving host thread) advances independently.
-	losses := make([]float64, n)
-	times := make([]time.Duration, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, r := range t.replicas {
-		wg.Add(1)
-		go func(i int, r *replica) {
-			defer wg.Done()
-			if err := r.dev.ResetClocks(); err != nil {
-				errs[i] = &replicaError{i, err}
-				return
+	// Phase 1: local forward/backward of every shard on its owner.
+	losses := make([]float64, nShards)
+	computeTime, err := t.onSurvivors(func(i int, r *replica) error {
+		shards := t.shardsOf[i]
+		rng, rngOK := r.ctx.RNGState()
+		for k, s := range shards {
+			if k > 0 {
+				if rngOK {
+					// Each shard replays the step's draws from the same
+					// starting position its healthy owner would have used.
+					r.ctx.RestoreRNG(rng)
+				}
+				// An inherited pass while this runtime is still inside its
+				// profiling iteration must run at width 1, exactly like the
+				// shard's healthy owner (itself profiling in lockstep) would
+				// have run it. Discard the open window so the repeat sighting
+				// does not analyze plans mid-iteration and dispatch at
+				// planned width early — width is part of the numeric contract.
+				if t.fw != nil {
+					if rt := t.fw.Runtime(r.dev); rt.Profiling() {
+						rt.ResetProfiling()
+					}
+				}
+			}
+			if t.stash != nil {
+				t.loadShard(s, r.net)
 			}
 			loss, err := r.net.ForwardBackward(r.ctx)
 			if err != nil {
-				errs[i] = &replicaError{i, fmt.Errorf("parallel: replica %d: %w", i, err)}
-				return
+				return fmt.Errorf("parallel: replica %d shard %d: %w", i, s, err)
 			}
-			losses[i] = loss
-			d, err := r.dev.Synchronize()
-			if err != nil {
-				errs[i] = &replicaError{i, err}
-				return
+			losses[s] = loss
+			if fold && len(shards) > 1 {
+				t.stashGrads(s, r)
 			}
-			if h := r.dev.HostTime(); h > d {
-				d = h
-			}
-			times[i] = d
-		}(i, r)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	// Every hook has fired by the join; await in-flight bucket folds before
 	// anything (including an error-path retry, whose backward would race
 	// them) proceeds, then disarm.
@@ -449,103 +516,68 @@ func (t *Trainer) stepOnce() (StepResult, error) {
 		foldErr = rd.finish()
 		t.red = nil
 	}
-	// Reductions in fixed replica order, so MeanLoss is deterministic no
-	// matter which goroutine finished first.
-	var lossSum float64
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return res, errs[i]
-		}
-		lossSum += losses[i]
-		if times[i] > res.ComputeTime {
-			res.ComputeTime = times[i]
-		}
+	if err != nil {
+		return res, err
 	}
-	res.MeanLoss = lossSum / float64(n)
+	res.ComputeTime = computeTime
+	// Summed in shard order, so MeanLoss is deterministic and independent of
+	// which replica ran which shard.
+	var lossSum float64
+	for _, l := range losses {
+		lossSum += l
+	}
+	res.MeanLoss = lossSum / float64(nShards)
 	if foldErr != nil {
 		return res, foldErr
 	}
 
-	// Phase 2: all-reduce — average gradients in fixed device order (real
-	// math). On the default overlapped path the folds already ran bucket by
-	// bucket as backward retired layers; only the timeline split remains.
-	// The blocking reference arm keeps the monolithic fold and charges the
-	// whole ring time as exposed.
+	// Phase 2: all-reduce — average the shard gradients in ascending shard
+	// order (real math). With the reducer armed the folds already ran bucket
+	// by bucket as backward retired layers; only the timeline split remains.
+	// Otherwise (the blocking reference arm, or a degraded step) the same
+	// fold runs over every bucket now and the whole ring time is exposed.
 	if rd != nil {
 		if compute && !rd.allFolded() {
 			return res, fmt.Errorf("parallel: overlapped all-reduce left buckets unreduced (gradient-ready hooks missed)")
 		}
-		exposed, overlapped := rd.commTimes(res.ComputeTime)
-		res.CommTime = exposed
-		res.OverlappedComm = overlapped
+		res.CommTime, res.OverlappedComm = rd.commTimes(res.ComputeTime)
 		if compute {
 			res.BucketsReduced = t.plan.NumBuckets()
 		}
-		t.accountComm(res.BucketsReduced, overlapped, exposed)
+		t.accountComm(res.BucketsReduced, res.OverlappedComm, res.CommTime)
 	} else {
-		if n > 1 && compute {
-			master := t.replicas[0].net.Params()
-			for pi, p0 := range master {
-				acc := p0.Diff.Data()
-				for _, r := range t.replicas[1:] {
-					other := r.net.Params()[pi].Diff.Data()
-					for j, v := range other {
-						acc[j] += v
-					}
-				}
-				inv := float32(1) / float32(n)
-				for j := range acc {
-					acc[j] *= inv
-				}
-				for _, r := range t.replicas[1:] {
-					copy(r.net.Params()[pi].Diff.Data(), acc)
+		if fold {
+			for bi := range t.plan.buckets {
+				if err := t.foldBucket(&t.plan.buckets[bi]); err != nil {
+					return res, err
 				}
 			}
+			// The healthy blocking arm models one monolithic ring and
+			// reports no buckets.
+			if !t.blocking || !healthy {
+				res.BucketsReduced = t.plan.NumBuckets()
+			}
 		}
-		res.CommTime = t.bus.AllReduceTime(n, t.gradBytes)
-		if n > 1 {
-			t.accountComm(0, 0, res.CommTime)
+		res.CommTime = t.bus.AllReduceTime(survivors, t.gradBytes)
+		if survivors > 1 || fold {
+			t.accountComm(res.BucketsReduced, 0, res.CommTime)
 		}
 	}
 
-	// Phase 3: identical updates everywhere, applied concurrently — each
-	// replica's solver math touches only its own buffers, and errors
-	// surface in ascending replica order, mirroring Phase 1.
-	uTimes := make([]time.Duration, n)
-	uErrs := make([]error, n)
-	var uwg sync.WaitGroup
-	for i, r := range t.replicas {
-		uwg.Add(1)
-		go func(i int, r *replica) {
-			defer uwg.Done()
-			if err := r.dev.ResetClocks(); err != nil {
-				uErrs[i] = &replicaError{i, err}
-				return
-			}
-			if err := r.solver.ApplyUpdate(); err != nil {
-				uErrs[i] = &replicaError{i, fmt.Errorf("parallel: update replica %d: %w", i, err)}
-				return
-			}
-			d, err := r.dev.Synchronize()
-			if err != nil {
-				uErrs[i] = &replicaError{i, err}
-				return
-			}
-			if h := r.dev.HostTime(); h > d {
-				d = h
-			}
-			uTimes[i] = d
-			r.solver.SetIter(t.iter + 1) // keep LR schedules advancing
-		}(i, r)
-	}
-	uwg.Wait()
-	var updateTime time.Duration
-	for i := 0; i < n; i++ {
-		if uErrs[i] != nil {
-			return res, uErrs[i]
+	// Phase 3: identical updates on every survivor — each replica's solver
+	// math touches only its own buffers.
+	updateTime, err := t.onSurvivors(func(i int, r *replica) error {
+		if err := r.solver.ApplyUpdate(); err != nil {
+			return fmt.Errorf("parallel: update replica %d: %w", i, err)
 		}
-		if uTimes[i] > updateTime {
-			updateTime = uTimes[i]
+		return nil
+	})
+	if err != nil {
+		return res, err
+	}
+	for _, r := range t.replicas {
+		if !r.lost {
+			r.solver.SetIter(t.iter + 1) // keep LR schedules advancing
 		}
 	}
 	res.IterTime = res.ComputeTime + res.CommTime + updateTime
