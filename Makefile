@@ -6,14 +6,10 @@ MAINS := \
 	./cmd/glp4nn-info \
 	./cmd/glp4nn-serve \
 	./cmd/glp4nn-train \
-	./examples/caffenet-sweep \
-	./examples/convergence \
-	./examples/dataparallel \
 	./examples/multigpu \
-	./examples/quickstart \
-	./examples/timeline
+	./examples/quickstart
 
-.PHONY: tier1 vet build test race alloc purego bins bench bench-tensor bench-dag bench-input bench-kernel bench-comm bench-serve bench-adapt serve chaos checkpoint stats clean
+.PHONY: tier1 vet build test race alloc purego bins bench-tensor serve chaos checkpoint stats clean
 
 # tier1 is the CI gate: vet, build, the full test suite under the race
 # detector (the host-side parallel engine must stay race-clean), the
@@ -33,8 +29,20 @@ test:
 # The chaos soak trains all four workloads under fault storms; with race
 # instrumentation on a small CI box that legitimately exceeds go test's
 # default 10-minute per-package timeout, so the budget is raised here.
+#
+# internal/parallel runs one top-level test per process: its soaks each hold
+# several CaffeNet-sized replicas, the race detector multiplies that, and in
+# one process the package is OOM-killed on a 16 GB box; one test at a time
+# bounds peak RSS by the largest single test. The one subtest that alone
+# still exceeds 16 GB under -race, TestCrashResumeSoakBitIdentical/CaffeNet,
+# is skipped in this loop only — `make test` runs it without -race.
 race:
-	$(GO) test -race -timeout 45m ./...
+	$(GO) test -race -timeout 45m $$($(GO) list ./... | grep -v '/internal/parallel$$')
+	@set -e; for t in $$($(GO) test -list . ./internal/parallel | grep -E '^(Test|Fuzz)'); do \
+		echo "race ./internal/parallel $$t"; \
+		$(GO) test -race -timeout 45m -run "^$$t\$$" \
+			-skip '^TestCrashResumeSoakBitIdentical$$/^CaffeNet$$' ./internal/parallel; \
+	done
 
 # The steady-state allocation contract (Gemm, Im2col/Col2im, the scratch
 # arena, and a prefetched input batch end to end) must run without -race:
@@ -82,55 +90,10 @@ chaos:
 checkpoint:
 	$(GO) test -race -timeout 45m -run 'TestDurable|TestCheckpoint|TestCrashResumeSoak|TestWriteFileAtomic|TestTrainerCheckpoint|TestResumeRefuses' -v ./internal/parallel/ ./cmd/glp4nn-train/
 
-bench:
-	$(GO) test -bench=. -benchmem
-
 # Kernel micro-benchmarks over the paper's Table 5 convolution geometries
 # (GEMM shapes and im2col/col2im column layouts).
 bench-tensor:
 	$(GO) test -run '^$$' -bench 'Gemm|Im2col|Col2im' -benchmem ./internal/tensor
-
-# Operator DAG scheduler experiment: GoogLeNet (inception branches run
-# concurrently) and a chain MLP (serial-fallback control), serial vs DAG
-# wall-clock plus the bitwise parameter-identity check.
-bench-dag:
-	$(GO) run ./cmd/glp4nn-bench -exp dagpar
-
-# Asynchronous input pipeline experiment: per-workload feed stall with the
-# inline feeder vs the double-buffered prefetcher (copy-stream staging),
-# plus the bitwise parameter-identity check.
-bench-input:
-	$(GO) run ./cmd/glp4nn-bench -exp inputpipe -quick
-
-# Host kernel engine sweep: every runnable ISA level (purego → sse2 → avx2)
-# × {plain GEMM, separate bias+relu passes, fused epilogue} over the Table 5
-# GEMM geometries, bit-identity checked per arm, with machine-readable
-# records written to BENCH_kernelperf.json (the repo's perf trajectory).
-bench-kernel:
-	$(GO) run ./cmd/glp4nn-bench -exp kernelperf -json-out BENCH_kernelperf.json
-
-# Gradient all-reduce sweep: replicas × bus × bucket size, each overlapped
-# arm's exposed comm compared against the blocking monolith on the same
-# topology (bit-identity checked per arm), closing with the Phase-2
-# host-reduction serial-vs-pool wall-clock, written to BENCH_allreduce.json.
-bench-comm:
-	$(GO) run ./cmd/glp4nn-bench -exp allreduce -json-out BENCH_allreduce.json
-
-# Adaptive concurrency controller sweep: drift-band × workload under
-# injected profiling drift, the stale fixed-plan arm's virtual timeline
-# against the adaptive arm's (re-profile + step-boundary swap), bitwise
-# replay-invariance checked per workload, written to BENCH_adapt.json.
-bench-adapt:
-	$(GO) run ./cmd/glp4nn-bench -exp adapt -json-out BENCH_adapt.json
-
-# Inference serving experiment: batch=1 serial vs dynamic request batching
-# on the same frozen engine, per-request answers bitwise-compared across
-# arms (the table from glp4nn-bench), then the two arms re-run standalone
-# through glp4nn-serve -json for machine-readable p50/p99 lines.
-bench-serve:
-	$(GO) run ./cmd/glp4nn-bench -exp servebench -quick
-	$(GO) run ./cmd/glp4nn-serve -net CIFAR10 -glp4nn -max-batch 1 -max-delay -1ns -requests 64 -json
-	$(GO) run ./cmd/glp4nn-serve -net CIFAR10 -glp4nn -requests 64 -json
 
 # Serving demo: freeze CIFAR10, answer a seeded heavy-tailed request load
 # through the dynamic batcher on the GLP4NN runtime, and report p50/p99 as
@@ -141,8 +104,9 @@ serve:
 # Simplicity trajectory (ROADMAP item 5): the numbers a simplifying PR
 # quotes before and after in CHANGES.md. Non-test Go lines outside
 # benchmark/ (total, then per package with its exported-symbol count),
-# glp4nn-train's flag count, and the façade's exported-symbol count. Tier-1
-# wall time is `time make test`.
+# glp4nn-train's flag count, the façade's exported-symbol count, the
+# registered experiment IDs and the examples/ mains. Tier-1 wall time is
+# `time make test`.
 stats:
 	@printf 'non-test Go lines (outside benchmark/): '; \
 		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
@@ -153,6 +117,8 @@ stats:
 	done
 	@printf 'glp4nn-train flags: '; $(GO) run ./cmd/glp4nn-train -h 2>&1 | grep -c '^  -'
 	@printf 'facade exported symbols: '; $(GO) doc -short ./ | wc -l
+	@printf 'experiment IDs: '; $(GO) run ./cmd/glp4nn-bench -list | grep -c '^  [a-z]'
+	@printf 'examples: '; ls -d examples/*/ | wc -l
 
 clean:
 	rm -rf bin

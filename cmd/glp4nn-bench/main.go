@@ -31,7 +31,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "seed for synthetic data and initialization")
 		quick     = flag.Bool("quick", false, "shrink batches and sweeps for a fast smoke run")
 		convIters = flag.Int("convergence-iters", 0, "training length for fig11")
-		jsonOut   = flag.String("json-out", "", "write machine-readable records to this file (experiments that support it, e.g. kernelperf)")
 	)
 	flag.Parse()
 
@@ -52,7 +51,6 @@ func main() {
 		Seed:             *seed,
 		Quick:            *quick,
 		ConvergenceIters: *convIters,
-		JSONOut:          *jsonOut,
 	}
 	if *devices != "" {
 		cfg.Devices = splitList(*devices)

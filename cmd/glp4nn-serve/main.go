@@ -30,13 +30,13 @@ import (
 )
 
 type options struct {
-	netName  string
-	batch    int
-	maxBatch int
-	maxDelay time.Duration
-	requests int
-	clients  int
-	device   string
+	netName   string
+	batch     int
+	maxBatch  int
+	maxDelay  time.Duration
+	requests  int
+	clients   int
+	device    string
 	useGLP    bool
 	useDAG    bool
 	useFuse   bool
@@ -45,7 +45,7 @@ type options struct {
 	weights   string
 	seed      int64
 	mean      time.Duration
-	jsonOut   bool
+	emitJSON  bool
 }
 
 func main() {
@@ -65,7 +65,7 @@ func main() {
 	flag.StringVar(&o.weights, "weights", "", "load a weights snapshot (glp4nn-train -save-weights) before freezing")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for weights, load shape and sample content")
 	flag.DurationVar(&o.mean, "mean-gap", 500*time.Microsecond, "mean request inter-arrival gap (Pareto tail)")
-	flag.BoolVar(&o.jsonOut, "json", false, "emit machine-readable p50/p99 JSON instead of text")
+	flag.BoolVar(&o.emitJSON, "json", false, "emit machine-readable p50/p99 JSON instead of text")
 	flag.Parse()
 
 	if err := run(os.Stdout, o); err != nil {
@@ -74,7 +74,7 @@ func main() {
 	}
 }
 
-// report is the -json output shape (make bench-serve consumes it).
+// report is the -json output shape.
 type report struct {
 	Net       string  `json:"net"`
 	Device    string  `json:"device"`
@@ -155,7 +155,7 @@ func run(out io.Writer, o options) error {
 	}
 	defer srv.Close()
 
-	if !o.jsonOut {
+	if !o.emitJSON {
 		fmt.Fprintf(out, "serving %s on %s: engine batch %d, max-batch %d, max-delay %v, glp4nn=%v dag=%v fuse=%v\n",
 			o.netName, spec.Name, fz.Batch(), srv.MaxBatch(), o.maxDelay, o.useGLP, o.useDAG, o.useFuse)
 		fmt.Fprintf(out, "frozen: inputs %v → outputs %v, %d gradient elements dropped\n",
@@ -203,7 +203,7 @@ func run(out io.Writer, o options) error {
 	if st.Batches > 0 {
 		mean = float64(st.Samples) / float64(st.Batches)
 	}
-	if o.jsonOut {
+	if o.emitJSON {
 		enc := json.NewEncoder(out)
 		return enc.Encode(report{
 			Net: o.netName, Device: spec.Name,

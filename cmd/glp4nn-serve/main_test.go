@@ -61,7 +61,7 @@ func TestServeCLIFuse(t *testing.T) {
 func TestServeCLIJSON(t *testing.T) {
 	var buf bytes.Buffer
 	o := baseOpts()
-	o.jsonOut = true
+	o.emitJSON = true
 	if err := run(&buf, o); err != nil {
 		t.Fatalf("run: %v\n%s", err, buf.String())
 	}

@@ -147,6 +147,9 @@ func run(out io.Writer, o runOptions) (float64, error) {
 	if o.Batch <= 0 {
 		o.Batch = w.DefaultBatch
 	}
+	if o.Iters < 1 {
+		return 0, fmt.Errorf("-iters must be at least 1, got %d", o.Iters)
+	}
 	if o.Devices > 1 || o.CheckpointDir != "" || o.Resume || o.Adapt {
 		return runTrainer(out, o, spec, w)
 	}

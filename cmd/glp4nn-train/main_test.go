@@ -262,3 +262,21 @@ func TestDeviceLossFlagEvicts(t *testing.T) {
 		t.Fatalf("device loss changed the final loss: healthy %v degraded %v", healthy, got)
 	}
 }
+
+// TestItersBelowOneRefused: the single-device summary divides by -iters and
+// the trainer loop would report a negative count as done, so both run paths
+// refuse -iters < 1 before a device is built.
+func TestItersBelowOneRefused(t *testing.T) {
+	for _, devices := range []int{1, 2} {
+		for _, iters := range []int{0, -3} {
+			o := runOptions{Net: "CIFAR10", Batch: 4, Iters: iters, Device: "P100", GLP: true, Devices: devices, Seed: 1}
+			var sb strings.Builder
+			if _, err := run(&sb, o); err == nil || !strings.Contains(err.Error(), "-iters") {
+				t.Errorf("devices=%d iters=%d: err = %v, want an -iters error", devices, iters, err)
+			}
+			if sb.Len() != 0 {
+				t.Errorf("devices=%d iters=%d: run printed %q before refusing", devices, iters, sb.String())
+			}
+		}
+	}
+}

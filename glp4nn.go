@@ -273,14 +273,6 @@ func Serial(dev *Device) Launcher { return dnn.SerialLauncher{Dev: dev} }
 // motivation-experiment baseline, no profiling or analysis).
 func FixedPool(dev *Device, streams int) Launcher { return core.NewFixedLauncher(dev, streams) }
 
-// WithFusion wraps a launcher with chain-local kernel fusion (the paper's
-// future-work item 2): consecutive sub-threshold kernels of one dependency
-// chain merge into a single launch. threshold ≤ 0 defaults to 3× the
-// device's launch overhead.
-func WithFusion(inner Launcher, spec DeviceSpec, threshold time.Duration) Launcher {
-	return core.NewFusingLauncher(inner, spec, threshold)
-}
-
 // NewContext builds a training context over a launcher with a fixed seed.
 func NewContext(l Launcher, seed int64) *Context { return dnn.NewContext(l, seed) }
 

@@ -2,8 +2,7 @@
 // the paper's evaluation (and the motivation figures of Section 2.2) it
 // provides a registered experiment that regenerates the corresponding rows
 // or series on the simulated devices. cmd/glp4nn-bench is the CLI front
-// end; bench_test.go at the repository root wraps each experiment in a
-// testing.B benchmark.
+// end.
 //
 // Absolute times come from the simulator and will not equal the authors'
 // testbed; the reproduction targets the paper's shapes: who wins, by
@@ -35,12 +34,8 @@ type Config struct {
 	// Seed drives all synthetic data and initialization.
 	Seed int64
 	// Quick shrinks batch sizes and sweep ranges so the experiment smoke-
-	// runs in seconds (used by unit tests and testing.B wrappers).
+	// runs in seconds (used by unit tests).
 	Quick bool
-	// JSONOut, when non-empty, makes experiments that support it (currently
-	// kernelperf) write their records as a machine-readable JSON file at
-	// this path in addition to the human-readable table.
-	JSONOut string
 	// ConvergenceIters overrides the Fig. 11 training length.
 	ConvergenceIters int
 }
@@ -90,9 +85,88 @@ type Experiment struct {
 	Run   func(cfg Config, w io.Writer) error
 }
 
-var registry []*Experiment
-
-func register(e *Experiment) { registry = append(registry, e) }
+// registry is the paper's evaluation in the order the paper presents it:
+// the static tables, the Section 2.2 motivation figures, then Section 4.
+var registry = []*Experiment{
+	{
+		ID:    "table1",
+		Title: "Table 1: overview of GPU architecture features",
+		Paper: "Tesla..Volta feature matrix; max concurrent kernels 1/16/32/16/128/128",
+		Run:   runTable1,
+	},
+	{
+		ID:    "table3",
+		Title: "Table 3: hardware profile",
+		Paper: "K40C (Kepler, 15×192), P100 (Pascal, 56×64), Titan XP (Pascal, 30×128)",
+		Run:   runTable3,
+	},
+	{
+		ID:    "table4",
+		Title: "Table 4: test datasets",
+		Paper: "MNIST 60k/10k 28×28 ×10; CIFAR-10 50k/10k 32×32 ×10; ImageNet 1.2M/150k 256×256 ×1000",
+		Run:   runTable4,
+	},
+	{
+		ID:    "table5",
+		Title: "Table 5: layers of DNNs used in this paper",
+		Paper: "conv geometry for CIFAR10, Siamese, CaffeNet and six GoogLeNet units",
+		Run:   runTable5,
+	},
+	{
+		ID:    "fig2",
+		Title: "Fig. 2: speedup of CaffeNet's convolution layers on P100 vs stream count",
+		Paper: "conv2-conv5 gain up to ~2-4x from multi-stream execution; conv1 gains least",
+		Run:   runFig2,
+	},
+	{
+		ID:    "fig3",
+		Title: "Fig. 3: timeline of conv1 kernels (MNIST) with multiple CUDA streams",
+		Paper: "im2col/sgemm/gemmk chains overlap across streams instead of serializing",
+		Run:   runFig3,
+	},
+	{
+		ID:    "fig4",
+		Title: "Fig. 4: best observed number of concurrent streams per CaffeNet layer",
+		Paper: "optimum varies per layer and per GPU (roughly 4-32), never 'as many as possible'",
+		Run:   runFig4,
+	},
+	{
+		ID:    "fig7",
+		Title: "Fig. 7: speedup of GLP4NN-Caffe over naive Caffe per training iteration",
+		Paper: "most nets gain 1.1-4x; Siamese gains most on K40C; gains vary per GPU",
+		Run:   runFig7,
+	},
+	{
+		ID:    "fig8",
+		Title: "Fig. 8: number of streams chosen by the analytical model per conv layer",
+		Paper: "per-layer stream counts (model output C_out), varying by layer and GPU",
+		Run:   runFig8,
+	},
+	{
+		ID:    "fig9",
+		Title: "Fig. 9: per-layer elapsed time, CIFAR10 on TitanXP and Siamese on P100",
+		Paper: "layers finishing within ~2ms (conv1, conv1_p) can lose under GLP4NN",
+		Run:   runFig9,
+	},
+	{
+		ID:    "fig10",
+		Title: "Fig. 10: memory consumption of GLP4NN (mem_tt, mem_K, mem_cupti)",
+		Paper: "mem_cupti (CUPTI runtime) dominates; mem_tt/mem_K scale with recorded kernels",
+		Run:   runFig10,
+	},
+	{
+		ID:    "table6",
+		Title: "Table 6: one-time overhead of GLP4NN (T_p, T_a, T_total, ratio)",
+		Paper: "T_total ranges ~8-126ms; always <0.1% of total training time",
+		Run:   runTable6,
+	},
+	{
+		ID:    "fig11",
+		Title: "Fig. 11: training CIFAR10 on P100 — convergence of GLP4NN-Caffe vs Caffe",
+		Paper: "loss/accuracy curves coincide; residual gap is only the batch-shuffle order",
+		Run:   runFig11,
+	},
+}
 
 // Get returns the experiment with the given id.
 func Get(id string) (*Experiment, error) {
@@ -138,10 +212,6 @@ type table struct {
 func newTable(cols ...string) *table { return &table{header: cols} }
 
 func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
-
-func (t *table) addf(format string, args ...interface{}) {
-	t.add(strings.Split(fmt.Sprintf(format, args...), "\t")...)
-}
 
 func (t *table) write(w io.Writer) {
 	widths := make([]int, len(t.header))

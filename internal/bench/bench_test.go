@@ -31,29 +31,20 @@ func runExp(t *testing.T, id string, cfg Config) string {
 	return out
 }
 
+// TestRegistryComplete pins the registry to exactly the paper's
+// thirteen artefacts, in paper order: a fourteenth experiment is a decision
+// this test makes visible, not something the registry can grow into.
 func TestRegistryComplete(t *testing.T) {
-	// Every paper artifact plus the two ablations must be registered.
-	want := []string{
-		"table1", "table3", "table4", "table5",
-		"fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"table6", "ablation-engine", "ablation-pool",
-		"ablation-fusion", "ablation-analyzer", "ext-dataparallel", "ext-winograd",
-		"chaostrain", "inputpipe",
+	want := "table1 table3 table4 table5 fig2 fig3 fig4 fig7 fig8 fig9 fig10 table6 fig11"
+	if got := strings.Join(IDs(), " "); got != want {
+		t.Fatalf("registered experiments:\n got %s\nwant %s", got, want)
 	}
-	have := map[string]bool{}
-	for _, id := range IDs() {
-		have[id] = true
-	}
-	for _, id := range want {
-		if !have[id] {
-			t.Errorf("experiment %s not registered", id)
-		}
-	}
-	if len(All()) < len(want) {
-		t.Fatalf("registry has %d entries, want ≥%d", len(All()), len(want))
-	}
-	if _, err := Get("nope"); err == nil {
+	_, err := Get("nope")
+	if err == nil {
 		t.Fatal("unknown experiment resolved")
+	}
+	if list := strings.Join(IDs(), ", "); !strings.Contains(err.Error(), list) {
+		t.Fatalf("unknown-id error %q does not list the valid ids %q", err, list)
 	}
 	for _, e := range All() {
 		if e.Title == "" || e.Paper == "" || e.Run == nil {
@@ -203,46 +194,6 @@ func TestFig11ConvergenceQuick(t *testing.T) {
 	}
 }
 
-func TestAblations(t *testing.T) {
-	out := runExp(t, "ablation-engine", quickCfg())
-	if !strings.Contains(out, "no-contention") || !strings.Contains(out, "contention (default)") {
-		t.Fatalf("ablation-engine incomplete:\n%s", out)
-	}
-	out = runExp(t, "ablation-pool", quickCfg())
-	if !strings.Contains(out, "GLP4NN analyzer-sized") || !strings.Contains(out, "serial (naive Caffe)") {
-		t.Fatalf("ablation-pool incomplete:\n%s", out)
-	}
-}
-
-func TestExtensionExperiments(t *testing.T) {
-	out := runExp(t, "ablation-fusion", quickCfg())
-	if !strings.Contains(out, "fusion") || !strings.Contains(out, "Siamese/conv1") {
-		t.Fatalf("ablation-fusion incomplete:\n%s", out)
-	}
-	out = runExp(t, "ablation-analyzer", quickCfg())
-	if !strings.Contains(out, "MILP") || !strings.Contains(out, "Greedy") {
-		t.Fatalf("ablation-analyzer incomplete:\n%s", out)
-	}
-	out = runExp(t, "ext-dataparallel", quickCfg())
-	if !strings.Contains(out, "GPUs") || !strings.Contains(out, "comm") {
-		t.Fatalf("ext-dataparallel incomplete:\n%s", out)
-	}
-	out = runExp(t, "ext-winograd", quickCfg())
-	if !strings.Contains(out, "winograd") || !strings.Contains(out, "im2col") {
-		t.Fatalf("ext-winograd incomplete:\n%s", out)
-	}
-}
-
-func TestChaosTrainQuick(t *testing.T) {
-	out := runExp(t, "chaostrain", quickCfg())
-	if !strings.Contains(out, "injected") || !strings.Contains(out, "recovery") {
-		t.Fatalf("chaostrain missing fault/recovery census:\n%s", out)
-	}
-	if !strings.Contains(out, "bitwise identical") {
-		t.Fatalf("chaostrain did not report convergence invariance:\n%s", out)
-	}
-}
-
 func TestHelpers(t *testing.T) {
 	if layerName("conv1/fwd|conv1/n3") != "conv1" {
 		t.Fatal("layerName glp tag")
@@ -266,11 +217,11 @@ func TestHelpers(t *testing.T) {
 		t.Fatalf("spans = %v", spans)
 	}
 	tb := newTable("a", "b")
-	tb.addf("x\ty")
+	tb.add("x", "y")
 	var buf bytes.Buffer
 	tb.write(&buf)
 	if !strings.Contains(buf.String(), "x") {
-		t.Fatal("table addf/write")
+		t.Fatal("table add/write")
 	}
 	if _, err := deviceSpecs(Config{Devices: []string{"nope"}}); err == nil {
 		t.Fatal("bad device accepted")
@@ -286,87 +237,4 @@ func TestHelpers(t *testing.T) {
 	if (Config{}).batchFor(w) != 256 {
 		t.Fatal("full batch for CaffeNet")
 	}
-}
-
-// TestInputPipeSmoke: on CaffeNet (the heaviest synthesis), the prefetched
-// feed wait must be strictly below the serial baseline's — the pipeline
-// really overlaps synthesis with compute — and the trained parameters must
-// be bitwise identical (the convergence-invariance bar). The bit-identity
-// check is strict on every attempt; the feed-wait comparison is a 3-iter
-// wall-clock measurement that scheduler noise on a loaded 1-core box can
-// flip, so it gets a few attempts before the test fails.
-func TestInputPipeSmoke(t *testing.T) {
-	var r InputPipeRow
-	for attempt := 1; ; attempt++ {
-		rows, err := RunInputPipeRows(Config{Quick: true, Iterations: 3, Seed: 1, Networks: []string{"CaffeNet"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 1 {
-			t.Fatalf("got %d rows, want 1", len(rows))
-		}
-		r = rows[0]
-		if !r.Identical {
-			t.Fatalf("%s: prefetched training diverged from serial", r.Net)
-		}
-		if r.Hits+r.Stalls == 0 {
-			t.Fatalf("%s: pipeline recorded no deliveries", r.Net)
-		}
-		if r.CopyOverlap <= 0 {
-			t.Fatalf("%s: no copy-stream overlap credited", r.Net)
-		}
-		if r.PipeFeed < r.SerialFeed {
-			break
-		}
-		if attempt == 3 {
-			t.Fatalf("%s: prefetched feed wait %v not below serial %v after %d attempts (hits=%d stalls=%d stall-time=%v)",
-				r.Net, r.PipeFeed, r.SerialFeed, attempt, r.Hits, r.Stalls, r.StallTime)
-		}
-		t.Logf("%s: attempt %d: prefetched feed wait %v not below serial %v; retrying",
-			r.Net, attempt, r.PipeFeed, r.SerialFeed)
-	}
-	t.Logf("%s: serial feed %v → prefetched %v (hits=%d stalls=%d overlap=%v)",
-		r.Net, r.SerialFeed, r.PipeFeed, r.Hits, r.Stalls, r.CopyOverlap)
-}
-
-// TestServeBenchSmoke: on CIFAR10, dynamic batching must beat the batch=1
-// serial arm's throughput (the coalescing win is structural: the serial
-// arm runs a full engine forward per request) and every per-request
-// answer must be bitwise identical across arms.
-func TestAdaptBenchSmoke(t *testing.T) {
-	out := runExp(t, "adapt", quickCfg())
-	if !strings.Contains(out, "stale") || !strings.Contains(out, "adaptive") {
-		t.Fatalf("adapt missing timeline arms:\n%s", out)
-	}
-	// The experiment hard-fails unless the adaptive arm beats the stale
-	// arm with swaps > 0 and the replay is bitwise — reaching the replay
-	// table at all means the sweep's own gates passed.
-	if !strings.Contains(out, "replay invariance") {
-		t.Fatalf("adapt did not run the replay-invariance check:\n%s", out)
-	}
-}
-
-func TestServeBenchSmoke(t *testing.T) {
-	rows, err := RunServeBenchRows(Config{Quick: true, Seed: 1, Networks: []string{"CIFAR10"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rows))
-	}
-	r := rows[0]
-	if !r.Identical {
-		t.Fatalf("%s: dynamic batching changed per-request answer bits", r.Net)
-	}
-	if r.DynRPS <= r.SerialRPS {
-		t.Fatalf("%s: dynamic %.1f req/s did not beat serial %.1f req/s", r.Net, r.DynRPS, r.SerialRPS)
-	}
-	if r.MeanBatch <= 1 {
-		t.Fatalf("%s: dynamic arm never coalesced (mean batch %.2f)", r.Net, r.MeanBatch)
-	}
-	if r.DynP50 <= 0 || r.DynP99 < r.DynP50 || r.SerialP99 < r.SerialP50 {
-		t.Fatalf("%s: malformed latency quantiles: %+v", r.Net, r)
-	}
-	t.Logf("%s: serial %.1f req/s (p50 %v) → dynamic %.1f req/s (p50 %v, mean batch %.2f)",
-		r.Net, r.SerialRPS, r.SerialP50, r.DynRPS, r.DynP50, r.MeanBatch)
 }

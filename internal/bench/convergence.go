@@ -11,15 +11,6 @@ import (
 	"repro/internal/simgpu"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "fig11",
-		Title: "Fig. 11: training CIFAR10 on P100 — convergence of GLP4NN-Caffe vs Caffe",
-		Paper: "loss/accuracy curves coincide; residual gap is only the batch-shuffle order",
-		Run:   runFig11,
-	})
-}
-
 // convergenceArm trains the CIFAR10 net with real math under the given
 // launcher and returns loss/accuracy series sampled every `every` steps.
 type convergencePoint struct {

@@ -11,27 +11,6 @@ import (
 	"repro/internal/simgpu"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "fig2",
-		Title: "Fig. 2: speedup of CaffeNet's convolution layers on P100 vs stream count",
-		Paper: "conv2-conv5 gain up to ~2-4x from multi-stream execution; conv1 gains least",
-		Run:   runFig2,
-	})
-	register(&Experiment{
-		ID:    "fig3",
-		Title: "Fig. 3: timeline of conv1 kernels (MNIST) with multiple CUDA streams",
-		Paper: "im2col/sgemm/gemmk chains overlap across streams instead of serializing",
-		Run:   runFig3,
-	})
-	register(&Experiment{
-		ID:    "fig4",
-		Title: "Fig. 4: best observed number of concurrent streams per CaffeNet layer",
-		Paper: "optimum varies per layer and per GPU (roughly 4-32), never 'as many as possible'",
-		Run:   runFig4,
-	})
-}
-
 // streamSweep measures a single-conv-layer forward under fixed pools of
 // growing size and returns time per pool size.
 func streamSweep(row models.LayerRow, batch int, spec simgpu.DeviceSpec, sizes []int, seed int64) (map[int]time.Duration, error) {

@@ -13,27 +13,6 @@ import (
 	"repro/internal/simgpu"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "fig7",
-		Title: "Fig. 7: speedup of GLP4NN-Caffe over naive Caffe per training iteration",
-		Paper: "most nets gain 1.1-4x; Siamese gains most on K40C; gains vary per GPU",
-		Run:   runFig7,
-	})
-	register(&Experiment{
-		ID:    "fig8",
-		Title: "Fig. 8: number of streams chosen by the analytical model per conv layer",
-		Paper: "per-layer stream counts (model output C_out), varying by layer and GPU",
-		Run:   runFig8,
-	})
-	register(&Experiment{
-		ID:    "fig9",
-		Title: "Fig. 9: per-layer elapsed time, CIFAR10 on TitanXP and Siamese on P100",
-		Paper: "layers finishing within ~2ms (conv1, conv1_p) can lose under GLP4NN",
-		Run:   runFig9,
-	})
-}
-
 // armResult captures one launcher arm's measurements on one device.
 type armResult struct {
 	iter   time.Duration // mean full training iteration

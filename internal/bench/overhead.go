@@ -6,21 +6,6 @@ import (
 	"time"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "fig10",
-		Title: "Fig. 10: memory consumption of GLP4NN (mem_tt, mem_K, mem_cupti)",
-		Paper: "mem_cupti (CUPTI runtime) dominates; mem_tt/mem_K scale with recorded kernels",
-		Run:   runFig10,
-	})
-	register(&Experiment{
-		ID:    "table6",
-		Title: "Table 6: one-time overhead of GLP4NN (T_p, T_a, T_total, ratio)",
-		Paper: "T_total ranges ~8-126ms; always <0.1% of total training time",
-		Run:   runTable6,
-	})
-}
-
 func runFig10(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	specs, err := deviceSpecs(cfg)

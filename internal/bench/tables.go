@@ -9,33 +9,6 @@ import (
 	"repro/internal/simgpu"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "table1",
-		Title: "Table 1: overview of GPU architecture features",
-		Paper: "Tesla..Volta feature matrix; max concurrent kernels 1/16/32/16/128/128",
-		Run:   runTable1,
-	})
-	register(&Experiment{
-		ID:    "table3",
-		Title: "Table 3: hardware profile",
-		Paper: "K40C (Kepler, 15×192), P100 (Pascal, 56×64), Titan XP (Pascal, 30×128)",
-		Run:   runTable3,
-	})
-	register(&Experiment{
-		ID:    "table4",
-		Title: "Table 4: test datasets",
-		Paper: "MNIST 60k/10k 28×28 ×10; CIFAR-10 50k/10k 32×32 ×10; ImageNet 1.2M/150k 256×256 ×1000",
-		Run:   runTable4,
-	})
-	register(&Experiment{
-		ID:    "table5",
-		Title: "Table 5: layers of DNNs used in this paper",
-		Paper: "conv geometry for CIFAR10, Siamese, CaffeNet and six GoogLeNet units",
-		Run:   runTable5,
-	})
-}
-
 func yn(b bool) string {
 	if b {
 		return "yes"

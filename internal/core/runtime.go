@@ -554,10 +554,9 @@ func (r *Runtime) drainWatchdog() {
 func (r *Runtime) Plans() []*Plan { return r.analyzer.Plans() }
 
 // ForkLayerSession implements the dnn-side layer-session contract (the
-// return is typed any so internal/core stays independent of internal/dnn,
-// like ChainLauncher in fusion.go): it returns a launcher view of this
-// runtime serving exactly one concurrent layer invocation of an operator
-// DAG schedule.
+// return is typed any so internal/core stays independent of internal/dnn):
+// it returns a launcher view of this runtime serving exactly one concurrent
+// layer invocation of an operator DAG schedule.
 func (r *Runtime) ForkLayerSession() any { return &LayerSession{r: r} }
 
 // LayerSession is a per-invocation view of a Runtime for concurrent

@@ -18,10 +18,6 @@ type ConvConfig struct {
 	WeightFiller     tensor.Filler
 	BiasFiller       tensor.Filler
 	Seed             int64
-	// Engine selects the forward algorithm: "" or "im2col" for the GEMM
-	// path (Caffe's default), "winograd" for F(2×2,3×3) on 3×3 stride-1
-	// layers (backward always uses im2col).
-	Engine string
 }
 
 // Conv builds a square-kernel config (the common case in Table 5).
@@ -57,8 +53,6 @@ type ConvLayer struct {
 	co   int // output channels
 	k    int // geom.ColRows()
 	p    int // geom.ColCols()
-
-	wino *winogradState // transformed filters for the winograd engine
 
 	// Per-chain scratch is leased from the shared tensor arena for the
 	// duration of one pass (acquired before dispatch, released after the
@@ -112,15 +106,6 @@ func (l *ConvLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 	if l.geom.OutH() <= 0 || l.geom.OutW() <= 0 {
 		return fmt.Errorf("conv %s: empty output %dx%d", l.name, l.geom.OutH(), l.geom.OutW())
 	}
-	switch l.cfg.Engine {
-	case "", "im2col":
-	case "winograd":
-		if err := validateWinograd(l.name, l.cfg); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("conv %s: unknown engine %q", l.name, l.cfg.Engine)
-	}
 	l.co = l.cfg.NumOutput
 	l.k = l.geom.ColRows()
 	l.p = l.geom.ColCols()
@@ -167,14 +152,10 @@ func (l *ConvLayer) releaseScratch() {
 	tensor.PutBufs(l.partB)
 }
 
-// Forward implements Layer: per-image im2col → sgemm → gemmk chains (or
-// the Winograd transform chain when the engine is "winograd"). Scratch is
-// leased from the shared arena for the pass and released only after the
-// barrier has retired every closure that references it.
+// Forward implements Layer: per-image im2col → sgemm → gemmk chains.
+// Scratch is leased from the shared arena for the pass and released only
+// after the barrier has retired every closure that references it.
 func (l *ConvLayer) Forward(ctx *Context, bottom, top []*Blob) error {
-	if l.cfg.Engine == "winograd" {
-		return l.forwardWino(ctx, bottom, top)
-	}
 	width := ctx.Width()
 	l.leaseScratch(width, false)
 	err := l.forwardDispatch(ctx, bottom, top, width)
@@ -224,30 +205,6 @@ func (l *ConvLayer) forwardDispatch(ctx *Context, bottom, top []*Blob, width int
 		}
 	}
 	return nil
-}
-
-// forwardWino dispatches the Winograd kernel chain per image. The filter
-// transform runs once per forward on the default stream (weights change
-// every iteration).
-func (l *ConvLayer) forwardWino(ctx *Context, bottom, top []*Blob) error {
-	ft := kernels.Elementwise("winograd_filter_tx", l.name, l.weight.Count(), 4*(9+16)/9, 28, func() {
-		l.prepareWinograd()
-	})
-	if err := ctx.Dispatch(ft, -1); err != nil {
-		return err
-	}
-	n := bottom[0].Num()
-	for i := 0; i < n; i++ {
-		img := bottom[0].SampleData(i)
-		out := top[0].SampleData(i)
-		tag := fmt.Sprintf("%s/n%d", l.name, i)
-		for _, k := range l.winogradKernels(tag, img, out) {
-			if err := ctx.Dispatch(k, i); err != nil {
-				return err
-			}
-		}
-	}
-	return ctx.Barrier()
 }
 
 // Backward implements Layer. Per image: recompute im2col, accumulate dW and

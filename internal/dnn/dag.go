@@ -371,9 +371,9 @@ func (d *layerDAG) computeStats() {
 // layer invocations concurrently. ForkLayerSession returns a
 // per-invocation launcher whose BeginLayer/Launch/Width state is private,
 // so concurrent DAG nodes do not race on the shared launcher. The result
-// is typed any so implementing packages need not import this one
-// (mirroring core's ChainLauncher); it must implement Launcher, and forks
-// must be safe to use concurrently with each other and with the parent.
+// is typed any so implementing packages need not import this one; it
+// must implement Launcher, and forks must be safe to use concurrently with
+// each other and with the parent.
 type LayerSessionForker interface {
 	ForkLayerSession() any
 }

@@ -57,9 +57,9 @@ func (s FusedSite) String() string {
 
 // FusionPlan detects the fusable sites of a built net:
 //
-//   - every im2col-engine ConvLayer with a bias term fuses the bias; if the
-//     conv's top is consumed by exactly one layer and that layer is a ReLU,
-//     the activation fuses too (winograd convs keep their own pipeline);
+//   - every ConvLayer with a bias term fuses the bias; if the conv's top is
+//     consumed by exactly one layer and that layer is a ReLU, the activation
+//     fuses too;
 //   - every IPLayer with a bias term fuses the bias.
 //
 // The plan reports what EnableFusion(true) would activate; it never
@@ -73,9 +73,6 @@ func (n *Net) FusionPlan() []FusedSite {
 		e := &n.entries[i]
 		switch l := e.layer.(type) {
 		case *ConvLayer:
-			if l.cfg.Engine == "winograd" {
-				continue
-			}
 			relu := n.soleReLUConsumer(e.tops[0])
 			switch {
 			case l.bias != nil && relu != nil:

@@ -61,21 +61,17 @@ func TestFusionPlanDetection(t *testing.T) {
 	}
 }
 
-// TestFusionPlanVariants: no-bias convs fuse only the activation, winograd
-// convs never fuse, and a fanned-out conv top keeps its ReLU separate.
+// TestFusionPlanVariants: no-bias convs fuse only the activation, and a
+// fanned-out conv top keeps its ReLU separate.
 func TestFusionPlanVariants(t *testing.T) {
 	ctx := NewContext(HostLauncher{}, 3)
 	noBias := Conv(4, 3, 1, 1)
 	noBias.Bias = false
-	wino := Conv(4, 3, 1, 1)
-	wino.Engine = "winograd"
 	net, err := NewNet("variants").
 		Input("data", 2, 2, 8, 8).
 		Add(NewConv("convA", noBias), []string{"data"}, []string{"a"}).
 		Add(NewReLU("reluA"), []string{"a"}, []string{"ra"}).
-		Add(NewConv("convW", wino), []string{"ra"}, []string{"w"}).
-		Add(NewReLU("reluW"), []string{"w"}, []string{"rw"}).
-		Add(NewConv("convF", Conv(3, 3, 1, 1)), []string{"rw"}, []string{"f"}).
+		Add(NewConv("convF", Conv(3, 3, 1, 1)), []string{"ra"}, []string{"f"}).
 		Add(NewReLU("reluF"), []string{"f"}, []string{"rf"}).
 		Add(NewPool("poolF", Pool(MaxPool, 2, 2)), []string{"f"}, []string{"pf"}).
 		Build(ctx)

@@ -125,33 +125,3 @@ func TestHostParallelRNN(t *testing.T) {
 		}
 	}
 }
-
-// TestHostParallelWinograd: the winograd engine's per-image chains read the
-// shared transformed-filter bank prepared by a chain −1 kernel; the pool's
-// default-stream drain must order that correctly.
-func TestHostParallelWinograd(t *testing.T) {
-	run := func(pool *hostpool.Pool) []float32 {
-		ctx := NewContext(widthLauncher{4}, 9)
-		ctx.Pool = pool
-		cc := Conv(5, 3, 1, 1)
-		cc.Engine = "winograd"
-		cc.Seed = 17
-		net, err := NewNet("wino").
-			Input("data", 6, 3, 9, 9).
-			Add(NewConv("conv1", cc), []string{"data"}, []string{"out"}).
-			Build(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillRandom(net.Blob("data"), 71)
-		if _, err := net.Forward(ctx); err != nil {
-			t.Fatal(err)
-		}
-		return append([]float32(nil), net.Blob("out").Data.Data()...)
-	}
-	serial := run(nil)
-	parallel := run(hostpool.New(3))
-	if !bitsEqual(serial, parallel) {
-		t.Fatal("winograd outputs differ between serial and pooled execution")
-	}
-}

@@ -58,12 +58,6 @@ type Device struct {
 // Option configures a Device at construction.
 type Option func(*Device)
 
-// WithoutContention builds a device whose engine ignores resource contention
-// between co-resident cohorts (the "analytic" ablation engine).
-func WithoutContention() Option {
-	return func(d *Device) { d.eng.contention = false }
-}
-
 // WithTraceLimit caps the number of retained kernel records (0 = unlimited).
 func WithTraceLimit(n int) Option {
 	return func(d *Device) { d.maxTrace = n }
@@ -88,7 +82,7 @@ func NewDeviceChecked(spec DeviceSpec, opts ...Option) (*Device, error) {
 		tails:     map[int]*kernelExec{},
 		tracing:   true,
 	}
-	d.eng = newEngine(spec, true, d.onComplete)
+	d.eng = newEngine(spec, d.onComplete)
 	d.def = &Stream{id: 0, dev: d, isDefault: true}
 	d.nextStream = 1
 	for _, o := range opts {

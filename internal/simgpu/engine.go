@@ -78,9 +78,6 @@ type cohort struct {
 // owning Device serializes access.
 type engine struct {
 	spec DeviceSpec
-	// contention=false disables resource sharing between co-resident
-	// cohorts (each proceeds as if alone); used for the engine ablation.
-	contention bool
 
 	now float64 // device timeline, ns
 
@@ -110,10 +107,9 @@ type engine struct {
 	floorNS          float64
 }
 
-func newEngine(spec DeviceSpec, contention bool, onComplete func(*kernelExec)) *engine {
+func newEngine(spec DeviceSpec, onComplete func(*kernelExec)) *engine {
 	return &engine{
 		spec:             spec,
-		contention:       contention,
 		queues:           map[int][]*kernelExec{},
 		smThreads:        make([]int, spec.SMCount),
 		smBlocks:         make([]int, spec.SMCount),
@@ -372,29 +368,25 @@ func (g *engine) computeRates() {
 	// Per-SM compute demand in resident threads, counting only cohorts that
 	// still have arithmetic left.
 	demand := make([]float64, n)
-	if g.contention {
-		for _, c := range g.cohorts {
-			if c.remC <= 0 {
-				continue
-			}
-			th := float64(c.exec.threads)
-			for s, b := range c.perSM {
-				if b > 0 {
-					demand[s] += float64(b) * th
-				}
+	for _, c := range g.cohorts {
+		if c.remC <= 0 {
+			continue
+		}
+		th := float64(c.exec.threads)
+		for s, b := range c.perSM {
+			if b > 0 {
+				demand[s] += float64(b) * th
 			}
 		}
 	}
 
 	// Device-wide memory demand in resident threads.
 	memThreads := 0.0
-	if g.contention {
-		for _, c := range g.cohorts {
-			if c.remM <= 0 {
-				continue
-			}
-			memThreads += float64(c.blocks * c.exec.threads)
+	for _, c := range g.cohorts {
+		if c.remM <= 0 {
+			continue
 		}
+		memThreads += float64(c.blocks * c.exec.threads)
 	}
 	memDenom := memThreads
 	if memDenom < g.satThreads {
@@ -413,16 +405,11 @@ func (g *engine) computeRates() {
 				d := float64(b) * th
 				// An SM runs at full throughput once resident-thread demand
 				// covers its cores; below that, throughput scales with the
-				// threads present. Under contention the demand of all
-				// co-resident cohorts shares the SM proportionally; in
-				// alone-mode (ablation) each cohort sees only its own demand.
+				// threads present. The demand of all co-resident cohorts
+				// shares the SM proportionally.
 				den := cores
-				if g.contention {
-					if demand[s] > cores {
-						den = demand[s]
-					}
-				} else if d > cores {
-					den = d
+				if demand[s] > cores {
+					den = demand[s]
 				}
 				r += g.peakFlopsPerSMns * d / den
 			}
@@ -430,14 +417,7 @@ func (g *engine) computeRates() {
 		}
 		if c.remM > 0 {
 			d := float64(c.blocks) * th
-			den := memDenom
-			if !g.contention {
-				den = d
-				if den < g.satThreads {
-					den = g.satThreads
-				}
-			}
-			c.rateM = g.bwBytesPerNS * d / den
+			c.rateM = g.bwBytesPerNS * d / memDenom
 		}
 	}
 }

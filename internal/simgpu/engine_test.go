@@ -160,22 +160,6 @@ func TestContentionIsWorkConserving(t *testing.T) {
 	}
 }
 
-func TestNoContentionAblationMode(t *testing.T) {
-	d := NewDevice(testSpec, WithoutContention())
-	s1, s2 := mustStream(d), mustStream(d)
-	launchOK(t, d, computeKernel("a", 4, 256, 512000), s1)
-	launchOK(t, d, computeKernel("b", 4, 256, 512000), s2)
-	recs := traceOK(t, d)
-	// Without contention both proceed at full rate and "finish" in ~1000ns
-	// each despite sharing SMs — physically impossible, which is the point
-	// of the ablation.
-	for _, r := range recs {
-		if r.Duration() > 1100*time.Nanosecond {
-			t.Fatalf("no-contention kernel took %v, want ≈1000ns", r.Duration())
-		}
-	}
-}
-
 func TestDefaultStreamBarrier(t *testing.T) {
 	d := NewDevice(testSpec)
 	s1, s2 := mustStream(d), mustStream(d)

@@ -7,7 +7,7 @@ import (
 
 // Shared scratch-buffer arena. The dnn layers draw their per-pass scratch —
 // im2col column buffers, backward column gradients, per-chain weight-gradient
-// partials, Winograd tile buffers — from this arena instead of holding
+// partials — from this arena instead of holding
 // private allocations, so one net's layers (and many nets in a sweep) reuse
 // the same slabs and peak scratch memory tracks the largest layer rather
 // than the sum of all layers.
