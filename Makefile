@@ -104,9 +104,10 @@ serve:
 # Simplicity trajectory (ROADMAP item 5): the numbers a simplifying PR
 # quotes before and after in CHANGES.md. Non-test Go lines outside
 # benchmark/ (total, then per package with its exported-symbol count),
-# glp4nn-train's flag count, the façade's exported-symbol count, the
-# registered experiment IDs and the examples/ mains. Tier-1 wall time is
-# `time make test`.
+# each CLI's flag count, the settable options (exported fields of every
+# exported *Config / *Options struct under internal/), the façade's
+# exported-symbol count, the registered experiment IDs and the examples/
+# mains. Tier-1 wall time is `time make test`.
 stats:
 	@printf 'non-test Go lines (outside benchmark/): '; \
 		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
@@ -115,7 +116,15 @@ stats:
 			$$(find internal/$$p -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) \
 			$$($(GO) doc -short ./internal/$$p | wc -l); \
 	done
-	@printf 'glp4nn-train flags: '; $(GO) run ./cmd/glp4nn-train -h 2>&1 | grep -c '^  -'
+	@for c in bench info serve train; do \
+		printf 'glp4nn-%s flags: ' $$c; $(GO) run ./cmd/glp4nn-$$c -h 2>&1 | grep -c '^  -'; \
+	done
+	@printf 'options: '; find internal -name '*.go' -not -name '*_test.go' | xargs awk ' \
+		/^type ([A-Z][A-Za-z0-9]*)?(Config|Options) struct \{/ { inside = 1; next } \
+		inside && /^}/ { inside = 0 } \
+		inside && match($$0, /^\t([A-Z][A-Za-z0-9]*, )*[A-Z][A-Za-z0-9]* /) { \
+			names = substr($$0, RSTART, RLENGTH); n += gsub(/,/, ",", names) + 1 } \
+		END { print n + 0 }'
 	@printf 'facade exported symbols: '; $(GO) doc -short ./ | wc -l
 	@printf 'experiment IDs: '; $(GO) run ./cmd/glp4nn-bench -list | grep -c '^  [a-z]'
 	@printf 'examples: '; ls -d examples/*/ | wc -l

@@ -68,6 +68,11 @@ func main() {
 	}
 
 	if *occupancy {
+		if *threads < 1 || *blocks < 1 || *smem < 0 {
+			fmt.Fprintf(os.Stderr, "-occupancy needs -threads and -blocks of at least 1 and -smem of at least 0 (got %d, %d, %d)\n",
+				*threads, *blocks, *smem)
+			os.Exit(1)
+		}
 		cfg := simgpu.LaunchConfig{
 			Grid:           simgpu.D1(*blocks),
 			Block:          simgpu.D1(*threads),

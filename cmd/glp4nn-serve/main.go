@@ -30,22 +30,21 @@ import (
 )
 
 type options struct {
-	netName   string
-	batch     int
-	maxBatch  int
-	maxDelay  time.Duration
-	requests  int
-	clients   int
-	device    string
-	useGLP    bool
-	useDAG    bool
-	useFuse   bool
-	adapt     bool
-	driftBand float64
-	weights   string
-	seed      int64
-	mean      time.Duration
-	emitJSON  bool
+	netName  string
+	batch    int
+	maxBatch int
+	maxDelay time.Duration
+	requests int
+	clients  int
+	device   string
+	useGLP   bool
+	useDAG   bool
+	useFuse  bool
+	adapt    bool
+	weights  string
+	seed     int64
+	mean     time.Duration
+	emitJSON bool
 }
 
 func main() {
@@ -61,7 +60,6 @@ func main() {
 	flag.BoolVar(&o.useDAG, "dag", false, "dispatch independent layers as concurrent wavefronts (bits unchanged)")
 	flag.BoolVar(&o.useFuse, "fuse", false, "fuse bias/ReLU epilogues into the GEMM kernels (bits unchanged)")
 	flag.BoolVar(&o.adapt, "adapt", false, "with -glp4nn: adaptive concurrency control — drifted layers re-profile between batches (forward is width-invariant, so answers never change)")
-	flag.Float64Var(&o.driftBand, "drift-band", core.DefaultDriftBand, "adaptive drift tolerance around each plan's solved-from timing")
 	flag.StringVar(&o.weights, "weights", "", "load a weights snapshot (glp4nn-train -save-weights) before freezing")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for weights, load shape and sample content")
 	flag.DurationVar(&o.mean, "mean-gap", 500*time.Microsecond, "mean request inter-arrival gap (Pareto tail)")
@@ -94,6 +92,9 @@ type report struct {
 }
 
 func run(out io.Writer, o options) error {
+	if o.clients < 1 || o.requests < 1 {
+		return fmt.Errorf("-clients and -requests must be at least 1 (got %d and %d)", o.clients, o.requests)
+	}
 	spec, ok := simgpu.DeviceByName(o.device)
 	if !ok {
 		return fmt.Errorf("unknown device %q (have %v)", o.device, simgpu.CatalogNames())
@@ -143,7 +144,7 @@ func run(out io.Writer, o options) error {
 		cfg.Observer = rt.Ledger()
 		cfg.Budget = rt.Budget()
 		if o.adapt {
-			rt.SetAdaptive(core.AdaptiveConfig{Band: o.driftBand})
+			rt.SetAdaptive()
 			cfg.Adapter = &adaptDriver{rt: rt}
 		}
 	} else if o.adapt {

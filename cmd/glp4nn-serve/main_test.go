@@ -94,6 +94,25 @@ func TestServeCLIBadFlags(t *testing.T) {
 	}
 }
 
+// TestServeCLIRefusesEmptyLoad: a load with no clients or no requests is
+// refused before anything is built, instead of panicking (-clients -1) or
+// reporting "served 0 requests" as success.
+func TestServeCLIRefusesEmptyLoad(t *testing.T) {
+	for _, c := range []struct{ clients, requests int }{
+		{-1, 16}, {0, 16}, {4, 0}, {4, -3},
+	} {
+		var buf bytes.Buffer
+		o := baseOpts()
+		o.clients, o.requests = c.clients, c.requests
+		if err := run(&buf, o); err == nil {
+			t.Errorf("-clients %d -requests %d accepted", c.clients, c.requests)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-clients %d -requests %d printed before refusing:\n%s", c.clients, c.requests, buf.String())
+		}
+	}
+}
+
 // TestServeCLIWeights closes the train→serve loop: a weights snapshot in the
 // glp4nn-train -save-weights format is servable via -weights.
 func TestServeCLIWeights(t *testing.T) {

@@ -61,7 +61,6 @@ type runOptions struct {
 	BucketKB        int
 	BlockingComm    bool
 	Adapt           bool
-	DriftBand       float64
 }
 
 func main() {
@@ -88,7 +87,6 @@ func main() {
 	flag.IntVar(&o.BucketKB, "bucket-kb", 0, "gradient bucket size in KiB for the overlapped all-reduce (0 = default 256; bits unchanged)")
 	flag.BoolVar(&o.BlockingComm, "blocking-allreduce", false, "use the legacy blocking all-reduce instead of the bucketed overlapped one (bits unchanged)")
 	flag.BoolVar(&o.Adapt, "adapt", false, "with -glp4nn: adaptive concurrency control — re-profile layers whose timing drifts and swap re-solved plans in at checkpointed step boundaries")
-	flag.Float64Var(&o.DriftBand, "drift-band", core.DefaultDriftBand, "adaptive drift tolerance: a layer drifts when its observed timing leaves [solved/(1+band), solved*(1+band)]")
 
 	var (
 		faultSeed   = flag.Int64("fault-seed", 0, "fault schedule seed (0 = reuse -seed)")
@@ -366,7 +364,6 @@ func runTrainer(out io.Writer, o runOptions, spec simgpu.DeviceSpec, w *models.W
 		BucketBytes:       int64(o.BucketKB) << 10,
 		BlockingAllReduce: o.BlockingComm,
 		Adaptive:          o.Adapt,
-		DriftBand:         o.DriftBand,
 	})
 	if err != nil {
 		return 0, err
@@ -491,12 +488,6 @@ func runTrainer(out io.Writer, o runOptions, spec simgpu.DeviceSpec, w *models.W
 		lead := tr.ShardOwners()[0]
 		snap := fw.Runtime(tr.Devices()[lead]).Ledger().Snapshot()
 		fmt.Fprintf(out, "glp4nn overhead: %s\n", snap)
-		if snap.Evictions > 0 || snap.Resumes > 0 {
-			fmt.Fprintf(out, "glp4nn elastic: %s\n", snap.Elastic())
-		}
-		if snap.BucketsReduced > 0 || snap.ExposedCommNs > 0 {
-			fmt.Fprintf(out, "glp4nn all-reduce: %s\n", snap.Comm())
-		}
 		if o.Adapt {
 			fmt.Fprintf(out, "glp4nn adaptive: %s\n", snap.Adaptive())
 			for _, ev := range tr.SwapEvents() {

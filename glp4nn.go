@@ -108,7 +108,7 @@ type (
 	// t+1 is synthesized on hostpool workers while batch t computes, and
 	// the delivered stream is bit-identical to the synchronous Feeder's.
 	InputPipe = models.InputPipe
-	// PipeConfig tunes an InputPipe (pool, observer, buffer depth).
+	// PipeConfig wires an InputPipe (pool, observer).
 	PipeConfig = models.PipeConfig
 	// PipelineStats counts an input pipeline's hits and stalls.
 	PipelineStats = data.PipelineStats
@@ -136,8 +136,8 @@ type (
 	// batch-full or a deadline; every answer is bitwise independent of
 	// co-batching, padding and flush timing.
 	Server = serve.Server
-	// ServeConfig tunes a Server (max batch, flush deadline, queue depth,
-	// transient-fault retries, ledger observer).
+	// ServeConfig tunes a Server (max batch, flush deadline, ledger
+	// observer, budget, adaptive hook).
 	ServeConfig = serve.Config
 	// ServeStats is a Server's request/batch census with p50/p99 latency.
 	ServeStats = serve.Stats
@@ -179,13 +179,10 @@ type (
 	// the critical path (DESIGN §7.7).
 	CommStats = parallel.CommStats
 
-	// AdaptiveConfig tunes the runtime's drift detector (band, EWMA alpha,
-	// warmup, cooldown, re-profile cap) — the adaptive concurrency
-	// controller of DESIGN §7.8.
-	AdaptiveConfig = core.AdaptiveConfig
 	// DriftDetector watches per-layer observed kernel timings and flags
 	// layers whose EWMA leaves the band around their plan's solved-from
-	// timing (arm via Runtime.SetAdaptive or TrainerConfig.Adaptive).
+	// timing — the adaptive concurrency controller of DESIGN §7.8 (arm via
+	// Runtime.SetAdaptive or TrainerConfig.Adaptive).
 	DriftDetector = core.DriftDetector
 	// Budget is the unified SM-concurrency budget shared by chain streams,
 	// the DAG wavefront and copy-stream transfers on one device
@@ -280,9 +277,6 @@ func NewContext(l Launcher, seed int64) *Context { return dnn.NewContext(l, seed
 // (≤ 0 selects GOMAXPROCS). Pools are cheap and shareable: one pool can
 // back many contexts, bounding total host parallelism machine-wide.
 func NewHostPool(workers int) *HostPool { return hostpool.New(workers) }
-
-// DefaultHostPool returns the process-wide shared GOMAXPROCS-sized pool.
-func DefaultHostPool() *HostPool { return hostpool.Default() }
 
 // NewParallelContext builds a training context whose kernel host math runs
 // chain-parallel on a worker pool (nil selects the shared default pool).

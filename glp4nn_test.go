@@ -174,3 +174,72 @@ func TestFacadeWithDAG(t *testing.T) {
 		}
 	}
 }
+
+// TestFacadeHostPoolFusionPrefetchServe drives the four documented entry
+// points no example executes — NewHostPool, WithFusedEpilogues,
+// WithPrefetch and NewServer — on one CIFAR10 net: train from the
+// prefetched pipeline, freeze, serve one request. The runtime's ledger is
+// wired in as the observer of both the pipeline and the server, so its
+// mirrored counters must see every batch and the request.
+func TestFacadeHostPoolFusionPrefetchServe(t *testing.T) {
+	const batch, steps = 4, 2
+	dev := NewDevice(TeslaP100)
+	fw := New()
+	defer fw.Close()
+	rt := fw.Runtime(dev)
+	pool := NewHostPool(2)
+	ctx := NewParallelContext(rt, 42, pool)
+
+	net, err := BuildModel("CIFAR10", ctx, batch, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net = WithFusedEpilogues(net)
+	if len(net.FusionPlan()) == 0 {
+		t.Fatal("CIFAR10 reports no fusable epilogue sites")
+	}
+	pipe, err := WithPrefetch("CIFAR10", batch, 43, PipeConfig{Pool: pool, Observer: rt.Ledger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	solver := NewSolver(net, ctx, CIFAR10QuickSolver())
+	for i := 0; i < steps; i++ {
+		if err := pipe.Feed(net); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := solver.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fz, err := Freeze(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(fz, ctx, ServeConfig{Observer: rt.Ledger(), Budget: rt.Budget()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	samples := make([][]float32, len(srv.RowSizes()))
+	for i, n := range srv.RowSizes() {
+		samples[i] = make([]float32, n)
+	}
+	out, err := srv.Predict(samples...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) == 0 || len(out[0]) == 0 {
+		t.Fatalf("empty answer: %v", out)
+	}
+	srv.Close() // the observer is notified after the answer; Close waits for it
+
+	snap := rt.Ledger().Snapshot()
+	if got := snap.PrefetchHits + snap.PrefetchStalls; got != steps {
+		t.Fatalf("ledger saw %d prefetched batches, want %d (%s)", got, steps, snap.InputPipe())
+	}
+	if snap.ServeRequests != 1 || snap.ServeBatches != 1 {
+		t.Fatalf("ledger serving counters: %s", snap.Serving())
+	}
+}

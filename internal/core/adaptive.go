@@ -15,7 +15,7 @@ import (
 // concurrency-control line of work). The paper profiles each layer once
 // and fixes its plan forever; here a drift detector watches every layer's
 // observed kernel time through the device's completion listener, and when
-// the per-step EWMA leaves a configurable band around the timing the
+// the per-step EWMA leaves a fixed band around the timing the
 // cached plan was solved from (Plan.SolvedFrom), the layer is flagged.
 // The caller (parallel.Trainer, or a serving batch loop) then evicts just
 // the drifted layers at a step boundary — ScheduleReprofile — so the next
@@ -30,66 +30,32 @@ import (
 // trained bits are a function of its width *schedule* alone. A serial
 // re-run that installs the same widths at the same boundaries (the
 // InstallPlan resume contract) reproduces the adaptive run bit for bit;
-// tests and the adaptbench experiment assert exactly that.
+// parallel.TestAdaptivePlanSwapInvariance asserts exactly that.
 
-// AdaptiveConfig tunes the drift detector. The zero value selects the
-// defaults noted on each field.
-type AdaptiveConfig struct {
-	// Band is the fractional tolerance around a plan's solved-from timing:
-	// a layer drifts when its observed EWMA leaves
-	// [solved/(1+Band), solved·(1+Band)]. 0 selects DefaultDriftBand;
-	// negative clamps to 0 (any deviation drifts); NaN disables drift
-	// detection entirely.
-	Band float64
-	// Alpha is the EWMA smoothing factor applied per step boundary,
-	// in (0, 1]. 0 selects DefaultDriftAlpha.
-	Alpha float64
-	// Warmup is how many step boundaries a key must be observed before it
-	// may drift (the first folds seed the EWMA). 0 selects
-	// DefaultDriftWarmup.
-	Warmup int
-	// Cooldown is how many step boundaries a key sits out after being
-	// flagged, so a drift the caller chose not to act on is not re-reported
-	// every step. 0 selects DefaultDriftCooldown.
-	Cooldown int
-	// MaxReprofiles caps how many times one key may be re-profiled over the
-	// detector's lifetime: a layer whose profile collection genuinely keeps
-	// failing (its re-solved plan stays a zero-timing fallback) would
-	// otherwise re-drift forever. 0 selects DefaultMaxReprofiles; negative
-	// removes the cap.
-	MaxReprofiles int
-}
-
-// Drift-detector defaults.
+// The drift detector's constants. They are not options: the band, the one
+// value ever swept, gave identical results at 0.25 / 0.5 / 1.0 (a corrupted
+// window drifts at any band; EXPERIMENTS.md "Retired experiments").
 const (
-	DefaultDriftBand     = 0.5
-	DefaultDriftAlpha    = 0.4
-	DefaultDriftWarmup   = 2
+	// DefaultDriftBand is the fractional tolerance around a plan's
+	// solved-from timing: a layer drifts when its observed EWMA leaves
+	// [solved/(1+band), solved·(1+band)].
+	DefaultDriftBand = 0.5
+	// DefaultDriftAlpha is the EWMA smoothing factor applied per step
+	// boundary.
+	DefaultDriftAlpha = 0.4
+	// DefaultDriftWarmup is how many step boundaries a key must be observed
+	// before it may drift (the first folds seed the EWMA).
+	DefaultDriftWarmup = 2
+	// DefaultDriftCooldown is how many step boundaries a key sits out after
+	// being flagged, so a drift the caller chose not to act on is not
+	// re-reported every step.
 	DefaultDriftCooldown = 2
+	// DefaultMaxReprofiles caps how many times one key may be re-profiled
+	// over the detector's lifetime: a layer whose profile collection
+	// genuinely keeps failing (its re-solved plan stays a zero-timing
+	// fallback) would otherwise re-drift forever.
 	DefaultMaxReprofiles = 3
 )
-
-func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if c.Band == 0 {
-		c.Band = DefaultDriftBand
-	}
-	if c.Band < 0 {
-		c.Band = 0
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = DefaultDriftAlpha
-	}
-	if c.Warmup == 0 {
-		c.Warmup = DefaultDriftWarmup
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = DefaultDriftCooldown
-	}
-	if c.MaxReprofiles == 0 {
-		c.MaxReprofiles = DefaultMaxReprofiles
-	}
-	return c
-}
 
 // driftState is one key's running observation.
 type driftState struct {
@@ -108,18 +74,14 @@ type driftState struct {
 // so the detector has its own mutex and never touches runtime or device
 // state.
 type DriftDetector struct {
-	cfg  AdaptiveConfig
 	mu   sync.Mutex
 	keys map[string]*driftState
 }
 
-// NewDriftDetector builds a detector with cfg's defaults applied.
-func NewDriftDetector(cfg AdaptiveConfig) *DriftDetector {
-	return &DriftDetector{cfg: cfg.withDefaults(), keys: map[string]*driftState{}}
+// NewDriftDetector builds an empty detector.
+func NewDriftDetector() *DriftDetector {
+	return &DriftDetector{keys: map[string]*driftState{}}
 }
-
-// Config returns the detector's effective (default-applied) configuration.
-func (d *DriftDetector) Config() AdaptiveConfig { return d.cfg }
 
 // Observe accumulates one completed kernel's duration under key. Zero and
 // negative durations still count as observations (a truncated profiler
@@ -161,27 +123,24 @@ func (d *DriftDetector) StepBoundary(solved func(key string) (time.Duration, boo
 		if st.folds == 0 {
 			st.ewma = obs
 		} else {
-			st.ewma = d.cfg.Alpha*obs + (1-d.cfg.Alpha)*st.ewma
+			st.ewma = DefaultDriftAlpha*obs + (1-DefaultDriftAlpha)*st.ewma
 		}
 		st.folds++
 		if st.cool > 0 {
 			st.cool--
 			continue
 		}
-		if st.folds < d.cfg.Warmup {
-			continue
-		}
-		if d.cfg.MaxReprofiles >= 0 && st.evicted >= d.cfg.MaxReprofiles {
+		if st.folds < DefaultDriftWarmup || st.evicted >= DefaultMaxReprofiles {
 			continue
 		}
 		ref, ok := solved(key)
 		if !ok {
 			continue
 		}
-		if !outsideBand(st.ewma, float64(ref), d.cfg.Band) {
+		if !outsideBand(st.ewma, float64(ref)) {
 			continue
 		}
-		st.cool = d.cfg.Cooldown
+		st.cool = DefaultDriftCooldown
 		drifted = append(drifted, key)
 	}
 	sort.Strings(drifted)
@@ -189,14 +148,14 @@ func (d *DriftDetector) StepBoundary(solved func(key string) (time.Duration, boo
 }
 
 // outsideBand reports whether an observed timing (ns) drifted from the
-// solved-from reference. A NaN band disables detection; NaN observations
-// never drift (garbage in, no verdict out). A non-positive reference with
-// positive observations always drifts — that is the healing case: the plan
-// was solved from an empty or zeroed (fault-corrupted) profile, so any
-// real signal proves the plan is stale. Non-positive observations never
-// drift: the layer produced no measurable kernel time to judge by.
-func outsideBand(obs, ref, band float64) bool {
-	if math.IsNaN(band) || math.IsNaN(obs) || math.IsNaN(ref) {
+// solved-from reference. NaN observations never drift (garbage in, no
+// verdict out). A non-positive reference with positive observations
+// always drifts — that is the healing case: the plan was solved from an
+// empty or zeroed (fault-corrupted) profile, so any real signal proves the
+// plan is stale. Non-positive observations never drift: the layer produced
+// no measurable kernel time to judge by.
+func outsideBand(obs, ref float64) bool {
+	if math.IsNaN(obs) || math.IsNaN(ref) {
 		return false
 	}
 	if obs <= 0 {
@@ -205,16 +164,13 @@ func outsideBand(obs, ref, band float64) bool {
 	if ref <= 0 {
 		return true
 	}
-	if band < 0 {
-		band = 0
-	}
-	return obs < ref/(1+band) || obs > ref*(1+band)
+	return obs < ref/(1+DefaultDriftBand) || obs > ref*(1+DefaultDriftBand)
 }
 
 // Forget drops a key's state, typically right before its re-profile: the
 // fresh plan deserves a fresh EWMA (and warmup) instead of inheriting the
 // stale one's history. The per-key eviction count survives — it backs the
-// MaxReprofiles cap.
+// DefaultMaxReprofiles cap.
 func (d *DriftDetector) Forget(key string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -239,11 +195,10 @@ func (d *DriftDetector) Observed(key string) (time.Duration, bool) {
 
 // SetAdaptive arms the runtime's drift detector: a device completion
 // listener starts feeding per-key kernel timings into it, and StepBoundary
-// / ScheduleReprofile become functional. Calling it again replaces the
-// configuration but keeps the single listener. Returns the detector for
-// direct inspection.
-func (r *Runtime) SetAdaptive(cfg AdaptiveConfig) *DriftDetector {
-	d := NewDriftDetector(cfg)
+// / ScheduleReprofile become functional. Calling it again starts a fresh
+// detector but keeps the single listener.
+func (r *Runtime) SetAdaptive() {
+	d := NewDriftDetector()
 	r.adMu.Lock()
 	r.adaptive = d
 	subscribed := r.adSubscribed
@@ -252,7 +207,6 @@ func (r *Runtime) SetAdaptive(cfg AdaptiveConfig) *DriftDetector {
 	if !subscribed {
 		r.dev.Subscribe(r.adaptiveObserve)
 	}
-	return d
 }
 
 // Adaptive returns the armed drift detector, or nil.
@@ -296,9 +250,7 @@ func (r *Runtime) StepBoundary() []string {
 		}
 		return p.SolvedFrom, true
 	})
-	for range drifted {
-		r.ledger.addDriftEvent()
-	}
+	r.ledger.add(&r.ledger.s.DriftEvents, int64(len(drifted)))
 	return drifted
 }
 
@@ -332,7 +284,7 @@ func (r *Runtime) ScheduleReprofile(keys []string) int {
 		if d != nil {
 			d.Forget(key)
 		}
-		r.ledger.addReprofile()
+		r.ledger.add(&r.ledger.s.Reprofiles, 1)
 		n++
 	}
 	return n

@@ -26,7 +26,7 @@ func tick(d *DriftDetector, obs map[string]time.Duration, solved map[string]time
 func TestDriftDetectorHealingCase(t *testing.T) {
 	// A plan solved from an empty/corrupted profile carries SolvedFrom 0:
 	// any real observation must drift it once warmup passes.
-	d := NewDriftDetector(AdaptiveConfig{Warmup: 2})
+	d := NewDriftDetector()
 	solved := map[string]time.Duration{"conv1/fwd": 0}
 	obs := map[string]time.Duration{"conv1/fwd": time.Millisecond}
 	if got := tick(d, obs, solved); len(got) != 0 {
@@ -40,7 +40,7 @@ func TestDriftDetectorHealingCase(t *testing.T) {
 func TestDriftDetectorBandEdges(t *testing.T) {
 	// Exactly on the band edge is inside; one step past it drifts.
 	const ref = float64(1000)
-	band := 0.5
+	const band = DefaultDriftBand
 	cases := []struct {
 		obs   float64
 		drift bool
@@ -52,40 +52,30 @@ func TestDriftDetectorBandEdges(t *testing.T) {
 		{ref, false},
 	}
 	for _, c := range cases {
-		if got := outsideBand(c.obs, ref, band); got != c.drift {
-			t.Errorf("outsideBand(%v, %v, %v) = %v, want %v", c.obs, ref, band, got, c.drift)
+		if got := outsideBand(c.obs, ref); got != c.drift {
+			t.Errorf("outsideBand(%v, %v) = %v, want %v", c.obs, ref, got, c.drift)
 		}
 	}
 }
 
 func TestOutsideBandDegenerateInputs(t *testing.T) {
 	nan := math.NaN()
-	if outsideBand(nan, 1000, 0.5) {
+	if outsideBand(nan, 1000) {
 		t.Error("NaN observation drifted")
 	}
-	if outsideBand(1000, nan, 0.5) {
+	if outsideBand(1000, nan) {
 		t.Error("NaN reference drifted")
 	}
-	if outsideBand(5000, 1000, nan) {
-		t.Error("NaN band did not disable detection")
-	}
-	if outsideBand(0, 1000, 0.5) || outsideBand(-5, 1000, 0.5) {
+	if outsideBand(0, 1000) || outsideBand(-5, 1000) {
 		t.Error("non-positive observation drifted")
 	}
-	if !outsideBand(1, 0, 0.5) || !outsideBand(1, -3, 0.5) {
+	if !outsideBand(1, 0) || !outsideBand(1, -3) {
 		t.Error("non-positive reference with real observation must drift (healing case)")
-	}
-	// Negative band behaves like band 0: only exact equality is inside.
-	if outsideBand(1000, 1000, -2) {
-		t.Error("equal obs/ref drifted under negative band")
-	}
-	if !outsideBand(1001, 1000, -2) {
-		t.Error("negative band did not clamp to zero tolerance")
 	}
 }
 
 func TestDriftDetectorUnseenAndUnsolvedKeys(t *testing.T) {
-	d := NewDriftDetector(AdaptiveConfig{Warmup: 1})
+	d := NewDriftDetector()
 	// Key observed but its plan is unknown to the solver: never drifts.
 	obs := map[string]time.Duration{"mystery/fwd": time.Second}
 	for i := 0; i < 4; i++ {
@@ -104,14 +94,19 @@ func TestDriftDetectorUnseenAndUnsolvedKeys(t *testing.T) {
 }
 
 func TestDriftDetectorCooldown(t *testing.T) {
-	d := NewDriftDetector(AdaptiveConfig{Warmup: 1, Cooldown: 2, MaxReprofiles: -1})
+	d := NewDriftDetector()
 	solved := map[string]time.Duration{"k": time.Microsecond}
 	obs := map[string]time.Duration{"k": time.Second} // way out of band
-	if got := tick(d, obs, solved); len(got) != 1 {
-		t.Fatalf("expected drift on first fold, got %v", got)
+	for i := 1; i < DefaultDriftWarmup; i++ {
+		if got := tick(d, obs, solved); len(got) != 0 {
+			t.Fatalf("drifted during warmup fold %d: %v", i, got)
+		}
 	}
-	// Two boundaries of cooldown: the still-drifted key stays quiet.
-	for i := 0; i < 2; i++ {
+	if got := tick(d, obs, solved); len(got) != 1 {
+		t.Fatalf("expected drift on the fold that ends warmup, got %v", got)
+	}
+	// The cooldown boundaries: the still-drifted key stays quiet.
+	for i := 0; i < DefaultDriftCooldown; i++ {
 		if got := tick(d, obs, solved); len(got) != 0 {
 			t.Fatalf("cooldown boundary %d re-reported drift: %v", i, got)
 		}
@@ -122,19 +117,21 @@ func TestDriftDetectorCooldown(t *testing.T) {
 }
 
 func TestDriftDetectorMaxReprofilesAndForget(t *testing.T) {
-	d := NewDriftDetector(AdaptiveConfig{Warmup: 1, Cooldown: 1, MaxReprofiles: 2})
+	d := NewDriftDetector()
 	solved := map[string]time.Duration{"k": time.Microsecond}
 	obs := map[string]time.Duration{"k": time.Second}
 
+	// Each drift needs DefaultDriftWarmup folds (Forget restarts warmup), so
+	// this many boundaries is room for twice the cap.
 	drifts := 0
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 2*DefaultMaxReprofiles*DefaultDriftWarmup; i++ {
 		if got := tick(d, obs, solved); len(got) == 1 {
 			drifts++
 			d.Forget("k") // caller re-profiles: state resets, evicted count survives
 		}
 	}
-	if drifts != 2 {
-		t.Fatalf("MaxReprofiles=2 allowed %d drifts", drifts)
+	if drifts != DefaultMaxReprofiles {
+		t.Fatalf("cap of %d re-profiles allowed %d drifts", DefaultMaxReprofiles, drifts)
 	}
 	// Forget reset the EWMA: the key re-warms from scratch.
 	if ewma, ok := d.Observed("k"); ok && ewma == 0 {
@@ -146,7 +143,7 @@ func TestDriftDetectorZeroDurationObservations(t *testing.T) {
 	// Zero/negative durations count as observations (the step boundary
 	// folds them) but contribute no time — so a layer that only ever
 	// reports zeroes never drifts, even against a zero reference.
-	d := NewDriftDetector(AdaptiveConfig{Warmup: 1})
+	d := NewDriftDetector()
 	solved := map[string]time.Duration{"k": 0}
 	for i := 0; i < 4; i++ {
 		d.Observe("k", 0)
@@ -158,33 +155,32 @@ func TestDriftDetectorZeroDurationObservations(t *testing.T) {
 }
 
 func TestDriftDetectorEmptyKeyIgnored(t *testing.T) {
-	d := NewDriftDetector(AdaptiveConfig{Warmup: 1})
+	d := NewDriftDetector()
 	d.Observe("", time.Second)
 	if got := d.StepBoundary(solvedMap(map[string]time.Duration{"": 0})); len(got) != 0 {
 		t.Fatalf("empty key drifted: %v", got)
 	}
 }
 
-// FuzzDriftDetector drives the detector through arbitrary configurations
-// and observation streams and asserts its structural invariants: no
-// panics, sorted output, only solved keys drift, NaN band disables
-// detection, and a drifted key is always one the caller fed.
+// FuzzDriftDetector drives the detector through arbitrary observation
+// streams and asserts its structural invariants: no panics, sorted output,
+// only solved keys drift, and a drifted key is always one the caller fed
+// real time under.
 func FuzzDriftDetector(f *testing.F) {
-	f.Add(0.5, 0.4, int64(1000), int64(2000), int64(0), "conv1/fwd", false)
-	f.Add(0.0, 0.0, int64(0), int64(-5), int64(1), "k", true)
-	f.Add(-1.0, 1.5, int64(1), int64(1), int64(1<<40), "a|b", false)
-	f.Add(math.NaN(), 0.9, int64(77), int64(88), int64(99), "x", true)
-	f.Add(math.Inf(1), 0.1, int64(5), int64(5), int64(5), "y", false)
-	f.Fuzz(func(t *testing.T, band, alpha float64, d1, d2, ref int64, key string, known bool) {
-		d := NewDriftDetector(AdaptiveConfig{
-			Band: band, Alpha: alpha, Warmup: 1, Cooldown: 1, MaxReprofiles: -1,
-		})
+	f.Add(int64(1000), int64(2000), int64(0), "conv1/fwd", false)
+	f.Add(int64(0), int64(-5), int64(1), "k", true)
+	f.Add(int64(1), int64(1), int64(1<<40), "a|b", false)
+	f.Add(int64(77), int64(88), int64(99), "x", true)
+	f.Add(int64(5), int64(5), int64(5), "y", false)
+	f.Fuzz(func(t *testing.T, d1, d2, ref int64, key string, known bool) {
+		d := NewDriftDetector()
 		solved := map[string]time.Duration{}
 		if known {
 			solved[key] = time.Duration(ref)
 		}
 		lookup := solvedMap(solved)
-		for round := 0; round < 3; round++ {
+		// Enough rounds for a drift, its Forget, and a second drift.
+		for round := 0; round < 2*DefaultDriftWarmup+1; round++ {
 			d.Observe(key, time.Duration(d1))
 			d.Observe(key, time.Duration(d2))
 			d.Observe(key+"-other", time.Duration(d1))
@@ -198,9 +194,6 @@ func FuzzDriftDetector(f *testing.F) {
 				}
 				if k == "" {
 					t.Fatal("empty key drifted")
-				}
-				if math.IsNaN(band) {
-					t.Fatalf("NaN band still drifted %q", k)
 				}
 				if d1 <= 0 && d2 <= 0 {
 					t.Fatalf("non-positive observations drifted %q", k)

@@ -276,7 +276,7 @@ func (MILPModel) Solve(spec simgpu.DeviceSpec, p *LayerProfile) *Plan {
 		Integer:  integer,
 		VarNames: names,
 	}
-	sol, err := milp.Solve(prob, nil)
+	sol, err := milp.Solve(prob)
 	if err != nil || sol.Status != milp.Optimal {
 		plan.Fallback = true
 		plan.Streams = 1

@@ -25,7 +25,6 @@ type Budget struct {
 	mu     sync.Mutex
 	cap    int
 	used   int
-	peak   int
 	ledger *Ledger
 }
 
@@ -36,20 +35,6 @@ func NewBudget(cap int, ledger *Ledger) *Budget {
 		cap = 1
 	}
 	return &Budget{cap: cap, ledger: ledger}
-}
-
-// Cap returns the device-wide in-flight cap.
-func (b *Budget) Cap() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cap
-}
-
-// InFlight returns the currently granted units.
-func (b *Budget) InFlight() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.used
 }
 
 // Available returns the unclaimed units (never negative).
@@ -79,14 +64,11 @@ func (b *Budget) Acquire(want int) int {
 		grant = 1
 	}
 	b.used += grant
-	if b.used > b.peak {
-		b.peak = b.used
-	}
 	throttled := grant < want
-	cap, peak := b.cap, b.peak
+	cap, used := b.cap, b.used
 	b.mu.Unlock()
 	if b.ledger != nil {
-		b.ledger.addBudgetAcquire(throttled, cap, peak)
+		b.ledger.addBudgetAcquire(throttled, cap, used)
 	}
 	return grant
 }

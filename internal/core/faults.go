@@ -78,6 +78,27 @@ func backoff(a int) time.Duration {
 	return retryBackoffBase << (a - 1)
 }
 
+// retry is the one retry ladder: call f; stop on success or a non-transient
+// error; otherwise bump counter in l (a nil counter counts nothing), charge
+// the backoff to dev's host timeline and try again, up to maxAttempts calls.
+// Safe for launches, copies, syncs and stream creation alike — a failed
+// attempt of any of them rejects the operation before it has an effect.
+func retry(dev *simgpu.Device, maxAttempts int, l *Ledger, counter *int64, f func() error) error {
+	var err error
+	for a := 1; a <= maxAttempts; a++ {
+		if err = f(); err == nil || !IsTransient(err) {
+			return err
+		}
+		if a < maxAttempts {
+			if counter != nil {
+				l.add(counter, 1)
+			}
+			dev.AdvanceHost(backoff(a))
+		}
+	}
+	return err
+}
+
 // DefaultWatchdogLimit is the hung-kernel threshold of Runtime.Sync's
 // watchdog: any kernel resident longer than this in virtual time is treated
 // as hung and its layer is degraded to the serial fallback plan. Honest

@@ -26,7 +26,12 @@ import (
 // Ledger accumulates GLP4NN's one-time overheads for one device — the
 // quantities of the paper's cost model (Section 3.3.2): host memory
 // (mem_tt, mem_K, mem_cupti; Fig. 10) and time (T_p profiling, T_a
-// analysis, T_s scheduling; Table 6).
+// analysis, T_s scheduling; Table 6) — plus the counters whose events the
+// runtime itself produces: self-healing health, the adaptive controller and
+// the unified budget. The prefetch and serving groups are the exception: a
+// data.Prefetcher or serve.Server keeps its own Stats and the ledger only
+// mirrors them when wired in as that object's Observer. Counters of the
+// multi-device trainer live on parallel.Trainer, not here.
 type Ledger struct {
 	mu sync.Mutex
 
@@ -108,22 +113,6 @@ type Snapshot struct {
 	ServeBatchP50 time.Duration
 	ServeBatchP99 time.Duration
 
-	// Elastic-training counters. Evictions counts replicas permanently
-	// removed after device loss; ShardMoves counts batch shards
-	// deterministically reassigned from evicted replicas to survivors;
-	// Resumes counts trainer restores from a durable on-disk checkpoint.
-	Evictions  int64
-	ShardMoves int64
-	Resumes    int64
-
-	// Gradient all-reduce counters. BucketsReduced counts gradient buckets
-	// folded across replicas; OverlappedCommNs is modeled ring time hidden
-	// under residual backward compute; ExposedCommNs is the ring time left
-	// on the critical path (what StepResult.CommTime charges).
-	BucketsReduced   int64
-	OverlappedCommNs int64
-	ExposedCommNs    int64
-
 	// Adaptive-controller counters. DriftEvents counts step-boundary
 	// verdicts where a layer's observed timing left its plan's band;
 	// Reprofiles counts layers evicted into a shadow re-profiling window;
@@ -176,25 +165,11 @@ func (s Snapshot) Serving() string {
 		s.ServeBatchP50.Round(time.Microsecond), s.ServeBatchP99.Round(time.Microsecond))
 }
 
-// Elastic renders the elastic-training counters.
-func (s Snapshot) Elastic() string {
-	return fmt.Sprintf("evictions=%d shard-moves=%d resumes=%d",
-		s.Evictions, s.ShardMoves, s.Resumes)
-}
-
 // Adaptive renders the online-controller and unified-budget counters.
 func (s Snapshot) Adaptive() string {
 	return fmt.Sprintf("drift=%d reprofiles=%d swaps=%d | budget: acquires=%d throttled=%d peak=%d/%d",
 		s.DriftEvents, s.Reprofiles, s.PlanSwaps,
 		s.BudgetAcquires, s.BudgetThrottles, s.BudgetPeak, s.BudgetCap)
-}
-
-// Comm renders the gradient all-reduce counters.
-func (s Snapshot) Comm() string {
-	return fmt.Sprintf("buckets=%d overlapped=%v exposed=%v",
-		s.BucketsReduced,
-		time.Duration(s.OverlappedCommNs).Round(time.Microsecond),
-		time.Duration(s.ExposedCommNs).Round(time.Microsecond))
 }
 
 // TTotal is the paper's Eq. 12: T_p + T_a + T_s.
@@ -227,68 +202,18 @@ func (l *Ledger) addAnalysis(ta time.Duration) {
 	l.s.Ta += ta
 }
 
-func (l *Ledger) addProfileFailure() {
+// add is the one locked increment behind every single-counter event; c
+// points at a field of l.s.
+func (l *Ledger) add(c *int64, n int64) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.ProfileFailures++
-}
-
-func (l *Ledger) addAnalyzeFailure() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.AnalyzeFailures++
-}
-
-func (l *Ledger) addLaunchRetry() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.LaunchRetries++
-}
-
-func (l *Ledger) addLaunchFailure() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.LaunchFailures++
-}
-
-func (l *Ledger) addSyncRetry() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.SyncRetries++
-}
-
-func (l *Ledger) addMemcpyRetry() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.MemcpyRetries++
-}
-
-func (l *Ledger) addStreamQuarantine() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.StreamQuarantines++
-}
-
-func (l *Ledger) addDegradation() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.Degradations++
-}
-
-func (l *Ledger) addWatchdogTrip() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.WatchdogTrips++
+	*c += n
+	l.mu.Unlock()
 }
 
 // PrefetchHit implements data.Observer: wiring a runtime's ledger into a
 // data.Prefetcher lands input-pipeline behavior next to the paper's cost
 // counters. Exported because the data package calls it from outside core.
-func (l *Ledger) PrefetchHit() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.PrefetchHits++
-}
+func (l *Ledger) PrefetchHit() { l.add(&l.s.PrefetchHits, 1) }
 
 // PrefetchStall implements data.Observer (see PrefetchHit).
 func (l *Ledger) PrefetchStall(wait time.Duration) {
@@ -324,79 +249,17 @@ func (l *Ledger) ServeBatch(size int, lat time.Duration) {
 	l.serveBatchLat.Add(lat)
 }
 
-// AddEviction counts one replica permanently evicted after device loss.
-// Exported because the parallel trainer calls it from outside core.
-func (l *Ledger) AddEviction() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.Evictions++
-}
-
-// AddShardMoves counts n batch shards reassigned from an evicted replica
-// to survivors (see AddEviction).
-func (l *Ledger) AddShardMoves(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.ShardMoves += int64(n)
-}
-
-// AddResume counts one trainer restore from a durable on-disk checkpoint
-// (see AddEviction).
-func (l *Ledger) AddResume() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.Resumes++
-}
-
-// AddBucketReduce accounts one step's gradient all-reduce: buckets folded,
-// modeled ring time hidden under backward, and ring time left exposed on
-// the critical path. Exported because the parallel trainer calls it from
-// outside core.
-func (l *Ledger) AddBucketReduce(buckets int, overlapped, exposed time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.BucketsReduced += int64(buckets)
-	l.s.OverlappedCommNs += int64(overlapped)
-	l.s.ExposedCommNs += int64(exposed)
-}
-
-func (l *Ledger) addDriftEvent() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.DriftEvents++
-}
-
-func (l *Ledger) addReprofile() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.Reprofiles++
-}
-
-func (l *Ledger) addPlanSwap() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.PlanSwaps++
-}
-
-func (l *Ledger) addBudgetAcquire(throttled bool, cap, peak int) {
+func (l *Ledger) addBudgetAcquire(throttled bool, cap, used int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.s.BudgetAcquires++
 	if throttled {
 		l.s.BudgetThrottles++
 	}
-	if peak > l.s.BudgetPeak {
-		l.s.BudgetPeak = peak
+	if used > l.s.BudgetPeak {
+		l.s.BudgetPeak = used
 	}
 	l.s.BudgetCap = cap
-}
-
-// addCopyOverlap credits modeled copy time issued on the dedicated copy
-// stream instead of the default stream.
-func (l *Ledger) addCopyOverlap(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.CopyOverlapNs += int64(d)
 }
 
 // tsPerDispatch is the nominal cost of one round-robin stream-selection
@@ -404,20 +267,15 @@ func (l *Ledger) addCopyOverlap(d time.Duration) {
 // this keeps it measured rather than assumed.
 const tsPerDispatch = 25 * time.Nanosecond
 
-func (l *Ledger) addDispatch() {
+// addDispatch charges one pool-stream dispatch; dag marks one issued from a
+// concurrent DAG layer session (DAGDispatches ⊆ Dispatches).
+func (l *Ledger) addDispatch(dag bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.s.Dispatches++
-	l.s.Ts += tsPerDispatch
-}
-
-// addDAGDispatch counts a pool-stream dispatch issued from a concurrent
-// DAG layer session; it is also a dispatch (DAGDispatches ⊆ Dispatches).
-func (l *Ledger) addDAGDispatch() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.Dispatches++
-	l.s.DAGDispatches++
+	if dag {
+		l.s.DAGDispatches++
+	}
 	l.s.Ts += tsPerDispatch
 }
 

@@ -153,10 +153,10 @@ func (r *Runtime) BeginLayer(key string) {
 	}
 	// First sighting: profile it.
 	if !r.profiling {
-		if err := r.profileRetry(func() error { return r.tracker.StartProfiling(r.dev) }); err != nil {
+		if err := r.syncRetry(func() error { return r.tracker.StartProfiling(r.dev) }); err != nil {
 			// No profiler, no plan, ever: record the failure and pin the
 			// serial fallback instead of futilely retrying each iteration.
-			r.ledger.addProfileFailure()
+			r.ledger.add(&r.ledger.s.ProfileFailures, 1)
 			r.currentPlan = r.analyzer.CacheFallback(key)
 			return
 		}
@@ -176,7 +176,7 @@ func (r *Runtime) BeginLayer(key string) {
 func (r *Runtime) analyzeLocked(profile *LayerProfile) *Plan {
 	plan, err := r.analyzer.Analyze(profile)
 	if err != nil {
-		r.ledger.addAnalyzeFailure()
+		r.ledger.add(&r.ledger.s.AnalyzeFailures, 1)
 		delete(r.reprofiling, profile.Key)
 		return r.analyzer.CacheFallback(profile.Key)
 	}
@@ -184,12 +184,12 @@ func (r *Runtime) analyzeLocked(profile *LayerProfile) *Plan {
 		// A drift-evicted key just got its re-solved plan: that is the
 		// plan swap the adaptive controller promised at this boundary.
 		delete(r.reprofiling, profile.Key)
-		r.ledger.addPlanSwap()
+		r.ledger.add(&r.ledger.s.PlanSwaps, 1)
 	}
 	r.dev.AdvanceHost(plan.SolveTime)
 	if plan.Streams > 1 {
 		if n, err := r.pool.EnsureSize(plan.Streams); err != nil && n == 0 {
-			r.ledger.addDegradation()
+			r.ledger.add(&r.ledger.s.Degradations, 1)
 			return r.analyzer.ForceSerial(plan.Key)
 		}
 		// A partial pool (0 < n < plan.Streams) is fine: Stream wraps
@@ -206,7 +206,7 @@ func (r *Runtime) finalizeLocked() {
 	}
 	r.profiling = false
 	var profiles map[string]*LayerProfile
-	err := r.profileRetry(func() error {
+	err := r.syncRetry(func() error {
 		var cerr error
 		profiles, cerr = r.tracker.Collect(r.dev, r.ledger)
 		return cerr
@@ -216,7 +216,7 @@ func (r *Runtime) finalizeLocked() {
 		// pending layer to a cached serial-fallback plan: training proceeds
 		// correctly (just without concurrency for these layers) and the
 		// collect is not retried forever.
-		r.ledger.addProfileFailure()
+		r.ledger.add(&r.ledger.s.ProfileFailures, 1)
 		for _, key := range sortedKeys(r.pending) {
 			r.analyzer.CacheFallback(key)
 			delete(r.pending, key)
@@ -257,24 +257,14 @@ func sortedProfileKeys(m map[string]*LayerProfile) []string {
 	return keys
 }
 
-// profileRetry runs a profiler-control call (each issues a device
-// synchronize under the hood) under the sync retry policy. A transient
+// syncRetry runs a device synchronize, or a profiler-control call (each
+// issues one under the hood), under the sync retry policy. A transient
 // blip during the profiling window would otherwise pin the pending layers
 // to width-1 fallback plans forever — a permanent concurrency (and, since
 // width is part of the numeric contract, numerics) cost for a recoverable
 // fault.
-func (r *Runtime) profileRetry(f func() error) error {
-	var err error
-	for a := 1; a <= syncAttempts; a++ {
-		if err = f(); err == nil || !IsTransient(err) {
-			return err
-		}
-		if a < syncAttempts {
-			r.ledger.addSyncRetry()
-			r.dev.AdvanceHost(backoff(a))
-		}
-	}
-	return err
+func (r *Runtime) syncRetry(f func() error) error {
+	return retry(r.dev, syncAttempts, r.ledger, &r.ledger.s.SyncRetries, f)
 }
 
 // ResetProfiling aborts an in-flight profiling iteration: pending layers
@@ -305,7 +295,7 @@ func (r *Runtime) ResetProfiling() {
 		return
 	}
 	r.profiling = false
-	_ = r.profileRetry(func() error {
+	_ = r.syncRetry(func() error {
 		_, err := r.tracker.Discard(r.dev)
 		return err
 	})
@@ -351,7 +341,7 @@ func (r *Runtime) InstallPlan(key string, streams int, serial, fallback bool, so
 	plan := r.analyzer.Install(key, streams, serial, fallback, solvedFrom)
 	if plan.Streams > 1 && !plan.Serial {
 		if n, err := r.pool.EnsureSize(plan.Streams); err != nil && n == 0 {
-			r.ledger.addDegradation()
+			r.ledger.add(&r.ledger.s.Degradations, 1)
 			r.analyzer.ForceSerial(plan.Key)
 		}
 	}
@@ -418,11 +408,7 @@ func (r *Runtime) launchWith(key string, plan *Plan, k *simgpu.Kernel, chain int
 		}
 		if lanes > 1 {
 			stream = r.pool.Stream(chain % lanes)
-			if dag {
-				r.ledger.addDAGDispatch()
-			} else {
-				r.ledger.addDispatch()
-			}
+			r.ledger.addDispatch(dag)
 		}
 	}
 	err := r.launchRetry(k, stream)
@@ -433,31 +419,23 @@ func (r *Runtime) launchWith(key string, plan *Plan, k *simgpu.Kernel, chain int
 		// The stream is suspect: replace it and fall back to the default
 		// stream for this kernel.
 		if r.pool.Quarantine(stream) {
-			r.ledger.addStreamQuarantine()
+			r.ledger.add(&r.ledger.s.StreamQuarantines, 1)
 		}
-		r.ledger.addDegradation()
+		r.ledger.add(&r.ledger.s.Degradations, 1)
 		if err = r.launchRetry(k, nil); err == nil || !IsTransient(err) {
 			return err
 		}
 	}
-	r.ledger.addLaunchFailure()
+	r.ledger.add(&r.ledger.s.LaunchFailures, 1)
 	return err
 }
 
 // launchRetry launches k on s with bounded retry and exponential backoff
 // for transient errors, charging the backoff to the host timeline.
 func (r *Runtime) launchRetry(k *simgpu.Kernel, s *simgpu.Stream) error {
-	var err error
-	for a := 1; a <= launchAttempts; a++ {
-		if err = r.dev.Launch(k, s); err == nil || !IsTransient(err) {
-			return err
-		}
-		if a < launchAttempts {
-			r.ledger.addLaunchRetry()
-			r.dev.AdvanceHost(backoff(a))
-		}
-	}
-	return err
+	return retry(r.dev, launchAttempts, r.ledger, &r.ledger.s.LaunchRetries, func() error {
+		return r.dev.Launch(k, s)
+	})
 }
 
 // Sync implements dnn.Launcher: the inter-layer barrier joins all pool
@@ -468,20 +446,10 @@ func (r *Runtime) launchRetry(k *simgpu.Kernel, s *simgpu.Stream) error {
 // layer that hosted a kernel overstaying the watchdog limit is degraded to
 // serial dispatch (width preserved, pool abandoned).
 func (r *Runtime) Sync() error {
-	var err error
-	for a := 1; a <= syncAttempts; a++ {
-		if _, err = r.dev.Synchronize(); err == nil {
-			break
-		}
-		if !IsTransient(err) {
-			return err
-		}
-		if a < syncAttempts {
-			r.ledger.addSyncRetry()
-			r.dev.AdvanceHost(backoff(a))
-		}
-	}
-	if err != nil {
+	if err := r.syncRetry(func() error {
+		_, err := r.dev.Synchronize()
+		return err
+	}); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -494,14 +462,6 @@ func (r *Runtime) Sync() error {
 	return nil
 }
 
-// SetWatchdogLimit sets the hung-kernel threshold; d ≤ 0 disables the
-// watchdog.
-func (r *Runtime) SetWatchdogLimit(d time.Duration) {
-	r.wdMu.Lock()
-	defer r.wdMu.Unlock()
-	r.wdLimit = d
-}
-
 // watchdogObserve is the device completion listener: it flags the layer key
 // of any kernel resident longer than the watchdog limit. It runs under the
 // device lock, so it only touches watchdog state.
@@ -511,7 +471,7 @@ func (r *Runtime) watchdogObserve(rec simgpu.KernelRecord) {
 	if r.wdLimit <= 0 || rec.Duration() < r.wdLimit {
 		return
 	}
-	r.ledger.addWatchdogTrip()
+	r.ledger.add(&r.ledger.s.WatchdogTrips, 1)
 	key := rec.Tag
 	if i := strings.IndexByte(key, '|'); i >= 0 {
 		key = key[:i]
@@ -542,7 +502,7 @@ func (r *Runtime) drainWatchdog() {
 		if p, ok := r.analyzer.Cached(key); ok && (p.Serial || p.Streams <= 1) {
 			continue // already serial
 		}
-		r.ledger.addDegradation()
+		r.ledger.add(&r.ledger.s.Degradations, 1)
 		plan := r.analyzer.ForceSerial(key)
 		if r.current == key {
 			r.currentPlan = plan
@@ -691,7 +651,7 @@ func (r *Runtime) StageInput(n int64) error {
 	err := r.memcpyRetry(n, s)
 	if err == nil {
 		if s != nil {
-			r.ledger.addCopyOverlap(r.dev.Spec().MemcpyDuration(n))
+			r.ledger.add(&r.ledger.s.CopyOverlapNs, int64(r.dev.Spec().MemcpyDuration(n)))
 		}
 		return nil
 	}
@@ -706,8 +666,8 @@ func (r *Runtime) StageInput(n int64) error {
 		r.copyStream = nil
 	}
 	r.copyMu.Unlock()
-	r.ledger.addStreamQuarantine()
-	r.ledger.addDegradation()
+	r.ledger.add(&r.ledger.s.StreamQuarantines, 1)
+	r.ledger.add(&r.ledger.s.Degradations, 1)
 	return r.memcpyRetry(n, nil)
 }
 
@@ -720,36 +680,20 @@ func (r *Runtime) ensureCopyStream() *simgpu.Stream {
 	if r.copyStream != nil || r.copyDead {
 		return r.copyStream
 	}
-	for a := 1; a <= createAttempts; a++ {
-		s, err := r.dev.CreateStream()
-		if err == nil {
-			r.copyStream = s
-			return s
-		}
-		if !IsTransient(err) {
-			break
-		}
-		if a < createAttempts {
-			r.dev.AdvanceHost(backoff(a))
-		}
+	s, err := createStream(r.dev)
+	if err != nil {
+		r.copyDead = true
+		r.ledger.add(&r.ledger.s.Degradations, 1)
+		return nil
 	}
-	r.copyDead = true
-	r.ledger.addDegradation()
-	return nil
+	r.copyStream = s
+	return s
 }
 
 // memcpyRetry performs one H2D copy on s (nil = default stream) under the
 // bounded-retry-with-backoff policy for transient DMA failures.
 func (r *Runtime) memcpyRetry(n int64, s *simgpu.Stream) error {
-	var err error
-	for a := 1; a <= launchAttempts; a++ {
-		if err = r.dev.MemcpyHostToDevice(n, s); err == nil || !IsTransient(err) {
-			return err
-		}
-		if a < launchAttempts {
-			r.ledger.addMemcpyRetry()
-			r.dev.AdvanceHost(backoff(a))
-		}
-	}
-	return err
+	return retry(r.dev, launchAttempts, r.ledger, &r.ledger.s.MemcpyRetries, func() error {
+		return r.dev.MemcpyHostToDevice(n, s)
+	})
 }

@@ -279,7 +279,7 @@ func TestWatchdogDisabled(t *testing.T) {
 	fw := New()
 	defer fw.Close()
 	rt := fw.Runtime(dev)
-	rt.SetWatchdogLimit(0)
+	rt.wdLimit = 0
 
 	if err := rt.Launch(fnKernel("slow", nil), -1); err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func (p *StreamPool) EnsureSize(n int) (int, error) {
 	var err error
 	for len(p.streams) < n {
 		var s *simgpu.Stream
-		if s, err = p.createRetry(); err != nil {
+		if s, err = createStream(p.dev); err != nil {
 			break
 		}
 		p.streams = append(p.streams, s)
@@ -41,23 +41,16 @@ func (p *StreamPool) EnsureSize(n int) (int, error) {
 	return len(p.streams), err
 }
 
-// createRetry creates one stream, retrying transient failures with
-// exponential backoff charged to the host timeline. Called with p.mu held.
-func (p *StreamPool) createRetry() (*simgpu.Stream, error) {
-	var err error
-	for a := 1; a <= createAttempts; a++ {
-		var s *simgpu.Stream
-		if s, err = p.dev.CreateStream(); err == nil {
-			return s, nil
-		}
-		if !IsTransient(err) {
-			return nil, err
-		}
-		if a < createAttempts {
-			p.dev.AdvanceHost(backoff(a))
-		}
-	}
-	return nil, err
+// createStream creates one stream on dev, retrying transient failures with
+// exponential backoff charged to the host timeline.
+func createStream(dev *simgpu.Device) (*simgpu.Stream, error) {
+	var s *simgpu.Stream
+	err := retry(dev, createAttempts, nil, nil, func() error {
+		var err error
+		s, err = dev.CreateStream()
+		return err
+	})
+	return s, err
 }
 
 // Quarantine takes a stream that keeps failing launches out of rotation: it
@@ -79,7 +72,7 @@ func (p *StreamPool) Quarantine(s *simgpu.Stream) bool {
 		// Best effort: a destroy failure must not keep a poisoned stream in
 		// rotation.
 		_ = p.dev.DestroyStream(s)
-		if ns, err := p.createRetry(); err == nil {
+		if ns, err := createStream(p.dev); err == nil {
 			p.streams[i] = ns
 		} else {
 			p.streams = append(p.streams[:i], p.streams[i+1:]...)

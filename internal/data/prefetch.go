@@ -59,18 +59,18 @@ type Observer interface {
 	PrefetchStall(wait time.Duration)
 }
 
-// Options tunes a Prefetcher. The zero value is ready to use.
+// ringDepth is the number of in-flight batch buffers: the ping-pong pair,
+// one computing while the other fills.
+const ringDepth = 2
+
+// Options wires a Prefetcher. The zero value is ready to use.
 type Options struct {
 	// Pool bounds fill concurrency; nil selects hostpool.Default(). Fill
 	// workers take one pool slot per sample filled, so prefetch synthesis
-	// and kernel host math share one machine-wide concurrency budget.
+	// and kernel host math share one machine-wide concurrency budget. One
+	// persistent fill worker runs per pool worker, up to the per-batch
+	// fill count.
 	Pool *hostpool.Pool
-	// Workers caps the persistent fill workers; ≤ 0 selects the pool
-	// width, clamped to the per-batch fill count.
-	Workers int
-	// Depth is the number of in-flight batch buffers; < 2 selects the
-	// ping-pong default of 2 (one computing, one filling).
-	Depth int
 	// Observer, when non-nil, is notified of every hit and stall.
 	Observer Observer
 }
@@ -162,15 +162,8 @@ func newPrefetcher(src source, opts Options) *Prefetcher {
 	if pool == nil {
 		pool = hostpool.Default()
 	}
-	depth := opts.Depth
-	if depth < 2 {
-		depth = 2
-	}
 	nfills := src.fills()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = pool.Workers()
-	}
+	workers := pool.Workers()
 	if workers > nfills {
 		workers = nfills
 	}
@@ -181,8 +174,8 @@ func newPrefetcher(src source, opts Options) *Prefetcher {
 		obs:     opts.Observer,
 		workers: workers,
 		nfills:  nfills,
-		free:    make(chan *Batch, depth),
-		ready:   make(chan *Batch, depth),
+		free:    make(chan *Batch, ringDepth),
+		ready:   make(chan *Batch, ringDepth),
 		start:   make([]chan *Batch, workers),
 		done:    make(chan struct{}, workers),
 		term:    make(chan struct{}),
@@ -190,7 +183,7 @@ func newPrefetcher(src source, opts Options) *Prefetcher {
 	for w := range p.start {
 		p.start[w] = make(chan *Batch, 1)
 	}
-	for i := 0; i < depth; i++ {
+	for i := 0; i < ringDepth; i++ {
 		p.free <- src.newBatch()
 	}
 	for w := 0; w < workers; w++ {

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-func tinyCountingPrefetcher(depth int) *Prefetcher {
+func tinyCountingPrefetcher() *Prefetcher {
 	n := float32(0)
 	gen := func(planes [][]float32, labels []float32) {
 		for i := range planes[0] {
@@ -14,13 +14,13 @@ func tinyCountingPrefetcher(depth int) *Prefetcher {
 			n++
 		}
 	}
-	return NewSerialPrefetcher([]int{4}, 0, gen, Options{Depth: depth})
+	return NewSerialPrefetcher([]int{4}, 0, gen, Options{})
 }
 
 // TestPrefetcherCloseIdempotent: Close twice sequentially and many times
 // concurrently — no panic on the already-closed stop or worker channels.
 func TestPrefetcherCloseIdempotent(t *testing.T) {
-	pf := tinyCountingPrefetcher(2)
+	pf := tinyCountingPrefetcher()
 	b := pf.Next()
 	if b == nil {
 		t.Fatal("Next returned nil on a live pipeline")
@@ -29,7 +29,7 @@ func TestPrefetcherCloseIdempotent(t *testing.T) {
 	pf.Close()
 	pf.Close()
 
-	pf = tinyCountingPrefetcher(2)
+	pf = tinyCountingPrefetcher()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -45,7 +45,7 @@ func TestPrefetcherCloseIdempotent(t *testing.T) {
 // were already synthesized and then returns nil — it must not block
 // forever on the dead producer.
 func TestPrefetcherCloseThenNext(t *testing.T) {
-	pf := tinyCountingPrefetcher(2)
+	pf := tinyCountingPrefetcher()
 	// Let the producer fill the ring so the post-Close drain has content.
 	time.Sleep(10 * time.Millisecond)
 	pf.Close()
@@ -60,8 +60,8 @@ func TestPrefetcherCloseThenNext(t *testing.T) {
 	}()
 	select {
 	case n := <-got:
-		if n > 2 {
-			t.Fatalf("drained %d batches from a depth-2 ring", n)
+		if n > ringDepth {
+			t.Fatalf("drained %d batches from a depth-%d ring", n, ringDepth)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Next deadlocked after Close")
@@ -74,18 +74,18 @@ func TestPrefetcherCloseThenNext(t *testing.T) {
 // TestPrefetcherCloseUnblocksParkedNext: a consumer already parked inside
 // Next when Close lands must wake up instead of waiting forever.
 func TestPrefetcherCloseUnblocksParkedNext(t *testing.T) {
-	pf := tinyCountingPrefetcher(2)
+	pf := tinyCountingPrefetcher()
 	// Drain everything the pipeline will produce without recycling, so the
 	// next call parks on an empty ready queue with no free buffers.
 	var held []*Batch
 	deadline := time.Now().Add(2 * time.Second)
-	for len(held) < 2 && time.Now().Before(deadline) {
+	for len(held) < ringDepth && time.Now().Before(deadline) {
 		if b := pf.Next(); b != nil {
 			held = append(held, b)
 		}
 	}
-	if len(held) != 2 {
-		t.Fatalf("held %d batches, want the full depth-2 ring", len(held))
+	if len(held) != ringDepth {
+		t.Fatalf("held %d batches, want the full depth-%d ring", len(held), ringDepth)
 	}
 
 	parked := make(chan *Batch, 1)
@@ -113,7 +113,7 @@ func TestPrefetcherCloseUnblocksParkedNext(t *testing.T) {
 // fresh stop/joined channels; the Close that follows must halt that
 // incarnation, and Rollback after Close must be a no-op.
 func TestPrefetcherCloseAfterRollback(t *testing.T) {
-	pf := tinyCountingPrefetcher(3)
+	pf := tinyCountingPrefetcher()
 	b := pf.Next()
 	pf.Recycle(b)
 	pf.Rollback()

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/hostpool"
 )
 
 // tinySpec is small enough that identity tests cross several epoch
@@ -28,7 +30,7 @@ func equalF32(a, b []float32) bool {
 // Next stream bit for bit, across multiple epoch/reshuffle boundaries.
 func TestPrefetchBitIdentityIterator(t *testing.T) {
 	serialIt := NewIterator(Synthetic(tinySpec, 42), TrainSplit, 4, 7)
-	pf := NewPrefetcher(NewIterator(Synthetic(tinySpec, 42), TrainSplit, 4, 7), Options{Workers: 3})
+	pf := NewPrefetcher(NewIterator(Synthetic(tinySpec, 42), TrainSplit, 4, 7), Options{Pool: hostpool.New(3)})
 	defer pf.Close()
 
 	size := tinySpec.Channels * tinySpec.Height * tinySpec.Width
@@ -55,7 +57,7 @@ func TestPrefetchBitIdentityIterator(t *testing.T) {
 func TestPrefetchBitIdentityCropped(t *testing.T) {
 	spec := Spec{Name: "tinycrop", TrainImages: 20, TestImages: 5, Channels: 3, Height: 8, Width: 8, Classes: 4}
 	serialIt := NewCroppedIterator(Synthetic(spec, 5), TrainSplit, 3, 5, 5, 9)
-	pf := NewPrefetcher(NewCroppedIterator(Synthetic(spec, 5), TrainSplit, 3, 5, 5, 9), Options{Workers: 2})
+	pf := NewPrefetcher(NewCroppedIterator(Synthetic(spec, 5), TrainSplit, 3, 5, 5, 9), Options{Pool: hostpool.New(2)})
 	defer pf.Close()
 
 	size := spec.Channels * 5 * 5
@@ -74,7 +76,7 @@ func TestPrefetchBitIdentityCropped(t *testing.T) {
 // TestPrefetchBitIdentityPairs: same contract for the Siamese pair shape.
 func TestPrefetchBitIdentityPairs(t *testing.T) {
 	serialIt := NewPairIterator(Synthetic(tinySpec, 3), TrainSplit, 5, 11)
-	pf := NewPairPrefetcher(NewPairIterator(Synthetic(tinySpec, 3), TrainSplit, 5, 11), Options{Workers: 3})
+	pf := NewPairPrefetcher(NewPairIterator(Synthetic(tinySpec, 3), TrainSplit, 5, 11), Options{Pool: hostpool.New(3)})
 	defer pf.Close()
 
 	size := tinySpec.Channels * tinySpec.Height * tinySpec.Width
@@ -148,7 +150,7 @@ func rollbackIdentity(t *testing.T, pf *Prefetcher, next func(b int) ([][]float3
 // replays their plans — the delivered stream is as if no rollback happened.
 func TestPrefetchRollbackIterator(t *testing.T) {
 	serialIt := NewIterator(Synthetic(tinySpec, 42), TrainSplit, 4, 7)
-	pf := NewPrefetcher(NewIterator(Synthetic(tinySpec, 42), TrainSplit, 4, 7), Options{Workers: 2, Depth: 3})
+	pf := NewPrefetcher(NewIterator(Synthetic(tinySpec, 42), TrainSplit, 4, 7), Options{Pool: hostpool.New(2)})
 	defer pf.Close()
 
 	size := tinySpec.Channels * tinySpec.Height * tinySpec.Width
@@ -167,7 +169,7 @@ func TestPrefetchRollbackIterator(t *testing.T) {
 // draws on rollback.
 func TestPrefetchRollbackPairs(t *testing.T) {
 	serialIt := NewPairIterator(Synthetic(tinySpec, 3), TrainSplit, 5, 11)
-	pf := NewPairPrefetcher(NewPairIterator(Synthetic(tinySpec, 3), TrainSplit, 5, 11), Options{Workers: 2})
+	pf := NewPairPrefetcher(NewPairIterator(Synthetic(tinySpec, 3), TrainSplit, 5, 11), Options{Pool: hostpool.New(2)})
 	defer pf.Close()
 
 	size := tinySpec.Channels * tinySpec.Height * tinySpec.Width
@@ -195,7 +197,7 @@ func TestPrefetchRollbackSerialSource(t *testing.T) {
 		}
 	}
 	ref := mk(rand.New(rand.NewSource(33)))
-	pf := NewSerialPrefetcher([]int{32}, 4, mk(rand.New(rand.NewSource(33))), Options{Depth: 3})
+	pf := NewSerialPrefetcher([]int{32}, 4, mk(rand.New(rand.NewSource(33))), Options{})
 	defer pf.Close()
 
 	data := make([]float32, 32)
@@ -288,9 +290,9 @@ func TestPrefetchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is meaningless under the race detector")
 	}
-	pfIter := NewPrefetcher(NewIterator(Synthetic(tinySpec, 42), TrainSplit, 4, 7), Options{Workers: 2})
+	pfIter := NewPrefetcher(NewIterator(Synthetic(tinySpec, 42), TrainSplit, 4, 7), Options{Pool: hostpool.New(2)})
 	defer pfIter.Close()
-	pfPair := NewPairPrefetcher(NewPairIterator(Synthetic(tinySpec, 3), TrainSplit, 4, 11), Options{Workers: 2})
+	pfPair := NewPairPrefetcher(NewPairIterator(Synthetic(tinySpec, 3), TrainSplit, 4, 11), Options{Pool: hostpool.New(2)})
 	defer pfPair.Close()
 	for _, tc := range []struct {
 		name string

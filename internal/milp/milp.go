@@ -106,29 +106,13 @@ type Solution struct {
 	Iterations int // total simplex pivots
 }
 
-// Options tunes the solver. The zero value picks sane defaults.
-type Options struct {
-	MaxNodes      int     // branch-and-bound node limit (default 100000)
-	MaxIterations int     // simplex pivot limit per LP (default 20000)
-	IntTol        float64 // integrality tolerance (default 1e-6)
-	Eps           float64 // numerical tolerance (default 1e-9)
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxNodes <= 0 {
-		o.MaxNodes = 100000
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 20000
-	}
-	if o.IntTol <= 0 {
-		o.IntTol = 1e-6
-	}
-	if o.Eps <= 0 {
-		o.Eps = 1e-9
-	}
-	return o
-}
+// Solver limits and tolerances.
+const (
+	maxNodes      = 100000 // branch-and-bound node limit
+	maxIterations = 20000  // simplex pivot limit per LP
+	intTol        = 1e-6   // integrality tolerance
+	eps           = 1e-9   // numerical tolerance
+)
 
 // Validate checks structural consistency of the problem.
 func (p *Problem) Validate() error {
@@ -221,19 +205,12 @@ func (p *Problem) varName(j int) string {
 	return fmt.Sprintf("x%d", j)
 }
 
-// Solve runs branch and bound over the LP relaxation. A nil opts uses
-// defaults.
-func Solve(p *Problem, opts *Options) (*Solution, error) {
+// Solve runs branch and bound over the LP relaxation.
+func Solve(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	o := Options{}
-	if opts != nil {
-		o = *opts
-	}
-	o = o.withDefaults()
-
-	bb := &bnb{prob: p, opts: o}
+	bb := &bnb{prob: p}
 	return bb.run()
 }
 
@@ -242,7 +219,6 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 // aggressively.
 type bnb struct {
 	prob *Problem
-	opts Options
 
 	nodes int
 	iters int
@@ -265,9 +241,9 @@ func (b *bnb) run() (*Solution, error) {
 		lo[j], hi[j] = b.prob.boundsAt(j)
 		// Integral variables can have their bounds rounded inward up front.
 		if b.isInt(j) {
-			lo[j] = math.Ceil(lo[j] - b.opts.IntTol)
+			lo[j] = math.Ceil(lo[j] - intTol)
 			if !math.IsInf(hi[j], 1) {
-				hi[j] = math.Floor(hi[j] + b.opts.IntTol)
+				hi[j] = math.Floor(hi[j] + intTol)
 			}
 			if lo[j] > hi[j] {
 				return &Solution{Status: Infeasible}, nil
@@ -291,7 +267,7 @@ func (b *bnb) run() (*Solution, error) {
 
 	status := Optimal
 	for len(open) > 0 {
-		if b.nodes >= b.opts.MaxNodes {
+		if b.nodes >= maxNodes {
 			status = NodeLimit
 			break
 		}
@@ -306,12 +282,12 @@ func (b *bnb) run() (*Solution, error) {
 		open[best] = open[len(open)-1]
 		open = open[:len(open)-1]
 
-		if b.haveInc && cur.bound <= b.incumbentObj+b.opts.Eps {
+		if b.haveInc && cur.bound <= b.incumbentObj+eps {
 			continue // pruned by bound
 		}
 		b.nodes++
 
-		x, val, st, it := solveLP(obj, b.prob.Constraints, cur.lower, cur.upper, b.opts)
+		x, val, st, it := solveLP(obj, b.prob.Constraints, cur.lower, cur.upper)
 		b.iters += it
 		switch st {
 		case Infeasible:
@@ -324,7 +300,7 @@ func (b *bnb) run() (*Solution, error) {
 			status = IterLimit
 			continue
 		}
-		if b.haveInc && val <= b.incumbentObj+b.opts.Eps {
+		if b.haveInc && val <= b.incumbentObj+eps {
 			continue
 		}
 
@@ -337,7 +313,7 @@ func (b *bnb) run() (*Solution, error) {
 			}
 			f := x[j] - math.Floor(x[j])
 			d := math.Min(f, 1-f)
-			if d > b.opts.IntTol && d > fracDist {
+			if d > intTol && d > fracDist {
 				fracDist = d
 				frac = j
 			}

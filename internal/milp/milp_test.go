@@ -9,7 +9,7 @@ import (
 
 func mustSolve(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	s, err := Solve(p, nil)
+	s, err := Solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestQuickMIPMatchesBruteForce(t *testing.T) {
 			}
 			p.Constraints = append(p.Constraints, c)
 		}
-		s, err := Solve(p, nil)
+		s, err := Solve(p)
 		if err != nil {
 			t.Logf("seed %d: solve error %v", seed, err)
 			return false
@@ -338,7 +338,7 @@ func TestQuickLPFeasibleSolutionRespectsConstraints(t *testing.T) {
 			}
 			p.Constraints = append(p.Constraints, c)
 		}
-		s, err := Solve(p, nil)
+		s, err := Solve(p)
 		if err != nil || s.Status != Optimal {
 			return true // infeasible/unbounded is fine here
 		}
@@ -428,7 +428,7 @@ func BenchmarkMIPAnalyzerShaped(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p, nil); err != nil {
+		if _, err := Solve(p); err != nil {
 			b.Fatal(err)
 		}
 	}

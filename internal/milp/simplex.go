@@ -7,9 +7,8 @@ import "math"
 // two-phase primal simplex on the shifted problem y = x − lower ≥ 0, with
 // finite upper bounds materialized as explicit rows. Bland's rule guarantees
 // termination. Returns the solution in the original variable space.
-func solveLP(obj []float64, cons []Constraint, lower, upper []float64, opts Options) (x []float64, val float64, st Status, iters int) {
+func solveLP(obj []float64, cons []Constraint, lower, upper []float64) (x []float64, val float64, st Status, iters int) {
 	n := len(obj)
-	eps := opts.Eps
 
 	// Shifted RHS for each constraint: b − A·lower.
 	type row struct {
@@ -107,7 +106,7 @@ func solveLP(obj []float64, cons []Constraint, lower, upper []float64, opts Opti
 		for j := artStart; j < total; j++ {
 			c1[j] = -1
 		}
-		ok, it := simplexPivot(t, basis, c1, total, opts)
+		ok, it := simplexPivot(t, basis, c1, total)
 		iters += it
 		if !ok {
 			return nil, 0, IterLimit, iters
@@ -147,14 +146,14 @@ func solveLP(obj []float64, cons []Constraint, lower, upper []float64, opts Opti
 	// Phase 2: maximize the real objective; artificial columns are frozen.
 	c2 := make([]float64, total)
 	copy(c2, obj)
-	ok, it := simplexPivotLimited(t, basis, c2, artStart, opts)
+	ok, it := simplexPivot(t, basis, c2, artStart)
 	iters += it
 	if !ok {
 		return nil, 0, IterLimit, iters
 	}
-	// Detect unboundedness: simplexPivotLimited returns ok with a flag via
+	// Detect unboundedness: simplexPivot returns ok with a flag via
 	// sentinel — handled inside; re-check by scanning one more time.
-	if unbounded(t, basis, c2, artStart, eps) {
+	if unbounded(t, basis, c2, artStart) {
 		return nil, 0, Unbounded, iters
 	}
 
@@ -179,26 +178,16 @@ func solveLP(obj []float64, cons []Constraint, lower, upper []float64, opts Opti
 	return x, val, Optimal, iters
 }
 
-// simplexPivot runs primal simplex pivots maximizing c over all columns.
-// Returns false when the iteration limit is hit.
-func simplexPivot(t [][]float64, basis []int, c []float64, nCols int, opts Options) (bool, int) {
-	return simplexCore(t, basis, c, nCols, opts)
-}
-
-// simplexPivotLimited prices only the first nCols columns (used in phase 2 to
-// exclude artificial columns).
-func simplexPivotLimited(t [][]float64, basis []int, c []float64, nCols int, opts Options) (bool, int) {
-	return simplexCore(t, basis, c, nCols, opts)
-}
-
-func simplexCore(t [][]float64, basis []int, c []float64, nCols int, opts Options) (bool, int) {
+// simplexPivot runs primal simplex pivots maximizing c, pricing only the
+// first nCols columns (phase 2 passes artStart to exclude the artificial
+// columns). Returns false when the iteration limit is hit.
+func simplexPivot(t [][]float64, basis []int, c []float64, nCols int) (bool, int) {
 	m := len(t)
 	if m == 0 {
 		return true, 0
 	}
-	eps := opts.Eps
 	iters := 0
-	for ; iters < opts.MaxIterations; iters++ {
+	for ; iters < maxIterations; iters++ {
 		// Reduced costs: rc_j = c_j − c_B · B⁻¹A_j. With an explicit tableau
 		// the column t[:,j] already is B⁻¹A_j.
 		enter := -1
@@ -245,7 +234,7 @@ func simplexCore(t [][]float64, basis []int, c []float64, nCols int, opts Option
 
 // unbounded reports whether an improving column with no blocking row exists,
 // i.e. the LP is unbounded at the current (otherwise optimal-looking) basis.
-func unbounded(t [][]float64, basis []int, c []float64, nCols int, eps float64) bool {
+func unbounded(t [][]float64, basis []int, c []float64, nCols int) bool {
 	m := len(t)
 	if m == 0 {
 		// No constraints at all: unbounded iff any positive objective coeff.

@@ -6,20 +6,11 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/dnn"
-	"repro/internal/hostpool"
 )
 
-// PipeConfig tunes an asynchronous input pipeline.
-type PipeConfig struct {
-	// Pool bounds fill concurrency; nil selects the shared default pool.
-	Pool *hostpool.Pool
-	// Observer, when non-nil, receives hit/stall events — wire a runtime's
-	// *core.Ledger here so pipeline behavior lands in the overhead ledger.
-	Observer data.Observer
-	// Depth is the pipeline's buffer count; < 2 selects the ping-pong
-	// default of 2.
-	Depth int
-}
+// PipeConfig wires an asynchronous input pipeline: the pool bounding its
+// fill concurrency and the observer of its hit/stall events.
+type PipeConfig = data.Options
 
 // InputPipe is a workload feeder running as an asynchronous pipeline:
 // batch t+1 is synthesized on hostpool workers while batch t computes,
@@ -64,8 +55,7 @@ func (p *InputPipe) Stats() data.PipelineStats { return p.pf.Stats() }
 // stream of NewFeeder — same dataset seeds, same iterator RNG stream —
 // so training with the pipe is convergence-invariant with training with
 // the inline feeder. batch ≤ 0 selects the paper default.
-func NewInputPipe(name string, batch int, seed int64, cfg PipeConfig) (*InputPipe, error) {
-	opts := data.Options{Pool: cfg.Pool, Observer: cfg.Observer, Depth: cfg.Depth}
+func NewInputPipe(name string, batch int, seed int64, opts PipeConfig) (*InputPipe, error) {
 	dataLabelFeed := func(net *dnn.Net, b *data.Batch) error {
 		if err := net.SetInputData("data", b.Planes[0]); err != nil {
 			return err

@@ -52,11 +52,6 @@ func (t *Trainer) SwapEvents() []PlanSwapEvent {
 	return out
 }
 
-// AdaptiveStats reports the controller's activity counters.
-func (t *Trainer) AdaptiveStats() (drifted, reprofiled, swapped int) {
-	return t.driftCount, t.reprofileCount, t.swapCount
-}
-
 // driftTick runs after a successful step: fold each live replica's pending
 // observations and take the union of drifted keys across replicas. The
 // union keeps replicas in width lockstep — a layer that drifted on one
@@ -81,7 +76,6 @@ func (t *Trainer) driftTick() {
 	}
 	sort.Strings(keys)
 	t.pendingDrift = append(t.pendingDrift, keys...)
-	t.driftCount += len(keys)
 }
 
 // adaptiveBoundary runs at Step entry, before inputs are fed. When a swap
@@ -122,7 +116,6 @@ func (t *Trainer) adaptiveBoundary() *Checkpoint {
 				}
 			}
 			t.swapLog = append(t.swapLog, ev)
-			t.swapCount++
 		}
 		t.shadowKeys = nil
 		t.swapArmed = false
@@ -153,7 +146,6 @@ func (t *Trainer) adaptiveBoundary() *Checkpoint {
 				Iter: t.iter, Key: key, Streams: 1, Shadow: true,
 			})
 			t.shadowKeys = append(t.shadowKeys, key)
-			t.reprofileCount++
 		}
 		if len(t.shadowKeys) > 0 {
 			t.swapArmed = true

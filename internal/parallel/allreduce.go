@@ -498,16 +498,12 @@ func (t *Trainer) CommStats() CommStats {
 	return s
 }
 
-// accountComm folds one step's comm split into the trainer totals and, when
-// the GLP framework is attached, the first survivor's ledger.
+// accountComm folds one step's comm split into the trainer totals.
 func (t *Trainer) accountComm(buckets int, overlapped, exposed time.Duration) {
 	t.commSteps++
 	t.commBuckets += int64(buckets)
 	t.commOverlapped += overlapped
 	t.commExposed += exposed
-	if t.fw != nil {
-		t.fw.Runtime(t.firstSurvivor().dev).Ledger().AddBucketReduce(buckets, overlapped, exposed)
-	}
 }
 
 // checkPlanCoverage validates a plan against the net it was built from:

@@ -414,9 +414,6 @@ func (t *Trainer) ReadCheckpoint(r io.Reader) (DurableInfo, error) {
 	}
 	t.iter = info.Iter
 	t.resumes++
-	if t.fw != nil {
-		t.fw.Runtime(t.firstSurvivor().dev).Ledger().AddResume()
-	}
 	return info, nil
 }
 

@@ -65,7 +65,7 @@ func replayFeeds(t *testing.T, tr *Trainer, feed FeedFunc, steps int64) {
 // four paper workloads, a run killed mid-training and resumed from its
 // durable checkpoint — fresh process state, fresh devices, fresh feeders
 // replayed to position — finishes with parameters bitwise identical to the
-// uninterrupted run, with a nonzero resume counter in the ledger.
+// uninterrupted run, with a nonzero resume counter on the trainer.
 func TestCrashResumeSoakBitIdentical(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -133,13 +133,6 @@ func TestCrashResumeSoakBitIdentical(t *testing.T) {
 			}
 			if resumed.Resumes() != 1 {
 				t.Fatalf("resume counter = %d, want 1", resumed.Resumes())
-			}
-			var ledgerResumes int64
-			for _, dev := range resumed.Devices() {
-				ledgerResumes += resumed.Framework().Runtime(dev).Ledger().Snapshot().Resumes
-			}
-			if ledgerResumes != 1 {
-				t.Fatalf("ledger resume counter = %d, want 1", ledgerResumes)
 			}
 			assertBitwiseEqual(t, c.name, trainerParams(resumed), want)
 			t.Logf("%s: killed after %d/%d steps, resumed bit-identical", c.name, kill, c.steps)

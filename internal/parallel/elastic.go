@@ -174,11 +174,6 @@ func (t *Trainer) evict(idx int) error {
 	t.evictions++
 	t.shardMoves += len(ev.Shards)
 	t.events = append(t.events, ev)
-	if t.fw != nil {
-		led := t.fw.Runtime(t.firstSurvivor().dev).Ledger()
-		led.AddEviction()
-		led.AddShardMoves(len(ev.Shards))
-	}
 	return nil
 }
 

@@ -118,14 +118,11 @@ type Trainer struct {
 	// flagged by driftTick awaiting eviction at the next boundary;
 	// shadowKeys the keys currently in their shadow re-profile window;
 	// swapArmed marks that the next boundary must finalize and swap.
-	adaptive       bool
-	pendingDrift   []string
-	shadowKeys     []string
-	swapArmed      bool
-	swapLog        []PlanSwapEvent
-	driftCount     int
-	reprofileCount int
-	swapCount      int
+	adaptive     bool
+	pendingDrift []string
+	shadowKeys   []string
+	swapArmed    bool
+	swapLog      []PlanSwapEvent
 }
 
 // Config tunes a Trainer.
@@ -181,9 +178,6 @@ type Config struct {
 	// checkpointed step boundaries (see adaptive.go). The width schedule is
 	// recorded (SwapEvents) so a non-adaptive replay trains identical bits.
 	Adaptive bool
-	// DriftBand is the adaptive controller's fractional tolerance around a
-	// plan's solved-from timing; zero selects core.DefaultDriftBand.
-	DriftBand float64
 }
 
 // InputPipeline is the rollback hook of an asynchronous input feed.
@@ -217,7 +211,7 @@ func NewTrainer(machine *simgpu.Machine, build BuildFunc, cfg Config) (*Trainer,
 		if t.fw != nil {
 			rt := t.fw.Runtime(dev)
 			if t.adaptive {
-				rt.SetAdaptive(core.AdaptiveConfig{Band: cfg.DriftBand})
+				rt.SetAdaptive()
 			}
 			l = rt
 		}

@@ -45,8 +45,14 @@ type Observer interface {
 	ServeBatch(size int, lat time.Duration)
 }
 
+// batchRetries bounds whole-batch retries on transient device faults
+// (core.IsTransient). The batch retries with its requests in place, so a
+// fault drops nothing and reorders nothing.
+const batchRetries = 3
+
 // Config tunes a Server. The zero value serves with the frozen net's full
-// device batch, a 2 ms flush deadline, and 3 transient retries.
+// device batch and a 2 ms flush deadline. The admission queue holds four
+// device batches (4 × MaxBatch requests).
 type Config struct {
 	// MaxBatch caps how many requests coalesce into one device batch;
 	// ≤ 0 or > the frozen batch selects the frozen batch. 1 is the
@@ -57,18 +63,9 @@ type Config struct {
 	// default; < 0 flushes greedily (whatever is queued the moment the
 	// batcher is free — the lowest-latency, lowest-coalescing policy).
 	MaxDelay time.Duration
-	// Queue is the submission channel depth; ≤ 0 selects 4× the batch.
-	Queue int
-	// Retries bounds whole-batch retries on transient device faults;
-	// ≤ 0 selects 3. The batch retries with its requests in place, so a
-	// fault drops nothing and reorders nothing.
-	Retries int
 	// Observer, when non-nil, receives per-request and per-batch events
 	// (wire the runtime's *core.Ledger here).
 	Observer Observer
-	// Transient classifies retryable forward errors; nil selects
-	// core.IsTransient.
-	Transient func(error) bool
 	// Budget, when non-nil, charges each flushed batch one unit of the
 	// unified SM budget for the duration of its attempts — the same pool
 	// the batch's own chain streams, DAG wavefront, and copy stream draw
@@ -171,15 +168,6 @@ func New(fz *dnn.FrozenNet, ctx *dnn.Context, cfg Config) (*Server, error) {
 	if cfg.MaxDelay == 0 {
 		cfg.MaxDelay = 2 * time.Millisecond
 	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = 4 * cfg.MaxBatch
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 3
-	}
-	if cfg.Transient == nil {
-		cfg.Transient = core.IsTransient
-	}
 	s := &Server{
 		fz:       fz,
 		ctx:      ctx,
@@ -187,7 +175,7 @@ func New(fz *dnn.FrozenNet, ctx *dnn.Context, cfg Config) (*Server, error) {
 		inNames:  fz.Inputs(),
 		outNames: fz.Outputs(),
 		batch:    batch,
-		in:       make(chan *request, cfg.Queue),
+		in:       make(chan *request, 4*cfg.MaxBatch),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		reqLat:   core.NewLatencyWindow(0),
@@ -470,7 +458,7 @@ func (s *Server) flush(reqs []*request) {
 		if err = s.stageAndForward(); err == nil {
 			break
 		}
-		if attempt >= s.cfg.Retries || !s.cfg.Transient(err) {
+		if attempt >= batchRetries || !core.IsTransient(err) {
 			break
 		}
 		s.mu.Lock()
@@ -480,20 +468,32 @@ func (s *Server) flush(reqs []*request) {
 	batchLat := time.Since(t0)
 	if err != nil {
 		err = fmt.Errorf("serve: batch of %d failed: %w", n, err)
-		for _, r := range reqs {
-			r.resp <- response{err: err}
-		}
 		s.mu.Lock()
 		s.failures += int64(n)
 		s.mu.Unlock()
+		for _, r := range reqs {
+			r.resp <- response{err: err}
+		}
 		return
 	}
 	outs := make([][]float32, len(s.outNames))
 	for oi, name := range s.outNames {
 		outs[oi] = s.fz.Blob(name).Data.Data()
 	}
+	// Count before answering: a client holding its answer must already be
+	// in Stats.
 	now := time.Now()
-	var lats []time.Duration
+	lats := make([]time.Duration, n)
+	s.mu.Lock()
+	s.requests += int64(n)
+	s.batches++
+	s.samples += int64(n)
+	for ri, r := range reqs {
+		lats[ri] = now.Sub(r.enq)
+		s.reqLat.Add(lats[ri])
+	}
+	s.batchLat.Add(batchLat)
+	s.mu.Unlock()
 	for ri, r := range reqs {
 		rows := make([][]float32, len(outs))
 		for oi := range outs {
@@ -501,17 +501,7 @@ func (s *Server) flush(reqs []*request) {
 			rows[oi] = append([]float32(nil), outs[oi][ri*row:(ri+1)*row]...)
 		}
 		r.resp <- response{outputs: rows}
-		lats = append(lats, now.Sub(r.enq))
 	}
-	s.mu.Lock()
-	s.requests += int64(n)
-	s.batches++
-	s.samples += int64(n)
-	for _, lat := range lats {
-		s.reqLat.Add(lat)
-	}
-	s.batchLat.Add(batchLat)
-	s.mu.Unlock()
 	if obs := s.cfg.Observer; obs != nil {
 		for _, lat := range lats {
 			obs.ServeRequest(lat)

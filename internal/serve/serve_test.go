@@ -214,22 +214,29 @@ func TestServeClose(t *testing.T) {
 	}
 }
 
-// flakyLauncher fails every failEvery-th kernel launch with a transient
-// error before any math runs — a deterministic device-fault storm at the
-// serving layer.
+// flakyLauncher fails every failEvery-th kernel launch with err before any
+// math runs — a deterministic device-fault storm at the serving layer.
 type flakyLauncher struct {
 	dnn.HostLauncher
 	every int32
+	err   error
 	count atomic.Int32
 	fails atomic.Int32
 }
 
-var errFlaky = errors.New("flaky: injected transient launch fault")
+// flakyFault marks itself retryable the way simgpu.FaultError does, so
+// core.IsTransient classifies it as a transient device fault.
+type flakyFault struct{}
+
+func (flakyFault) Error() string   { return "flaky: injected transient launch fault" }
+func (flakyFault) Transient() bool { return true }
+
+var errPersistent = errors.New("flaky: injected persistent launch fault")
 
 func (f *flakyLauncher) Launch(k *simgpu.Kernel, chain int) error {
 	if f.count.Add(1)%f.every == 0 {
 		f.fails.Add(1)
-		return fmt.Errorf("launch %s: %w", k.Name, errFlaky)
+		return fmt.Errorf("launch %s: %w", k.Name, f.err)
 	}
 	return f.HostLauncher.Launch(k, chain)
 }
@@ -241,12 +248,10 @@ func (f *flakyLauncher) Launch(k *simgpu.Kernel, chain int) error {
 func TestServeFaultStormRetriesBatch(t *testing.T) {
 	const batch, seed, nReq = 4, 606, 24
 	_, fz := buildFrozen(t, batch, seed)
-	fl := &flakyLauncher{every: 7}
+	fl := &flakyLauncher{every: 7, err: flakyFault{}}
 	srv, err := New(fz, dnn.NewContext(fl, 1), Config{
-		MaxBatch:  batch,
-		MaxDelay:  time.Millisecond,
-		Retries:   10,
-		Transient: func(err error) bool { return errors.Is(err, errFlaky) },
+		MaxBatch: batch,
+		MaxDelay: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,17 +298,15 @@ func TestServeFaultStormRetriesBatch(t *testing.T) {
 // request in the batch, not retried forever.
 func TestServeNonTransientFails(t *testing.T) {
 	_, fz := buildFrozen(t, 2, 607)
-	fl := &flakyLauncher{every: 1} // every launch fails
+	fl := &flakyLauncher{every: 1, err: errPersistent} // every launch fails
 	srv, err := New(fz, dnn.NewContext(fl, 1), Config{
-		MaxDelay:  time.Millisecond,
-		Retries:   2,
-		Transient: func(error) bool { return false },
+		MaxDelay: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := srv.Predict(make([]float32, 6)); !errors.Is(err, errFlaky) {
+	if _, err := srv.Predict(make([]float32, 6)); !errors.Is(err, errPersistent) {
 		t.Fatalf("want the injected error surfaced, got %v", err)
 	}
 	if st := srv.Stats(); st.Failures != 1 || st.Requests != 0 {
@@ -416,8 +419,7 @@ func TestPredictContextShedsWhenOverloaded(t *testing.T) {
 	_, fz := buildFrozen(t, batch, seed)
 	obs := &blockingObserver{entered: make(chan struct{}), release: make(chan struct{})}
 	srv, err := New(fz, dnn.NewContext(dnn.HostLauncher{}, 1), Config{
-		MaxBatch: 1,
-		Queue:    1,
+		MaxBatch: 1,  // so the admission queue is 4 deep
 		MaxDelay: -1, // greedy: flush immediately
 		Observer: obs,
 	})
@@ -435,9 +437,9 @@ func TestPredictContextShedsWhenOverloaded(t *testing.T) {
 	}()
 	<-obs.entered
 
-	// With the batcher wedged, admitted probes stay parked in the 1-deep
-	// queue; each uses a short deadline so the test never blocks on them.
-	// Once a probe occupies the queue, the next one must shed.
+	// With the batcher wedged, admitted probes stay parked in the queue;
+	// each uses a short deadline so the test never blocks on them. Once
+	// probes fill the queue, the next one must shed.
 	shed := false
 	for i := 0; i < 200 && !shed; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -75,12 +75,6 @@ func (b *Buf) Put() {
 	bufPools[bits.Len(uint(c))-1].Put(b)
 }
 
-// GetBufs leases count slabs of n elements each (the per-chain scratch
-// pattern of the dnn layers).
-func GetBufs(count, n int) []*Buf {
-	return LeaseInto(nil, count, n)
-}
-
 // LeaseInto fills dst with count freshly leased n-element slabs, reusing
 // dst's backing array when it is large enough (layers keep the slice across
 // passes so a steady-state lease allocates nothing), and returns the slice.
