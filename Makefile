@@ -103,7 +103,8 @@ serve:
 
 # Simplicity trajectory (ROADMAP item 5): the numbers a simplifying PR
 # quotes before and after in CHANGES.md. Non-test Go lines outside
-# benchmark/ (total, then per package with its exported-symbol count),
+# benchmark/ (total, then every package under internal/ with its
+# exported-symbol count),
 # each CLI's flag count, the settable options (exported fields of every
 # exported *Config / *Options struct under internal/), the façade's
 # exported-symbol count, the registered experiment IDs and the examples/
@@ -111,10 +112,10 @@ serve:
 stats:
 	@printf 'non-test Go lines (outside benchmark/): '; \
 		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
-	@for p in dnn parallel core; do \
-		printf 'internal/%s: %s lines, %s exported symbols\n' $$p \
-			$$(find internal/$$p -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) \
-			$$($(GO) doc -short ./internal/$$p | wc -l); \
+	@for p in internal/*/; do \
+		printf '%s: %s lines, %s exported symbols\n' $${p%/} \
+			$$(find $$p -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) \
+			$$($(GO) doc -short ./$$p | wc -l); \
 	done
 	@for c in bench info serve train; do \
 		printf 'glp4nn-%s flags: ' $$c; $(GO) run ./cmd/glp4nn-$$c -h 2>&1 | grep -c '^  -'; \

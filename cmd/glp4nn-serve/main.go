@@ -92,8 +92,8 @@ type report struct {
 }
 
 func run(out io.Writer, o options) error {
-	if o.clients < 1 || o.requests < 1 {
-		return fmt.Errorf("-clients and -requests must be at least 1 (got %d and %d)", o.clients, o.requests)
+	if o.clients < 1 || o.requests < 1 || o.batch < 1 {
+		return fmt.Errorf("-clients, -requests and -batch must be at least 1 (got %d, %d and %d)", o.clients, o.requests, o.batch)
 	}
 	spec, ok := simgpu.DeviceByName(o.device)
 	if !ok {
@@ -102,9 +102,6 @@ func run(out io.Writer, o options) error {
 	w, err := models.Get(o.netName)
 	if err != nil {
 		return err
-	}
-	if o.batch < 1 {
-		o.batch = w.DefaultBatch
 	}
 
 	dev := simgpu.NewDevice(spec, simgpu.WithTraceLimit(1))

@@ -94,21 +94,22 @@ func TestServeCLIBadFlags(t *testing.T) {
 	}
 }
 
-// TestServeCLIRefusesEmptyLoad: a load with no clients or no requests is
-// refused before anything is built, instead of panicking (-clients -1) or
-// reporting "served 0 requests" as success.
+// TestServeCLIRefusesEmptyLoad: a load with no clients or no requests, or an
+// engine without rows, is refused before anything is built, instead of
+// panicking (-clients -1), reporting "served 0 requests" as success, or
+// silently serving at the training default batch (-batch 0).
 func TestServeCLIRefusesEmptyLoad(t *testing.T) {
-	for _, c := range []struct{ clients, requests int }{
-		{-1, 16}, {0, 16}, {4, 0}, {4, -3},
+	for _, c := range []struct{ clients, requests, batch int }{
+		{-1, 16, 8}, {0, 16, 8}, {4, 0, 8}, {4, -3, 8}, {4, 16, 0}, {4, 16, -2},
 	} {
 		var buf bytes.Buffer
 		o := baseOpts()
-		o.clients, o.requests = c.clients, c.requests
+		o.clients, o.requests, o.batch = c.clients, c.requests, c.batch
 		if err := run(&buf, o); err == nil {
-			t.Errorf("-clients %d -requests %d accepted", c.clients, c.requests)
+			t.Errorf("-clients %d -requests %d -batch %d accepted", c.clients, c.requests, c.batch)
 		}
 		if buf.Len() != 0 {
-			t.Errorf("-clients %d -requests %d printed before refusing:\n%s", c.clients, c.requests, buf.String())
+			t.Errorf("-clients %d -requests %d -batch %d printed before refusing:\n%s", c.clients, c.requests, c.batch, buf.String())
 		}
 	}
 }

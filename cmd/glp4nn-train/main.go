@@ -148,6 +148,20 @@ func run(out io.Writer, o runOptions) (float64, error) {
 	if o.Iters < 1 {
 		return 0, fmt.Errorf("-iters must be at least 1, got %d", o.Iters)
 	}
+	for _, p := range []struct {
+		flag string
+		v    float64
+	}{
+		{"fault-launch", o.Fault.Launch}, {"fault-sync", o.Fault.Sync}, {"fault-memcpy", o.Fault.Memcpy},
+		{"fault-create", o.Fault.CreateStream}, {"fault-hang", o.Fault.Hang}, {"fault-devloss", o.Fault.DeviceLoss},
+	} {
+		if !(p.v >= 0 && p.v <= 1) { // also refuses NaN
+			return 0, fmt.Errorf("-%s must be a probability in [0,1], got %v", p.flag, p.v)
+		}
+	}
+	if o.Fault.MaxFaults < 0 || o.BucketKB < 0 {
+		return 0, fmt.Errorf("-max-faults and -bucket-kb must not be negative (got %d and %d)", o.Fault.MaxFaults, o.BucketKB)
+	}
 	if o.Devices > 1 || o.CheckpointDir != "" || o.Resume || o.Adapt {
 		return runTrainer(out, o, spec, w)
 	}
@@ -231,13 +245,9 @@ func run(out io.Writer, o runOptions) (float64, error) {
 			return 0, err
 		}
 		finalLoss = loss
-		devT, err := syncRetry(dev, injector != nil)
+		iterT, err := syncRetry(dev, injector != nil)
 		if err != nil {
 			return 0, err
-		}
-		iterT := devT
-		if h := dev.HostTime(); h > iterT {
-			iterT = h
 		}
 		virtualTotal += iterT
 		if o.LogEvery > 0 && ((i+1)%o.LogEvery == 0 || i == 0) {
@@ -509,12 +519,12 @@ func runTrainer(out io.Writer, o runOptions, spec simgpu.DeviceSpec, w *models.W
 // same integration-layer duty the data-parallel trainer discharges with
 // checkpoint rollback).
 func syncRetry(dev *simgpu.Device, faulty bool) (time.Duration, error) {
-	d, err := dev.Synchronize()
+	d, err := dev.SyncTime()
 	if !faulty {
 		return d, err
 	}
 	for attempt := 0; err != nil && core.IsTransient(err) && attempt < 8; attempt++ {
-		d, err = dev.Synchronize()
+		d, err = dev.SyncTime()
 	}
 	return d, err
 }

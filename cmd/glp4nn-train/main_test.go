@@ -280,3 +280,35 @@ func TestItersBelowOneRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestHostileFlagsRefused: a fault probability outside the [0,1] its help
+// text promises, or a negative -max-faults / -bucket-kb (the latter used to
+// fall back to 256 KiB and report success), is refused on both run paths
+// before a device is built.
+func TestHostileFlagsRefused(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		set  func(o *runOptions)
+	}{
+		{"-fault-launch", func(o *runOptions) { o.Fault.Launch = 7 }},
+		{"-fault-sync", func(o *runOptions) { o.Fault.Sync = -0.5 }},
+		{"-fault-memcpy", func(o *runOptions) { o.Fault.Memcpy = 1.01 }},
+		{"-fault-create", func(o *runOptions) { o.Fault.CreateStream = math.NaN() }},
+		{"-fault-hang", func(o *runOptions) { o.Fault.Hang = math.Inf(1) }},
+		{"-fault-devloss", func(o *runOptions) { o.Fault.DeviceLoss = -1 }},
+		{"-max-faults", func(o *runOptions) { o.Fault.MaxFaults = -1 }},
+		{"-bucket-kb", func(o *runOptions) { o.BucketKB = -1 }},
+	} {
+		for _, devices := range []int{1, 2} {
+			o := runOptions{Net: "CIFAR10", Batch: 4, Iters: 2, Device: "P100", GLP: true, Devices: devices, Seed: 1}
+			c.set(&o)
+			var sb strings.Builder
+			if _, err := run(&sb, o); err == nil || !strings.Contains(err.Error(), c.flag) {
+				t.Errorf("devices=%d %s: err = %v, want a %s error", devices, c.flag, err, c.flag)
+			}
+			if sb.Len() != 0 {
+				t.Errorf("devices=%d %s: run printed %q before refusing", devices, c.flag, sb.String())
+			}
+		}
+	}
+}

@@ -53,14 +53,10 @@ func main() {
 			if _, err := solver.Step(); err != nil {
 				log.Fatal(err)
 			}
-			d, err := dev.Synchronize()
+			steady, err = dev.SyncTime()
 			if err != nil {
 				log.Fatal(err)
 			}
-			if h := dev.HostTime(); h > d {
-				d = h
-			}
-			steady = d
 		}
 
 		fmt.Printf("GPU %d = %s running %s (N=%d): steady iteration %v\n",

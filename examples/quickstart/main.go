@@ -77,12 +77,9 @@ func trainArm(label string, batch, iters int, seed int64, fw *glp4nn.Framework) 
 		if err != nil {
 			log.Fatal(err)
 		}
-		simTime, err := dev.Synchronize()
+		simTime, err := dev.SyncTime()
 		if err != nil {
 			log.Fatal(err)
-		}
-		if h := dev.HostTime(); h > simTime {
-			simTime = h
 		}
 		if i >= warmup {
 			total += simTime

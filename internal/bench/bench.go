@@ -77,6 +77,15 @@ func (c Config) batchFor(w *models.Workload) int {
 	return w.DefaultBatch
 }
 
+// rowBatch is the batch of a single-layer experiment on one Table 5 row: the
+// row's own, 8 under -quick.
+func (c Config) rowBatch(row models.LayerRow) int {
+	if c.Quick {
+		return 8
+	}
+	return row.N
+}
+
 // Experiment is one reproducible paper artifact.
 type Experiment struct {
 	ID    string
@@ -260,9 +269,6 @@ func ms(d time.Duration) string {
 // buildConvLayerNet builds a single-convolution net matching one Table 5
 // row, for the per-layer motivation experiments.
 func buildConvLayerNet(row models.LayerRow, batch int, seed int64) (*dnn.Net, error) {
-	if batch <= 0 {
-		batch = row.N
-	}
 	ctx := dnn.NewContext(dnn.HostLauncher{}, seed)
 	ctx.Compute = false
 	cc := dnn.ConvConfig{
@@ -288,14 +294,7 @@ func forwardElapsed(net *dnn.Net, dev *simgpu.Device, l dnn.Launcher) (time.Dura
 	if _, err := net.Forward(ctx); err != nil {
 		return 0, err
 	}
-	devT, err := dev.Synchronize()
-	if err != nil {
-		return 0, err
-	}
-	if h := dev.HostTime(); h > devT {
-		return h, nil
-	}
-	return devT, nil
+	return dev.SyncTime()
 }
 
 // iterationElapsed measures one full timing-only training iteration
@@ -307,14 +306,7 @@ func iterationElapsed(s *dnn.Solver, dev *simgpu.Device) (time.Duration, error) 
 	if _, err := s.Step(); err != nil {
 		return 0, err
 	}
-	devT, err := dev.Synchronize()
-	if err != nil {
-		return 0, err
-	}
-	if h := dev.HostTime(); h > devT {
-		return h, nil
-	}
-	return devT, nil
+	return dev.SyncTime()
 }
 
 // layerName extracts the layer from a kernel tag: "conv1/fwd|conv1/n3" and

@@ -51,17 +51,13 @@ func sweepSizes(cfg Config) []int {
 func runFig2(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	sizes := sweepSizes(cfg)
-	batch := 0 // Table 5 batch
-	if cfg.Quick {
-		batch = 8
-	}
 	header := []string{"Layer"}
 	for _, s := range sizes {
 		header = append(header, fmt.Sprintf("%d streams", s))
 	}
 	t := newTable(header...)
 	for _, row := range models.Rows("CaffeNet") {
-		times, err := streamSweep(row, batch, simgpu.TeslaP100, sizes, cfg.Seed)
+		times, err := streamSweep(row, cfg.rowBatch(row), simgpu.TeslaP100, sizes, cfg.Seed)
 		if err != nil {
 			return err
 		}
@@ -116,10 +112,6 @@ func runFig3(cfg Config, w io.Writer) error {
 func runFig4(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	sizes := sweepSizes(cfg)
-	batch := 0
-	if cfg.Quick {
-		batch = 8
-	}
 	specs, err := deviceSpecs(cfg)
 	if err != nil {
 		return err
@@ -132,7 +124,7 @@ func runFig4(cfg Config, w io.Writer) error {
 	for _, row := range models.Rows("CaffeNet") {
 		cells := []string{row.Layer}
 		for _, spec := range specs {
-			times, err := streamSweep(row, batch, spec, sizes, cfg.Seed)
+			times, err := streamSweep(row, cfg.rowBatch(row), spec, sizes, cfg.Seed)
 			if err != nil {
 				return err
 			}

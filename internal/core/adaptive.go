@@ -3,11 +3,8 @@ package core
 import (
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/simgpu"
 )
 
 // Adaptive concurrency control: the online-controller extension of the
@@ -193,45 +190,21 @@ func (d *DriftDetector) Observed(key string) (time.Duration, bool) {
 	return time.Duration(st.ewma), true
 }
 
-// SetAdaptive arms the runtime's drift detector: a device completion
-// listener starts feeding per-key kernel timings into it, and StepBoundary
-// / ScheduleReprofile become functional. Calling it again starts a fresh
-// detector but keeps the single listener.
+// SetAdaptive arms the runtime's drift detector: the completion listener
+// starts feeding per-key kernel timings into it, and StepBoundary /
+// ScheduleReprofile become functional. Calling it again starts a fresh
+// detector.
 func (r *Runtime) SetAdaptive() {
-	d := NewDriftDetector()
-	r.adMu.Lock()
-	r.adaptive = d
-	subscribed := r.adSubscribed
-	r.adSubscribed = true
-	r.adMu.Unlock()
-	if !subscribed {
-		r.dev.Subscribe(r.adaptiveObserve)
-	}
+	r.obsMu.Lock()
+	defer r.obsMu.Unlock()
+	r.adaptive = NewDriftDetector()
 }
 
 // Adaptive returns the armed drift detector, or nil.
 func (r *Runtime) Adaptive() *DriftDetector {
-	r.adMu.Lock()
-	defer r.adMu.Unlock()
+	r.obsMu.Lock()
+	defer r.obsMu.Unlock()
 	return r.adaptive
-}
-
-// adaptiveObserve is the device completion listener feeding the drift
-// detector. Like watchdogObserve it runs under the device lock, so it only
-// touches the detector's own state; the layer key is the tag prefix ahead
-// of the first '|'.
-func (r *Runtime) adaptiveObserve(rec simgpu.KernelRecord) {
-	r.adMu.Lock()
-	d := r.adaptive
-	r.adMu.Unlock()
-	if d == nil {
-		return
-	}
-	key := rec.Tag
-	if i := strings.IndexByte(key, '|'); i >= 0 {
-		key = key[:i]
-	}
-	d.Observe(key, rec.Duration())
 }
 
 // StepBoundary folds this step's observations and returns the sorted keys

@@ -71,8 +71,15 @@ func (f *Framework) Devices() []*simgpu.Device {
 	return out
 }
 
-// Close releases profiling sessions.
+// Close detaches every runtime's completion listener from its device — a
+// device may outlive the framework, and must neither call nor keep alive a
+// dead runtime — and releases the profiling sessions.
 func (f *Framework) Close() {
+	f.mu.Lock()
+	for dev, r := range f.runtimes {
+		dev.Unsubscribe(r.listener)
+	}
+	f.mu.Unlock()
 	f.tracker.Close()
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,9 +15,12 @@ import (
 //  1. First invocation of a layer: its kernels are not yet profiled, so
 //     they run serially on the default stream with the resource tracker
 //     collecting records (the profiling iteration).
-//  2. On the layer's second invocation the scheduler flushes the tracker,
-//     hands the parsed profiles to the kernel analyzer, and initializes
-//     the stream pool with the resulting concurrency configuration.
+//  2. On a key's second invocation the scheduler flushes the tracker (once
+//     per window) and hands that key's profile to the kernel analyzer, which
+//     sizes the stream pool for the plan. Each key is analyzed on its own
+//     second sighting, not at the window's close: fault injection decides by
+//     occurrence order, so the stream creations an analysis triggers must
+//     stay among the launches exactly where the fault tests pin them.
 //  3. Thereafter every dependency chain (one batch sample's im2col → sgemm
 //     → gemmk sequence) is dispatched round-robin onto the pool, using at
 //     most the layer's planned number of streams.
@@ -31,32 +33,29 @@ type Runtime struct {
 
 	budget *Budget
 
-	mu          sync.Mutex
-	pending     map[string]bool
-	profiles    map[string]*LayerProfile // collected but possibly not yet analyzed
-	profiling   bool
-	current     string
-	currentPlan *Plan
-	grant       int // budget units held for the current layer's chains
+	mu        sync.Mutex
+	pending   map[string]bool
+	profiles  map[string]*LayerProfile // collected but possibly not yet analyzed
+	profiling bool
+	// root is the runtime's own per-layer state, the session behind its
+	// dnn.Launcher methods; forked sessions are further values of the type.
+	root LayerSession
 	// reprofiling marks keys evicted by ScheduleReprofile whose re-solved
 	// plan has not landed yet; the first re-analysis of such a key is the
 	// plan swap the ledger counts.
 	reprofiling map[string]bool
 
-	// Adaptive state: the drift detector fed by a second device completion
-	// listener. Guarded by adMu, never by r.mu — the listener runs under
-	// the device lock, like the watchdog's.
-	adMu         sync.Mutex
-	adaptive     *DriftDetector
-	adSubscribed bool
-
-	// Watchdog state: the completion listener flags layer keys whose
-	// kernels overstayed wdLimit; Sync drains the set and degrades those
-	// layers. Guarded by wdMu, never by r.mu — the listener runs under the
-	// device lock and must stay free of device calls and runtime state.
-	wdMu    sync.Mutex
-	wdLimit time.Duration
-	wdHung  map[string]bool
+	// Completion-listener state: observe flags layer keys whose kernels
+	// overstayed wdLimit (Sync drains the set and degrades those layers) and,
+	// once SetAdaptive armed it, feeds the drift detector. Guarded by obsMu,
+	// never by r.mu — the listener runs under the device lock and must stay
+	// free of device calls and runtime state. listener is the Subscribe
+	// token Framework.Close detaches.
+	obsMu    sync.Mutex
+	listener int
+	wdLimit  time.Duration
+	wdHung   map[string]bool
+	adaptive *DriftDetector
 
 	// Copy-stream state for StageInput: a dedicated stream that carries
 	// input H2D copies so they overlap pool-stream compute. Created lazily;
@@ -80,7 +79,8 @@ func newRuntime(dev *simgpu.Device, tracker *Tracker, analyzer *Analyzer, pool *
 		profiles: map[string]*LayerProfile{},
 		wdLimit:  DefaultWatchdogLimit,
 	}
-	dev.Subscribe(r.watchdogObserve)
+	r.root.r = r
+	r.listener = dev.Subscribe(r.observe)
 	return r
 }
 
@@ -101,78 +101,53 @@ func (r *Runtime) Pool() *StreamPool { return r.pool }
 // chain streams, DAG wavefronts, the copy stream, and serving batches.
 func (r *Runtime) Budget() *Budget { return r.budget }
 
-// regrantLocked swaps the runtime's budget grant to match the current
-// plan: the previous layer's share is released and the new layer's stream
-// share acquired. A partial grant only shrinks how many pool streams the
-// chains spread over (launchWith clamps lane selection to the grant), so
-// the budget never affects planned widths. Called with r.mu held.
-func (r *Runtime) regrantLocked() {
-	want := 0
-	if p := r.currentPlan; p != nil && p.Streams > 1 && !p.Serial {
-		want = p.Streams
-	}
-	if r.grant > 0 {
-		r.budget.Release(r.grant)
-		r.grant = 0
-	}
-	if want > 1 {
-		r.grant = r.budget.Acquire(want)
-	}
-}
-
 // BeginLayer implements dnn.Launcher.
 func (r *Runtime) BeginLayer(key string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	defer r.regrantLocked()
-	r.current = key
-	if plan, ok := r.analyzer.Cached(key); ok {
-		r.currentPlan = plan
-		return
-	}
-	r.currentPlan = nil
-	if profile, ok := r.profiles[key]; ok {
-		// Profiled earlier; analyze now (lazily, once per key).
-		r.currentPlan = r.analyzeLocked(profile)
-		return
-	}
-	if r.pending[key] {
+	plan := r.resolveLocked(key)
+	switch {
+	case plan != nil:
+	case r.pending[key]:
 		// Second sighting without a profile: the profiling iteration is
-		// over; collect everything and analyze this layer.
+		// over; collect everything and analyze this layer (or adopt the
+		// serial fallback a failed collection pinned).
 		r.finalizeLocked()
-		if plan, ok := r.analyzer.Cached(key); ok {
-			// Collection failed: the layer was pinned to the serial
-			// fallback.
-			r.currentPlan = plan
-			return
+		plan = r.resolveLocked(key)
+	default:
+		// First sighting: profile it.
+		if !r.profiling {
+			if err := r.syncRetry(func() error { return r.tracker.StartProfiling(r.dev) }); err != nil {
+				// No profiler, no plan, ever: record the failure and pin the
+				// serial fallback instead of futilely retrying each iteration.
+				r.ledger.add(&r.ledger.s.ProfileFailures, 1)
+				plan = r.analyzer.CacheFallback(key)
+				break
+			}
+			r.profiling = true
 		}
-		if profile, ok := r.profiles[key]; ok {
-			r.currentPlan = r.analyzeLocked(profile)
-		}
-		return
+		r.pending[key] = true
 	}
-	// First sighting: profile it.
-	if !r.profiling {
-		if err := r.syncRetry(func() error { return r.tracker.StartProfiling(r.dev) }); err != nil {
-			// No profiler, no plan, ever: record the failure and pin the
-			// serial fallback instead of futilely retrying each iteration.
-			r.ledger.add(&r.ledger.s.ProfileFailures, 1)
-			r.currentPlan = r.analyzer.CacheFallback(key)
-			return
-		}
-		r.profiling = true
+	r.root.adopt(key, plan)
+}
+
+// resolveLocked answers "what is this key's plan": the cached plan, else the
+// analysis of its collected profile (lazily, once per key), else nil — the
+// key is unprofiled or its window is still open. Called with r.mu held.
+func (r *Runtime) resolveLocked(key string) *Plan {
+	if plan, ok := r.analyzer.Cached(key); ok {
+		return plan
 	}
-	r.pending[key] = true
+	if profile, ok := r.profiles[key]; ok {
+		return r.analyzeLocked(profile)
+	}
+	return nil
 }
 
 // analyzeLocked runs the analyzer on a collected profile, charging the
 // solve time and sizing the pool. A failed analysis is recorded in the
 // ledger and pins a cached serial-fallback plan, so the layer is not
-// re-analyzed every iteration. If the device refuses to grow the pool past
-// the default stream, the layer is demoted to serial dispatch — the plan
-// keeps its width (the numeric contract) but every launch routes to the
-// default stream, so a streamless device still trains with unchanged bits.
-// Called with r.mu held.
+// re-analyzed every iteration. Called with r.mu held.
 func (r *Runtime) analyzeLocked(profile *LayerProfile) *Plan {
 	plan, err := r.analyzer.Analyze(profile)
 	if err != nil {
@@ -187,13 +162,22 @@ func (r *Runtime) analyzeLocked(profile *LayerProfile) *Plan {
 		r.ledger.add(&r.ledger.s.PlanSwaps, 1)
 	}
 	r.dev.AdvanceHost(plan.SolveTime)
-	if plan.Streams > 1 {
+	return r.sizePoolLocked(plan)
+}
+
+// sizePoolLocked grows the stream pool to a freshly cached plan's width. If
+// the device refuses to grow the pool past the default stream, the layer is
+// demoted to serial dispatch — the plan keeps its width (the numeric
+// contract) but every launch routes to the default stream, so a streamless
+// device still trains with unchanged bits. A partial pool (0 < n <
+// plan.Streams) is fine: Stream wraps chain indices around the streams that
+// do exist. Called with r.mu held.
+func (r *Runtime) sizePoolLocked(plan *Plan) *Plan {
+	if plan.Streams > 1 && !plan.Serial {
 		if n, err := r.pool.EnsureSize(plan.Streams); err != nil && n == 0 {
 			r.ledger.add(&r.ledger.s.Degradations, 1)
 			return r.analyzer.ForceSerial(plan.Key)
 		}
-		// A partial pool (0 < n < plan.Streams) is fine: Stream wraps
-		// chain indices around the streams that do exist.
 	}
 	return plan
 }
@@ -224,7 +208,7 @@ func (r *Runtime) finalizeLocked() {
 		}
 		return
 	}
-	for _, key := range sortedProfileKeys(profiles) {
+	for _, key := range sortedKeys(profiles) {
 		r.profiles[key] = profiles[key]
 		delete(r.pending, key)
 	}
@@ -235,20 +219,10 @@ func (r *Runtime) finalizeLocked() {
 	}
 }
 
-// sortedKeys returns a set's keys in sorted order, so every iteration over
+// sortedKeys returns a map's keys in sorted order, so every iteration over
 // profiling state (and therefore analysis order, solve-time charging, and
 // report order) is deterministic across runs.
-func sortedKeys(m map[string]bool) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// sortedProfileKeys is sortedKeys for collected profile maps.
-func sortedProfileKeys(m map[string]*LayerProfile) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -284,9 +258,7 @@ func (r *Runtime) ResetProfiling() {
 	// A rollback may have killed the step between a layer's BeginLayer and
 	// its Sync; drop every outstanding budget grant so the retry starts
 	// from an empty budget.
-	if r.grant > 0 {
-		r.grant = 0
-	}
+	r.root.grant = 0
 	r.budget.Reset()
 	for key := range r.pending {
 		delete(r.pending, key)
@@ -321,30 +293,21 @@ func (r *Runtime) FinalizePlans() []*Plan {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.finalizeLocked()
-	for _, key := range sortedProfileKeys(r.profiles) {
-		if _, ok := r.analyzer.Cached(key); ok {
-			continue
-		}
-		r.analyzeLocked(r.profiles[key])
+	for _, key := range sortedKeys(r.profiles) {
+		r.resolveLocked(key)
 	}
 	return r.analyzer.Plans()
 }
 
 // InstallPlan seeds a restored concurrency plan into the analyzer cache
-// and sizes the stream pool for it, mirroring analyzeLocked's pool
-// handling. Checkpoint resume calls this for every plan the checkpointed
+// and sizes the stream pool for it like a fresh analysis would.
+// Checkpoint resume calls this for every plan the checkpointed
 // run had analyzed, so the resumed run dispatches at the same widths
 // without re-running a profiling iteration.
 func (r *Runtime) InstallPlan(key string, streams int, serial, fallback bool, solvedFrom time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	plan := r.analyzer.Install(key, streams, serial, fallback, solvedFrom)
-	if plan.Streams > 1 && !plan.Serial {
-		if n, err := r.pool.EnsureSize(plan.Streams); err != nil && n == 0 {
-			r.ledger.add(&r.ledger.s.Degradations, 1)
-			r.analyzer.ForceSerial(plan.Key)
-		}
-	}
+	r.sizePoolLocked(r.analyzer.Install(key, streams, serial, fallback, solvedFrom))
 }
 
 // Width implements dnn.Launcher: the planned stream count for the current
@@ -352,82 +315,16 @@ func (r *Runtime) InstallPlan(key string, streams int, serial, fallback bool, so
 func (r *Runtime) Width() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.currentPlan == nil || r.currentPlan.Streams < 1 {
-		return 1
-	}
-	return r.currentPlan.Streams
+	return r.root.Width()
 }
 
-// Launch implements dnn.Launcher: chains round-robin over the layer's
-// stream share; chain −1 and unplanned layers use the default stream.
-//
-// The scheduler key is prefixed onto the kernel tag through a local copy of
-// the kernel: the caller's kernel is never mutated, so a re-launched kernel
-// cannot accumulate prefixes and concurrent chain dispatch cannot race on
-// shared kernel state.
-//
-// Self-healing: a transient launch failure is retried with backoff (safe —
-// a failed launch rejects the kernel before any of its math runs, so the
-// eventual successful attempt executes it exactly once). If a pool stream
-// keeps refusing the kernel, the stream is quarantined and this launch
-// degrades to the always-valid default stream; only a default-stream
-// failure that survives every retry is surfaced to the caller.
+// Launch implements dnn.Launcher through the root session, copied out under
+// r.mu so the launch itself runs unlocked.
 func (r *Runtime) Launch(k *simgpu.Kernel, chain int) error {
 	r.mu.Lock()
-	plan := r.currentPlan
-	key := r.current
-	grant := r.grant
+	s := r.root
 	r.mu.Unlock()
-	return r.launchWith(key, plan, k, chain, grant, false)
-}
-
-// launchWith is the launch body shared by the runtime's own dnn.Launcher
-// implementation and its forked LayerSessions: the key/plan pair comes
-// from the caller instead of r.current/r.currentPlan, so concurrent DAG
-// sessions never race on the runtime's per-layer state. dag distinguishes
-// the ledger counter charged for a pool-stream dispatch. grant is the
-// caller's unified-budget share: chains spread over at most that many pool
-// streams (a stream-assignment clamp only — the plan's width, and
-// therefore trained bits, are untouched); a grant of 1 routes everything
-// to the default stream, exactly like a serial-demoted plan.
-func (r *Runtime) launchWith(key string, plan *Plan, k *simgpu.Kernel, chain int, grant int, dag bool) error {
-	if key != "" {
-		tag := key
-		if k.Tag != "" {
-			tag = key + "|" + k.Tag
-		}
-		kk := *k
-		kk.Tag = tag
-		k = &kk
-	}
-	var stream *simgpu.Stream
-	if chain >= 0 && plan != nil && plan.Streams > 1 && !plan.Serial {
-		lanes := plan.Streams
-		if grant > 0 && grant < lanes {
-			lanes = grant
-		}
-		if lanes > 1 {
-			stream = r.pool.Stream(chain % lanes)
-			r.ledger.addDispatch(dag)
-		}
-	}
-	err := r.launchRetry(k, stream)
-	if err == nil || !IsTransient(err) {
-		return err
-	}
-	if stream != nil {
-		// The stream is suspect: replace it and fall back to the default
-		// stream for this kernel.
-		if r.pool.Quarantine(stream) {
-			r.ledger.add(&r.ledger.s.StreamQuarantines, 1)
-		}
-		r.ledger.add(&r.ledger.s.Degradations, 1)
-		if err = r.launchRetry(k, nil); err == nil || !IsTransient(err) {
-			return err
-		}
-	}
-	r.ledger.add(&r.ledger.s.LaunchFailures, 1)
-	return err
+	return s.Launch(k, chain)
 }
 
 // launchRetry launches k on s with bounded retry and exponential backoff
@@ -453,29 +350,27 @@ func (r *Runtime) Sync() error {
 		return err
 	}
 	r.mu.Lock()
-	if r.grant > 0 {
-		r.budget.Release(r.grant)
-		r.grant = 0
-	}
+	r.root.release()
 	r.mu.Unlock()
 	r.drainWatchdog()
 	return nil
 }
 
-// watchdogObserve is the device completion listener: it flags the layer key
-// of any kernel resident longer than the watchdog limit. It runs under the
-// device lock, so it only touches watchdog state.
-func (r *Runtime) watchdogObserve(rec simgpu.KernelRecord) {
-	r.wdMu.Lock()
-	defer r.wdMu.Unlock()
+// observe is the runtime's one device completion listener. It runs under
+// the device lock, so it only touches listener state: it feeds the armed
+// drift detector, and flags the layer key of any kernel resident longer than
+// the watchdog limit.
+func (r *Runtime) observe(rec simgpu.KernelRecord) {
+	key := layerKey(rec.Tag)
+	r.obsMu.Lock()
+	defer r.obsMu.Unlock()
+	if r.adaptive != nil {
+		r.adaptive.Observe(key, rec.Duration())
+	}
 	if r.wdLimit <= 0 || rec.Duration() < r.wdLimit {
 		return
 	}
 	r.ledger.add(&r.ledger.s.WatchdogTrips, 1)
-	key := rec.Tag
-	if i := strings.IndexByte(key, '|'); i >= 0 {
-		key = key[:i]
-	}
 	if key == "" {
 		return // untagged kernel: nothing to degrade
 	}
@@ -489,10 +384,10 @@ func (r *Runtime) watchdogObserve(rec simgpu.KernelRecord) {
 // barrier to serial dispatch. The demoted plan keeps its width so trained
 // numerics are untouched; only the layer's concurrency is given up.
 func (r *Runtime) drainWatchdog() {
-	r.wdMu.Lock()
+	r.obsMu.Lock()
 	hung := r.wdHung
 	r.wdHung = nil
-	r.wdMu.Unlock()
+	r.obsMu.Unlock()
 	if len(hung) == 0 {
 		return
 	}
@@ -504,8 +399,8 @@ func (r *Runtime) drainWatchdog() {
 		}
 		r.ledger.add(&r.ledger.s.Degradations, 1)
 		plan := r.analyzer.ForceSerial(key)
-		if r.current == key {
-			r.currentPlan = plan
+		if r.root.key == key {
+			r.root.plan = plan
 		}
 	}
 }
@@ -513,50 +408,113 @@ func (r *Runtime) drainWatchdog() {
 // Plans returns the analyzer's cached plans.
 func (r *Runtime) Plans() []*Plan { return r.analyzer.Plans() }
 
-// ForkLayerSession implements the dnn-side layer-session contract (the
-// return is typed any so internal/core stays independent of internal/dnn):
-// it returns a launcher view of this runtime serving exactly one concurrent
-// layer invocation of an operator DAG schedule.
-func (r *Runtime) ForkLayerSession() any { return &LayerSession{r: r} }
+// ForkLayerSession implements dnn.LayerSessionForker (the return is typed
+// any so internal/core stays independent of internal/dnn): it returns a
+// launcher view of this runtime serving exactly one concurrent layer
+// invocation of an operator DAG schedule.
+func (r *Runtime) ForkLayerSession() any { return &LayerSession{r: r, dag: true} }
 
-// LayerSession is a per-invocation view of a Runtime for concurrent
-// operator-DAG dispatch. It keeps the current key and plan privately, so
-// sessions never race on the runtime's single current/currentPlan slot,
-// and it resolves plans from the analyzer cache only — a session never
-// opens a profiling window, which is why DAG execution is gated on
-// DAGReady: unprofiled layers must first run a serial iteration exactly
-// as a non-DAG run would.
+// LayerSession is one layer invocation's launch state: the key, its plan and
+// the budget grant its chains hold. The runtime's own dnn.Launcher methods
+// run on its root session (guarded by r.mu, resolved through the profiling
+// lifecycle); a forked session is a private per-invocation view for
+// concurrent operator-DAG dispatch, so sessions never race on the root slot.
+// A fork resolves plans from the analyzer cache only — it never opens a
+// profiling window, which is why DAG execution is gated on DAGReady:
+// unprofiled layers must first run a serial iteration exactly as a non-DAG
+// run would.
 type LayerSession struct {
 	r     *Runtime
+	dag   bool // forked: pool dispatches are charged to the ledger's DAG counter
 	key   string
 	plan  *Plan
 	grant int // budget units held for this session's chains
 }
 
-// BeginLayer implements dnn.Launcher.
-func (s *LayerSession) BeginLayer(key string) {
-	s.key = key
-	s.plan = nil
-	s.releaseGrant()
-	if plan, ok := s.r.analyzer.Cached(key); ok {
-		s.plan = plan
-		if plan.Streams > 1 && !plan.Serial {
-			s.grant = s.r.budget.Acquire(plan.Streams)
-		}
+// adopt makes plan (nil = unplanned) the session's plan for key and swaps
+// its budget grant to match: the previous layer's share is released and the
+// new layer's stream share acquired. A partial grant only shrinks how many
+// pool streams the chains spread over (Launch clamps lane selection to the
+// grant), so the budget never affects planned widths.
+func (s *LayerSession) adopt(key string, plan *Plan) {
+	s.release()
+	s.key, s.plan = key, plan
+	if plan != nil && plan.Streams > 1 && !plan.Serial {
+		s.grant = s.r.budget.Acquire(plan.Streams)
 	}
 }
 
-func (s *LayerSession) releaseGrant() {
+// release returns the session's budget grant.
+func (s *LayerSession) release() {
 	if s.grant > 0 {
 		s.r.budget.Release(s.grant)
 		s.grant = 0
 	}
 }
 
-// Launch implements dnn.Launcher; chain dispatch is charged to the
-// ledger's DAG counter and clamped to the session's budget grant.
+// BeginLayer implements dnn.Launcher.
+func (s *LayerSession) BeginLayer(key string) {
+	plan, _ := s.r.analyzer.Cached(key)
+	s.adopt(key, plan)
+}
+
+// Launch implements dnn.Launcher: chains round-robin over the layer's
+// stream share; chain −1 and unplanned layers use the default stream. The
+// share is clamped to the session's budget grant: chains spread over at most
+// that many pool streams (a stream-assignment clamp only — the plan's
+// width, and therefore trained bits, are untouched); a grant of 1 routes
+// everything to the default stream, exactly like a serial-demoted plan.
+//
+// The scheduler key is prefixed onto the kernel tag through a local copy of
+// the kernel: the caller's kernel is never mutated, so a re-launched kernel
+// cannot accumulate prefixes and concurrent chain dispatch cannot race on
+// shared kernel state.
+//
+// Self-healing: a transient launch failure is retried with backoff (safe —
+// a failed launch rejects the kernel before any of its math runs, so the
+// eventual successful attempt executes it exactly once). If a pool stream
+// keeps refusing the kernel, the stream is quarantined and this launch
+// degrades to the always-valid default stream; only a default-stream
+// failure that survives every retry is surfaced to the caller.
 func (s *LayerSession) Launch(k *simgpu.Kernel, chain int) error {
-	return s.r.launchWith(s.key, s.plan, k, chain, s.grant, true)
+	r, plan := s.r, s.plan
+	if s.key != "" {
+		tag := s.key
+		if k.Tag != "" {
+			tag = s.key + "|" + k.Tag
+		}
+		kk := *k
+		kk.Tag = tag
+		k = &kk
+	}
+	var stream *simgpu.Stream
+	if chain >= 0 && plan != nil && plan.Streams > 1 && !plan.Serial {
+		lanes := plan.Streams
+		if s.grant > 0 && s.grant < lanes {
+			lanes = s.grant
+		}
+		if lanes > 1 {
+			stream = r.pool.Stream(chain % lanes)
+			r.ledger.addDispatch(s.dag)
+		}
+	}
+	err := r.launchRetry(k, stream)
+	if err == nil || !IsTransient(err) {
+		return err
+	}
+	if stream != nil {
+		// The stream is suspect: replace it and fall back to the default
+		// stream for this kernel.
+		if r.pool.Quarantine(stream) {
+			r.ledger.add(&r.ledger.s.StreamQuarantines, 1)
+		}
+		r.ledger.add(&r.ledger.s.Degradations, 1)
+		if err = r.launchRetry(k, nil); err == nil || !IsTransient(err) {
+			return err
+		}
+	}
+	r.ledger.add(&r.ledger.s.LaunchFailures, 1)
+	return err
 }
 
 // Sync implements dnn.Launcher: the device-wide barrier (concurrent
@@ -564,14 +522,14 @@ func (s *LayerSession) Launch(k *simgpu.Kernel, chain int) error {
 // The session's budget grant is returned first, so a waiting wavefront
 // peer sees the freed share when it queries the cap.
 func (s *LayerSession) Sync() error {
-	s.releaseGrant()
+	s.release()
 	return s.r.Sync()
 }
 
 // Width implements dnn.Launcher: the planned stream count for the
 // session's layer, 1 for unplanned layers. Width is part of the numeric
-// contract, and the cache the session reads holds exactly the plans a
-// serial run would use.
+// contract, and the cache a fork reads holds exactly the plans a serial run
+// would use.
 func (s *LayerSession) Width() int {
 	if s.plan == nil || s.plan.Streams < 1 {
 		return 1
@@ -579,7 +537,7 @@ func (s *LayerSession) Width() int {
 	return s.plan.Streams
 }
 
-// DAGReady implements the dnn-side DAG gate: it reports whether every
+// DAGReady implements dnn.LayerSessionForker: it reports whether every
 // given layer key has an analyzed concurrency plan, closing an open
 // profiling window first (the same collection BeginLayer performs on a
 // key's second sighting, just for all keys at once). Until it returns
@@ -592,19 +550,14 @@ func (r *Runtime) DAGReady(keys []string) bool {
 	r.finalizeLocked()
 	ready := true
 	for _, key := range keys {
-		if _, ok := r.analyzer.Cached(key); ok {
-			continue
+		if r.resolveLocked(key) == nil {
+			ready = false
 		}
-		if profile, ok := r.profiles[key]; ok {
-			r.analyzeLocked(profile)
-			continue
-		}
-		ready = false
 	}
 	return ready
 }
 
-// LayerConcurrencyCap implements the dnn-side capper: how many layer
+// LayerConcurrencyCap implements dnn.LayerSessionForker: how many layer
 // sessions are worth running at once. Budget-informed: each session's
 // chains occupy up to its plan's stream share, so the cap is the unified
 // budget's *remaining* units divided by the widest non-degraded cached

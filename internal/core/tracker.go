@@ -100,6 +100,15 @@ func (t *Tracker) session(dev *simgpu.Device) *cuptisim.Session {
 	return s
 }
 
+// layerKey extracts the scheduler key from the "<key>|<kernel tag>" tag a
+// session's Launch stamps on every kernel; an unprefixed tag is its own key.
+func layerKey(tag string) string {
+	if i := strings.IndexByte(tag, '|'); i >= 0 {
+		return tag[:i]
+	}
+	return tag
+}
+
 // StartProfiling enables kernel-activity collection on a device.
 func (t *Tracker) StartProfiling(dev *simgpu.Device) error {
 	return t.session(dev).EnableKernelActivity()
@@ -122,10 +131,7 @@ func (t *Tracker) Collect(dev *simgpu.Device, ledger *Ledger) (map[string]*Layer
 	parseStart := time.Now()
 	out := map[string]*LayerProfile{}
 	for _, r := range recs {
-		key := r.Tag
-		if i := strings.IndexByte(key, '|'); i >= 0 {
-			key = key[:i]
-		}
+		key := layerKey(r.Tag)
 		p := out[key]
 		if p == nil {
 			p = newLayerProfile(key)

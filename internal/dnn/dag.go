@@ -367,32 +367,27 @@ func (d *layerDAG) computeStats() {
 	d.bwdChain = d.stats.MaxBwdWavefront <= 1
 }
 
-// LayerSessionForker is implemented by launchers that can serve several
-// layer invocations concurrently. ForkLayerSession returns a
-// per-invocation launcher whose BeginLayer/Launch/Width state is private,
-// so concurrent DAG nodes do not race on the shared launcher. The result
-// is typed any so implementing packages need not import this one; it
-// must implement Launcher, and forks must be safe to use concurrently with
-// each other and with the parent.
+// LayerSessionForker is the whole DAG side-contract of a launcher: behind
+// one that implements only part of it the net runs the exact serial order.
 type LayerSessionForker interface {
+	// ForkLayerSession returns a per-invocation launcher whose
+	// BeginLayer/Launch/Width state is private, so concurrent DAG nodes do
+	// not race on the shared launcher. The result is typed any so
+	// implementing packages need not import this one; it must implement
+	// Launcher, and forks must be safe to use concurrently with each other
+	// and with the parent.
 	ForkLayerSession() any
-}
-
-// DAGGate is implemented by launchers whose concurrency plans come from a
-// serial profiling iteration (GLP4NN's runtime). DAGReady reports whether
-// every given layer key has an analyzed plan; until then the net runs the
-// exact serial order, so the profiling iteration — and therefore every
-// plan, width, and trained bit — matches a serial run.
-type DAGGate interface {
+	// DAGReady reports whether every given layer key may leave the serial
+	// order. A launcher whose plans come from a serial profiling iteration
+	// (GLP4NN's runtime) answers true once every key has an analyzed plan,
+	// so the profiling iteration — and therefore every plan, width, and
+	// trained bit — matches a serial run.
 	DAGReady(keys []string) bool
-}
-
-// ConcurrencyCapper is implemented by launchers that bound how many layer
-// sessions are worth running at once (GLP4NN's runtime derives it from the
-// device's concurrent-kernel budget and the widest analyzed plan). The cap
-// changes scheduling throughput only, never results: any topological
-// execution order yields identical bits by construction.
-type ConcurrencyCapper interface {
+	// LayerConcurrencyCap bounds how many layer sessions are worth running
+	// at once (GLP4NN's runtime derives it from the device's
+	// concurrent-kernel budget and the widest analyzed plan); ≤ 0 is no
+	// cap. The cap changes scheduling throughput only, never results: any
+	// topological execution order yields identical bits by construction.
 	LayerConcurrencyCap() int
 }
 
@@ -400,10 +395,20 @@ type ConcurrencyCapper interface {
 // stateless, so every session is the launcher itself.
 func (HostLauncher) ForkLayerSession() any { return HostLauncher{} }
 
+// DAGReady and LayerConcurrencyCap implement LayerSessionForker: nothing is
+// profiled, nothing capped.
+func (HostLauncher) DAGReady([]string) bool   { return true }
+func (HostLauncher) LayerConcurrencyCap() int { return 0 }
+
 // ForkLayerSession implements LayerSessionForker: SerialLauncher holds no
 // per-layer state and the device serializes internally, so every session
 // is the launcher itself.
 func (l SerialLauncher) ForkLayerSession() any { return l }
+
+// DAGReady and LayerConcurrencyCap implement LayerSessionForker: nothing is
+// profiled, nothing capped.
+func (SerialLauncher) DAGReady([]string) bool   { return true }
+func (SerialLauncher) LayerConcurrencyCap() int { return 0 }
 
 // addOnceLayer marks layers whose Backward performs at most one += per
 // bottom-diff element (see the numeric contract at the top of this file).

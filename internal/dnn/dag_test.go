@@ -8,11 +8,75 @@ import (
 	"testing"
 
 	"repro/internal/hostpool"
+	"repro/internal/simgpu"
 )
 
-// ForkLayerSession lets the width-forcing test launcher serve concurrent
-// DAG sessions; it is stateless, so the fork is the launcher itself.
-func (l widthLauncher) ForkLayerSession() any { return l }
+// The DAG side-contract lets the width-forcing test launcher serve
+// concurrent DAG sessions; it is stateless, so the fork is the launcher
+// itself, always ready and uncapped.
+func (l widthLauncher) ForkLayerSession() any  { return l }
+func (widthLauncher) DAGReady([]string) bool   { return true }
+func (widthLauncher) LayerConcurrencyCap() int { return 0 }
+
+// forkOnlyLauncher is the partial wrapper ROADMAP item 2 warns about: it
+// forwards ForkLayerSession and forgets the rest of the DAG contract. It
+// records the layer keys it is handed and how often it was asked to fork.
+type forkOnlyLauncher struct {
+	inner widthLauncher
+	keys  *[]string
+	forks *int
+}
+
+func (l forkOnlyLauncher) BeginLayer(key string)                { *l.keys = append(*l.keys, key) }
+func (l forkOnlyLauncher) Launch(k *simgpu.Kernel, c int) error { return l.inner.Launch(k, c) }
+func (l forkOnlyLauncher) Sync() error                          { return nil }
+func (l forkOnlyLauncher) Width() int                           { return l.inner.w }
+func (l forkOnlyLauncher) ForkLayerSession() any                { *l.forks++; return l }
+
+// TestDAGContractIsWhole: a launcher is a LayerSessionForker only with the
+// whole contract, and behind one that has only part of it a DAG-enabled
+// branchy net runs the exact definition order without ever forking.
+func TestDAGContractIsWhole(t *testing.T) {
+	var keys []string
+	forks := 0
+	partial := forkOnlyLauncher{widthLauncher{2}, &keys, &forks}
+	for _, c := range []struct {
+		name string
+		l    Launcher
+		want bool
+	}{
+		{"HostLauncher", HostLauncher{}, true},
+		{"SerialLauncher", SerialLauncher{}, true},
+		{"widthLauncher", widthLauncher{2}, true},
+		{"ForkLayerSession alone", partial, false},
+	} {
+		if _, ok := c.l.(LayerSessionForker); ok != c.want {
+			t.Errorf("%s: LayerSessionForker = %v, want %v", c.name, ok, c.want)
+		}
+	}
+
+	run := func(dag bool) []string {
+		keys = nil
+		net := buildBranchyNet(t, 4, 5)
+		net.EnableDAG(dag)
+		fillTinyInputs(t, net, 99)
+		ctx := NewContext(partial, 7)
+		if _, err := net.Forward(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Backward(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	serial, dag := run(false), run(true)
+	if len(serial) == 0 || strings.Join(serial, " ") != strings.Join(dag, " ") {
+		t.Errorf("DAG-enabled run behind a partial contract left the definition order:\nserial %v\ndag    %v", serial, dag)
+	}
+	if forks != 0 {
+		t.Errorf("a launcher that is not a LayerSessionForker was asked to fork %d times", forks)
+	}
+}
 
 // --- DAG builder validation -------------------------------------------------
 

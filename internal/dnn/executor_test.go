@@ -49,9 +49,11 @@ func (l *probeLauncher) Launch(k *simgpu.Kernel, _ int) error {
 	return nil
 }
 
-func (l *probeLauncher) Sync() error           { l.st.calls.Add(1); return nil }
-func (l *probeLauncher) Width() int            { return 2 }
-func (l *probeLauncher) ForkLayerSession() any { return &probeLauncher{st: l.st} }
+func (l *probeLauncher) Sync() error              { l.st.calls.Add(1); return nil }
+func (l *probeLauncher) Width() int               { return 2 }
+func (l *probeLauncher) ForkLayerSession() any    { return &probeLauncher{st: l.st} }
+func (l *probeLauncher) DAGReady([]string) bool   { return true }
+func (l *probeLauncher) LayerConcurrencyCap() int { return 0 }
 
 // executorCase is one net the executor table runs on: the layer to fail sits
 // inside a branch, first in definition order (index 0) transitively consumes

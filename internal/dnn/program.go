@@ -105,10 +105,10 @@ func (p *program) transferInputs(l Launcher, staged bool) error {
 // wavefront returns the session forker a run takes the wavefront scheduler
 // with, or nil when it does not — the exact definition-order loop runs
 // instead: when the scheduler is off, when the direction's DAG is a chain
-// (nothing to overlap), when the launcher cannot fork layer sessions, or
-// when a gating launcher (GLP4NN's runtime) has not analyzed every op yet:
-// profiling iterations run in serial order, so every plan, width and trained
-// bit matches a serial run.
+// (nothing to overlap), when the launcher is not a LayerSessionForker, or
+// when it (GLP4NN's runtime) has not analyzed every op yet: profiling
+// iterations run in serial order, so every plan, width and trained bit
+// matches a serial run.
 func (p *program) wavefront(ctx *Context, backward, dagOn bool) LayerSessionForker {
 	chain, keys := p.dag.fwdChain, p.dag.fwdKeys
 	if backward {
@@ -117,8 +117,8 @@ func (p *program) wavefront(ctx *Context, backward, dagOn bool) LayerSessionFork
 	if !dagOn || chain {
 		return nil
 	}
-	forker, _ := ctx.L.(LayerSessionForker)
-	if gate, ok := ctx.L.(DAGGate); ok && forker != nil && !gate.DAGReady(keys) {
+	forker, ok := ctx.L.(LayerSessionForker)
+	if !ok || !forker.DAGReady(keys) {
 		return nil
 	}
 	return forker
@@ -232,22 +232,15 @@ func (p *program) run(ctx *Context, backward, dagOn bool, hooks []func(layer int
 	}
 
 	// The wavefront cap is re-queried every scheduling round rather than
-	// computed once: a capper backed by the runtime's unified SM budget
+	// computed once: a forker backed by the runtime's unified SM budget
 	// (core.Runtime.LayerConcurrencyCap) reports the budget *currently*
 	// free, which moves as chain streams, copy transfers and serving
 	// flushes acquire and release their own shares mid-step.
-	capper, hasCapper := ctx.L.(ConcurrencyCapper)
 	capFn := func() int {
-		capN := capBase
-		if hasCapper {
-			if m := capper.LayerConcurrencyCap(); m > 0 && m < capN {
-				capN = m
-			}
+		if m := forker.LayerConcurrencyCap(); m > 0 && m < capBase {
+			return m
 		}
-		if capN < 1 {
-			capN = 1
-		}
-		return capN
+		return capBase // ≥ 2: a chain never reaches the scheduler
 	}
 
 	var ready []int // ascending op index

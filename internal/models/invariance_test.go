@@ -27,9 +27,12 @@ func (hostWidthLauncher) Sync() error { return nil }
 
 func (l hostWidthLauncher) Width() int { return l.w }
 
-// ForkLayerSession lets the operator DAG scheduler run concurrent layer
-// sessions over this launcher (it is stateless, so the fork is itself).
-func (l hostWidthLauncher) ForkLayerSession() any { return l }
+// The DAG side-contract lets the operator DAG scheduler run concurrent layer
+// sessions over this launcher (it is stateless, so the fork is itself,
+// always ready and uncapped).
+func (l hostWidthLauncher) ForkLayerSession() any  { return l }
+func (hostWidthLauncher) DAGReady([]string) bool   { return true }
+func (hostWidthLauncher) LayerConcurrencyCap() int { return 0 }
 
 // trainWorkload trains a workload for `steps` solver iterations at the given
 // launcher width, optionally offloading chain closures to a worker pool, and

@@ -65,34 +65,65 @@ var Names = []string{"CIFAR10", "Siamese", "CaffeNet", "GoogLeNet"}
 // Feeder fills a net's input blobs with the next mini-batch.
 type Feeder func(net *dnn.Net) error
 
-// Workload couples a network builder with its dataset feeder and paper
+// Workload couples a network builder with its input description and paper
 // defaults.
 type Workload struct {
 	Name         string
 	DefaultBatch int
 	Dataset      string // Table 4 name, "" for synthetic activations
-	Build        func(ctx *dnn.Context, batch int, seed int64) (*dnn.Net, error)
-	NewFeeder    func(batch int, seed int64) Feeder
+
+	build func(ctx *dnn.Context, batch int, seed int64) (*dnn.Net, error)
+	input inputSpec
+}
+
+// inputSpec describes a workload's input once; the inline Feeder and the
+// asynchronous InputPipe are both built from it, which is what keeps their
+// batch streams bit-identical.
+type inputSpec struct {
+	// blobs names the net's input blobs: one per data plane, then the label
+	// blob. Two planes are Siamese pairs (left, right, similarity).
+	blobs []string
+	// crop is the sample side cut from the dataset's images, 0 for native
+	// resolution.
+	crop int
+	// gen, for a workload without a dataset, builds the serial generator
+	// (see data.NewSerialPrefetcher); a sample's plane has plane elements.
+	gen   func(seed int64) func(planes [][]float32, labels []float32)
+	plane int
 }
 
 // Workloads maps names to workload definitions.
 var Workloads = map[string]*Workload{
 	"CIFAR10": {
-		Name: "CIFAR10", DefaultBatch: 100, Dataset: "CIFAR-10",
-		Build: BuildCIFAR10, NewFeeder: cifarFeeder,
+		Name: "CIFAR10", DefaultBatch: 100, Dataset: "CIFAR-10", build: BuildCIFAR10,
+		input: inputSpec{blobs: []string{"data", "label"}},
 	},
 	"Siamese": {
-		Name: "Siamese", DefaultBatch: 64, Dataset: "MNIST",
-		Build: BuildSiamese, NewFeeder: siameseFeeder,
+		Name: "Siamese", DefaultBatch: 64, Dataset: "MNIST", build: BuildSiamese,
+		input: inputSpec{blobs: []string{"data", "data_p", "sim"}},
 	},
 	"CaffeNet": {
-		Name: "CaffeNet", DefaultBatch: 256, Dataset: "ImageNet",
-		Build: BuildCaffeNet, NewFeeder: caffenetFeeder,
+		Name: "CaffeNet", DefaultBatch: 256, Dataset: "ImageNet", build: BuildCaffeNet,
+		input: inputSpec{blobs: []string{"data", "label"}, crop: 227},
 	},
 	"GoogLeNet": {
-		Name: "GoogLeNet", DefaultBatch: 32, Dataset: "",
-		Build: BuildGoogLeNetSlice, NewFeeder: googlenetFeeder,
+		Name: "GoogLeNet", DefaultBatch: 32, Dataset: "", build: BuildGoogLeNetSlice,
+		input: inputSpec{blobs: []string{"data", "label"}, gen: inceptionActivations, plane: 832 * 7 * 7},
 	},
+}
+
+// batchOr is the one place "batch ≤ 0 selects the paper default" is decided.
+func (w *Workload) batchOr(batch int) int {
+	if batch <= 0 {
+		return w.DefaultBatch
+	}
+	return batch
+}
+
+// Build constructs the workload's net; batch ≤ 0 selects the paper default
+// (the Build* functions themselves take a positive batch).
+func (w *Workload) Build(ctx *dnn.Context, batch int, seed int64) (*dnn.Net, error) {
+	return w.build(ctx, w.batchOr(batch), seed)
 }
 
 // Get returns the named workload or an error.
@@ -105,11 +136,8 @@ func Get(name string) (*Workload, error) {
 }
 
 // BuildCIFAR10 is Caffe's cifar10_quick: three 5×5 conv/pool stages, two
-// inner products, softmax loss. batch ≤ 0 selects the paper's 100.
+// inner products, softmax loss.
 func BuildCIFAR10(ctx *dnn.Context, batch int, seed int64) (*dnn.Net, error) {
-	if batch <= 0 {
-		batch = 100
-	}
 	c1 := dnn.Conv(32, 5, 1, 2)
 	c2 := dnn.Conv(32, 5, 1, 2)
 	c3 := dnn.Conv(64, 5, 1, 2)
@@ -136,12 +164,9 @@ func BuildCIFAR10(ctx *dnn.Context, batch int, seed int64) (*dnn.Net, error) {
 }
 
 // BuildSiamese is Caffe's mnist_siamese: twin LeNet feature towers with
-// shared parameters and a contrastive loss on 2-D embeddings. batch ≤ 0
-// selects the paper's 64 (pairs).
+// shared parameters and a contrastive loss on 2-D embeddings; batch counts
+// pairs.
 func BuildSiamese(ctx *dnn.Context, batch int, seed int64) (*dnn.Net, error) {
-	if batch <= 0 {
-		batch = 64
-	}
 	mk := func(suffix string) (dnn.ConvConfig, dnn.ConvConfig, dnn.IPConfig, dnn.IPConfig, dnn.IPConfig) {
 		c1 := dnn.Conv(20, 5, 1, 0)
 		c2 := dnn.Conv(50, 5, 1, 0)
@@ -195,11 +220,8 @@ func BuildSiamese(ctx *dnn.Context, batch int, seed int64) (*dnn.Net, error) {
 // BuildCaffeNet is the AlexNet variant of Fig. 1: five convolutions with
 // LRN and max pooling, then fc6/fc7/fc8 with dropout. Groups are ignored
 // (Table 5 lists full input depths, so the paper's kernel workload does
-// too). batch ≤ 0 selects the paper's 256.
+// too).
 func BuildCaffeNet(ctx *dnn.Context, batch int, seed int64) (*dnn.Net, error) {
-	if batch <= 0 {
-		batch = 256
-	}
 	mkConv := func(co, k, s, p int) dnn.ConvConfig {
 		c := dnn.Conv(co, k, s, p)
 		c.Seed = seed
@@ -246,11 +268,7 @@ func BuildCaffeNet(ctx *dnn.Context, batch int, seed int64) (*dnn.Net, error) {
 // read the input directly, conv_4 follows the conv_5 reduction, and conv_1
 // follows an 832→160 1×1 reduction (the 5a 3×3-reduce, added so conv_1 sees
 // its Table 5 input depth). Branch outputs concat into a classifier head.
-// batch ≤ 0 selects the paper's 32.
 func BuildGoogLeNetSlice(ctx *dnn.Context, batch int, seed int64) (*dnn.Net, error) {
-	if batch <= 0 {
-		batch = 32
-	}
 	mk := func(co, k, p int) dnn.ConvConfig {
 		c := dnn.Conv(co, k, 1, p)
 		c.Seed = seed
@@ -287,74 +305,72 @@ func BuildGoogLeNetSlice(ctx *dnn.Context, batch int, seed int64) (*dnn.Net, err
 		Build(ctx)
 }
 
-func cifarFeeder(batch int, seed int64) Feeder {
-	if batch <= 0 {
-		batch = 100
+// open builds the workload's batch stream for one (batch, seed): the dataset
+// is synthesized from seed and its iterator shuffles from seed+1, the
+// generator draws from seed. A caller uses one of next (draw a batch inline)
+// and prefetch (hand the same iterator to an asynchronous pipeline); size is
+// the element count of one sample plane.
+func (w *Workload) open(batch int, seed int64) (size int, next func(planes [][]float32, labels []float32), prefetch func(PipeConfig) *data.Prefetcher) {
+	in := w.input
+	if in.gen != nil {
+		gen := in.gen(seed)
+		return in.plane, gen, func(o PipeConfig) *data.Prefetcher {
+			return data.NewSerialPrefetcher([]int{batch * in.plane}, batch, gen, o)
+		}
 	}
-	spec, _ := data.SpecByName("CIFAR-10")
+	spec, _ := data.SpecByName(w.Dataset)
 	ds := data.Synthetic(spec, seed)
-	it := data.NewIterator(ds, data.TrainSplit, batch, seed+1)
-	buf := make([]float32, batch*ds.SampleSize())
+	if len(in.blobs) == 3 {
+		pairs := data.NewPairIterator(ds, data.TrainSplit, batch, seed+1)
+		return ds.SampleSize(),
+			func(planes [][]float32, sim []float32) { pairs.Next(planes[0], planes[1], sim) },
+			func(o PipeConfig) *data.Prefetcher { return data.NewPairPrefetcher(pairs, o) }
+	}
+	h, wd := ds.Height, ds.Width
+	if in.crop > 0 {
+		h, wd = in.crop, in.crop
+	}
+	it := data.NewCroppedIterator(ds, data.TrainSplit, batch, h, wd, seed+1)
+	return ds.Channels * h * wd,
+		func(planes [][]float32, labels []float32) { it.Next(planes[0], labels) },
+		func(o PipeConfig) *data.Prefetcher { return data.NewPrefetcher(it, o) }
+}
+
+// deliver copies one batch into the net's input blobs.
+func (in inputSpec) deliver(net *dnn.Net, planes [][]float32, labels []float32) error {
+	for i, plane := range planes {
+		if err := net.SetInputData(in.blobs[i], plane); err != nil {
+			return err
+		}
+	}
+	return net.SetInputData(in.blobs[len(planes)], labels)
+}
+
+// NewFeeder builds the workload's inline feeder — the reference stream the
+// input pipeline is compared against; batch ≤ 0 selects the paper default.
+func (w *Workload) NewFeeder(batch int, seed int64) Feeder {
+	batch = w.batchOr(batch)
+	size, next, _ := w.open(batch, seed)
+	planes := make([][]float32, len(w.input.blobs)-1)
+	for i := range planes {
+		planes[i] = make([]float32, batch*size)
+	}
 	labels := make([]float32, batch)
 	return func(net *dnn.Net) error {
-		it.Next(buf, labels)
-		if err := net.SetInputData("data", buf); err != nil {
-			return err
-		}
-		return net.SetInputData("label", labels)
+		next(planes, labels)
+		return w.input.deliver(net, planes, labels)
 	}
 }
 
-func siameseFeeder(batch int, seed int64) Feeder {
-	if batch <= 0 {
-		batch = 64
-	}
-	spec, _ := data.SpecByName("MNIST")
-	ds := data.Synthetic(spec, seed)
-	it := data.NewPairIterator(ds, data.TrainSplit, batch, seed+1)
-	left := make([]float32, batch*ds.SampleSize())
-	right := make([]float32, batch*ds.SampleSize())
-	sim := make([]float32, batch)
-	return func(net *dnn.Net) error {
-		it.Next(left, right, sim)
-		if err := net.SetInputData("data", left); err != nil {
-			return err
-		}
-		if err := net.SetInputData("data_p", right); err != nil {
-			return err
-		}
-		return net.SetInputData("sim", sim)
-	}
-}
-
-func caffenetFeeder(batch int, seed int64) Feeder {
-	if batch <= 0 {
-		batch = 256
-	}
-	spec, _ := data.SpecByName("ImageNet")
-	ds := data.Synthetic(spec, seed)
-	it := data.NewCroppedIterator(ds, data.TrainSplit, batch, 227, 227, seed+1)
-	buf := make([]float32, batch*3*227*227)
-	labels := make([]float32, batch)
-	return func(net *dnn.Net) error {
-		it.Next(buf, labels)
-		if err := net.SetInputData("data", buf); err != nil {
-			return err
-		}
-		return net.SetInputData("label", labels)
-	}
-}
-
-func googlenetFeeder(batch int, seed int64) Feeder {
-	if batch <= 0 {
-		batch = 32
-	}
+// inceptionActivations generates the GoogLeNet slice's input: an inception
+// activation, not a dataset image — positive-skewed noise approximates
+// post-ReLU statistics. It draws from one shared RNG with no per-sample
+// decomposition, so the input pipeline runs it as a serial source:
+// generation still overlaps compute, draws stay in exact feeder order.
+func inceptionActivations(seed int64) func(planes [][]float32, labels []float32) {
 	rng := rand.New(rand.NewSource(seed))
-	buf := make([]float32, batch*832*7*7)
-	labels := make([]float32, batch)
-	return func(net *dnn.Net) error {
-		// The slice's input is an inception activation, not a dataset
-		// image: positive-skewed noise approximates post-ReLU statistics.
+	return func(planes [][]float32, labels []float32) {
+		buf := planes[0]
 		for i := range buf {
 			v := float32(rng.NormFloat64())
 			if v < 0 {
@@ -365,9 +381,5 @@ func googlenetFeeder(batch int, seed int64) Feeder {
 		for i := range labels {
 			labels[i] = float32(rng.Intn(1000))
 		}
-		if err := net.SetInputData("data", buf); err != nil {
-			return err
-		}
-		return net.SetInputData("label", labels)
 	}
 }

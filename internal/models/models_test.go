@@ -137,7 +137,7 @@ func TestCIFAR10LearnsSyntheticData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed := cifarFeeder(8, 4)
+	feed := Workloads["CIFAR10"].NewFeeder(8, 4)
 	s := dnn.NewSolver(net, ctx, dnn.SolverConfig{BaseLR: 0.01, Momentum: 0.9, WeightDecay: 0.004})
 	var first, last float64
 	for i := 0; i < 20; i++ {

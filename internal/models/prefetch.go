@@ -2,7 +2,6 @@ package models
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/data"
 	"repro/internal/dnn"
@@ -19,8 +18,8 @@ type PipeConfig = data.Options
 // single-consumer: Feed, Rollback and Close belong to the training loop's
 // goroutine.
 type InputPipe struct {
-	pf   *data.Prefetcher
-	feed func(net *dnn.Net, b *data.Batch) error
+	pf *data.Prefetcher
+	in inputSpec
 }
 
 // Feed copies the next prefetched batch into net's input blobs, waiting
@@ -30,7 +29,7 @@ func (p *InputPipe) Feed(net *dnn.Net) error {
 	if b == nil {
 		return fmt.Errorf("models: input pipe for %s is closed", net.Name())
 	}
-	err := p.feed(net, b)
+	err := p.in.deliver(net, b.Planes, b.Labels)
 	p.pf.Recycle(b)
 	return err
 }
@@ -51,82 +50,16 @@ func (p *InputPipe) Close() { p.pf.Close() }
 func (p *InputPipe) Stats() data.PipelineStats { return p.pf.Stats() }
 
 // NewInputPipe builds the asynchronous input pipeline for one of the four
-// workloads. For equal (batch, seed) it delivers bit-for-bit the batch
-// stream of NewFeeder — same dataset seeds, same iterator RNG stream —
-// so training with the pipe is convergence-invariant with training with
-// the inline feeder. batch ≤ 0 selects the paper default.
+// workloads, from the same input description as NewFeeder: for equal
+// (batch, seed) it delivers bit-for-bit that feeder's batch stream — same
+// dataset seeds, same iterator RNG stream — so training with the pipe is
+// convergence-invariant with training with the inline feeder. batch ≤ 0
+// selects the paper default.
 func NewInputPipe(name string, batch int, seed int64, opts PipeConfig) (*InputPipe, error) {
-	dataLabelFeed := func(net *dnn.Net, b *data.Batch) error {
-		if err := net.SetInputData("data", b.Planes[0]); err != nil {
-			return err
-		}
-		return net.SetInputData("label", b.Labels)
+	w, err := Get(name)
+	if err != nil {
+		return nil, err
 	}
-	switch name {
-	case "CIFAR10":
-		if batch <= 0 {
-			batch = 100
-		}
-		spec, _ := data.SpecByName("CIFAR-10")
-		ds := data.Synthetic(spec, seed)
-		it := data.NewIterator(ds, data.TrainSplit, batch, seed+1)
-		return &InputPipe{pf: data.NewPrefetcher(it, opts), feed: dataLabelFeed}, nil
-
-	case "Siamese":
-		if batch <= 0 {
-			batch = 64
-		}
-		spec, _ := data.SpecByName("MNIST")
-		ds := data.Synthetic(spec, seed)
-		it := data.NewPairIterator(ds, data.TrainSplit, batch, seed+1)
-		return &InputPipe{
-			pf: data.NewPairPrefetcher(it, opts),
-			feed: func(net *dnn.Net, b *data.Batch) error {
-				if err := net.SetInputData("data", b.Planes[0]); err != nil {
-					return err
-				}
-				if err := net.SetInputData("data_p", b.Planes[1]); err != nil {
-					return err
-				}
-				return net.SetInputData("sim", b.Labels)
-			},
-		}, nil
-
-	case "CaffeNet":
-		if batch <= 0 {
-			batch = 256
-		}
-		spec, _ := data.SpecByName("ImageNet")
-		ds := data.Synthetic(spec, seed)
-		it := data.NewCroppedIterator(ds, data.TrainSplit, batch, 227, 227, seed+1)
-		return &InputPipe{pf: data.NewPrefetcher(it, opts), feed: dataLabelFeed}, nil
-
-	case "GoogLeNet":
-		if batch <= 0 {
-			batch = 32
-		}
-		// The slice's input is an inception activation drawn from one shared
-		// RNG with no per-sample decomposition, so it runs as a serial
-		// source: generation still overlaps compute, draws stay in exact
-		// feeder order.
-		rng := rand.New(rand.NewSource(seed))
-		gen := func(planes [][]float32, labels []float32) {
-			buf := planes[0]
-			for i := range buf {
-				v := float32(rng.NormFloat64())
-				if v < 0 {
-					v = 0
-				}
-				buf[i] = v
-			}
-			for i := range labels {
-				labels[i] = float32(rng.Intn(1000))
-			}
-		}
-		return &InputPipe{
-			pf:   data.NewSerialPrefetcher([]int{batch * 832 * 7 * 7}, batch, gen, opts),
-			feed: dataLabelFeed,
-		}, nil
-	}
-	return nil, fmt.Errorf("models: unknown workload %q (have %v)", name, Names)
+	_, _, prefetch := w.open(w.batchOr(batch), seed)
+	return &InputPipe{pf: prefetch(opts), in: w.input}, nil
 }

@@ -184,3 +184,36 @@ func TestNewInputPipeUnknownWorkload(t *testing.T) {
 		p.Close()
 	}
 }
+
+// TestDefaultBatchDelivered: batch 0 means the paper default on both input
+// paths of every workload — the feeder and the pipe each fill input blobs
+// shaped for DefaultBatch rows (SetInputData refuses any other length).
+func TestDefaultBatchDelivered(t *testing.T) {
+	for _, name := range Names {
+		w, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, _, _ := w.open(1, 3)
+		blobs := w.input.blobs
+		b := dnn.NewNet(name+"-inputs").Input(blobs[len(blobs)-1], w.DefaultBatch)
+		for _, plane := range blobs[:len(blobs)-1] {
+			b.Input(plane, w.DefaultBatch, size)
+		}
+		net, err := b.Build(dnn.NewContext(dnn.HostLauncher{}, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.NewFeeder(0, 3)(net); err != nil {
+			t.Errorf("%s: NewFeeder(0): %v", name, err)
+		}
+		pipe, err := NewInputPipe(name, 0, 3, PipeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pipe.Feed(net); err != nil {
+			t.Errorf("%s: NewInputPipe(0): %v", name, err)
+		}
+		pipe.Close()
+	}
+}

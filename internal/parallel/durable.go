@@ -7,9 +7,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dnn"
 )
 
@@ -74,14 +74,21 @@ type DurableInfo struct {
 	Plans [][]PlanInfo
 }
 
-// PlanInfo is the externally visible form of one checkpointed plan.
+// PlanInfo is one checkpointed plan — exactly the fields kernel dispatch
+// (and therefore trained bits) depends on. On disk Serial and Fallback are
+// the bits of one flag byte.
 type PlanInfo struct {
 	Key        string
 	Streams    int
 	Serial     bool
 	Fallback   bool
-	SolvedFrom time.Duration
+	SolvedFrom time.Duration // version ≥ 2, zero for v1 files
 }
+
+const (
+	flagSerial   = 1
+	flagFallback = 2
+)
 
 // WriteCheckpoint serializes the trainer's training state (see the format
 // above). The trainer feeds once per Step, so the feeder replay count
@@ -118,42 +125,34 @@ func (t *Trainer) WriteCheckpoint(w io.Writer) error {
 		}
 	}
 	for _, r := range t.replicas {
-		var plans []durablePlan
+		var plans []*core.Plan // sorted by key
 		if t.fw != nil && !r.lost {
-			for _, p := range t.fw.Runtime(r.dev).FinalizePlans() {
-				flags := uint8(0)
-				if p.Serial {
-					flags |= 1
-				}
-				if p.Fallback {
-					flags |= 2
-				}
-				plans = append(plans, durablePlan{
-					key:        p.Key,
-					streams:    uint32(p.Streams),
-					flags:      flags,
-					solvedFrom: int64(p.SolvedFrom),
-				})
-			}
-			sort.Slice(plans, func(i, j int) bool { return plans[i].key < plans[j].key })
+			plans = t.fw.Runtime(r.dev).FinalizePlans()
 		}
 		if err := binary.Write(&payload, binary.LittleEndian, uint32(len(plans))); err != nil {
 			return err
 		}
 		for _, p := range plans {
-			if err := binary.Write(&payload, binary.LittleEndian, uint32(len(p.key))); err != nil {
+			if err := binary.Write(&payload, binary.LittleEndian, uint32(len(p.Key))); err != nil {
 				return err
 			}
-			if _, err := io.WriteString(&payload, p.key); err != nil {
+			if _, err := io.WriteString(&payload, p.Key); err != nil {
 				return err
 			}
-			if err := binary.Write(&payload, binary.LittleEndian, p.streams); err != nil {
+			if err := binary.Write(&payload, binary.LittleEndian, uint32(p.Streams)); err != nil {
 				return err
 			}
-			if err := binary.Write(&payload, binary.LittleEndian, p.flags); err != nil {
+			flags := uint8(0)
+			if p.Serial {
+				flags |= flagSerial
+			}
+			if p.Fallback {
+				flags |= flagFallback
+			}
+			if err := binary.Write(&payload, binary.LittleEndian, flags); err != nil {
 				return err
 			}
-			if err := binary.Write(&payload, binary.LittleEndian, p.solvedFrom); err != nil {
+			if err := binary.Write(&payload, binary.LittleEndian, int64(p.SolvedFrom)); err != nil {
 				return err
 			}
 		}
@@ -235,18 +234,8 @@ func PeekCheckpoint(r io.Reader) (DurableInfo, error) {
 	if err != nil {
 		return DurableInfo{}, err
 	}
-	info, _, _, _, _, err := parseDurablePayload(payload, ver)
+	info, _, _, _, err := parseDurablePayload(payload, ver)
 	return info, err
-}
-
-// durablePlan is the serialized form of one analyzed concurrency plan —
-// exactly the fields kernel dispatch (and therefore trained bits) depends
-// on.
-type durablePlan struct {
-	key        string
-	streams    uint32
-	flags      uint8
-	solvedFrom int64 // ns; version ≥ 2, zero for v1 files
 }
 
 // PeekCheckpointFile is PeekCheckpoint on a file.
@@ -259,9 +248,9 @@ func PeekCheckpointFile(path string) (DurableInfo, error) {
 	return PeekCheckpoint(f)
 }
 
-func parseDurablePayload(payload []byte, ver uint32) (DurableInfo, []dnn.RNGState, []bool, [][]durablePlan, []byte, error) {
-	fail := func(err error) (DurableInfo, []dnn.RNGState, []bool, [][]durablePlan, []byte, error) {
-		return DurableInfo{}, nil, nil, nil, nil, err
+func parseDurablePayload(payload []byte, ver uint32) (DurableInfo, []dnn.RNGState, []bool, []byte, error) {
+	fail := func(err error) (DurableInfo, []dnn.RNGState, []bool, []byte, error) {
+		return DurableInfo{}, nil, nil, nil, err
 	}
 	br := bytes.NewReader(payload)
 	var iter uint32
@@ -294,7 +283,7 @@ func parseDurablePayload(payload []byte, ver uint32) (DurableInfo, []dnn.RNGStat
 			return fail(fmt.Errorf("parallel: checkpoint payload truncated: %w", err))
 		}
 	}
-	plans := make([][]durablePlan, nrep)
+	plans := make([][]PlanInfo, nrep)
 	for i := range plans {
 		var nplan uint32
 		if err := binary.Read(br, binary.LittleEndian, &nplan); err != nil {
@@ -315,37 +304,31 @@ func parseDurablePayload(payload []byte, ver uint32) (DurableInfo, []dnn.RNGStat
 			if _, err := io.ReadFull(br, key); err != nil {
 				return fail(fmt.Errorf("parallel: checkpoint payload truncated: %w", err))
 			}
-			var p durablePlan
-			p.key = string(key)
-			if err := binary.Read(br, binary.LittleEndian, &p.streams); err != nil {
+			var streams uint32
+			var flags uint8
+			var solvedFrom int64 // ns
+			if err := binary.Read(br, binary.LittleEndian, &streams); err != nil {
 				return fail(fmt.Errorf("parallel: checkpoint payload truncated: %w", err))
 			}
-			if err := binary.Read(br, binary.LittleEndian, &p.flags); err != nil {
+			if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
 				return fail(fmt.Errorf("parallel: checkpoint payload truncated: %w", err))
 			}
 			if ver >= 2 {
-				if err := binary.Read(br, binary.LittleEndian, &p.solvedFrom); err != nil {
+				if err := binary.Read(br, binary.LittleEndian, &solvedFrom); err != nil {
 					return fail(fmt.Errorf("parallel: checkpoint payload truncated: %w", err))
 				}
 			}
-			plans[i] = append(plans[i], p)
-		}
-	}
-	solverBytes := payload[len(payload)-br.Len():]
-	info := DurableInfo{Iter: int(iter), FeedSteps: int64(feedSteps)}
-	info.Plans = make([][]PlanInfo, nrep)
-	for i, ps := range plans {
-		for _, p := range ps {
-			info.Plans[i] = append(info.Plans[i], PlanInfo{
-				Key:        p.key,
-				Streams:    int(p.streams),
-				Serial:     p.flags&1 != 0,
-				Fallback:   p.flags&2 != 0,
-				SolvedFrom: time.Duration(p.solvedFrom),
+			plans[i] = append(plans[i], PlanInfo{
+				Key:        string(key),
+				Streams:    int(streams),
+				Serial:     flags&flagSerial != 0,
+				Fallback:   flags&flagFallback != 0,
+				SolvedFrom: time.Duration(solvedFrom),
 			})
 		}
 	}
-	return info, rng, ok, plans, solverBytes, nil
+	solverBytes := payload[len(payload)-br.Len():]
+	return DurableInfo{Iter: int(iter), FeedSteps: int64(feedSteps), Plans: plans}, rng, ok, solverBytes, nil
 }
 
 // ReadCheckpoint restores the trainer from a durable checkpoint: every
@@ -359,7 +342,7 @@ func (t *Trainer) ReadCheckpoint(r io.Reader) (DurableInfo, error) {
 	if err != nil {
 		return DurableInfo{}, err
 	}
-	info, rng, ok, plans, solverBytes, err := parseDurablePayload(payload, ver)
+	info, rng, ok, solverBytes, err := parseDurablePayload(payload, ver)
 	if err != nil {
 		return DurableInfo{}, err
 	}
@@ -387,8 +370,8 @@ func (t *Trainer) ReadCheckpoint(r io.Reader) (DurableInfo, error) {
 			// Seed the analyzer cache with the checkpointed run's plans: the
 			// resumed first iteration must dispatch at the same per-layer
 			// widths, not open a fresh profiling window at width 1.
-			for _, p := range plans[i] {
-				rt.InstallPlan(p.key, int(p.streams), p.flags&1 != 0, p.flags&2 != 0, time.Duration(p.solvedFrom))
+			for _, p := range info.Plans[i] {
+				rt.InstallPlan(p.Key, p.Streams, p.Serial, p.Fallback, p.SolvedFrom)
 			}
 		}
 	}

@@ -381,18 +381,6 @@ func (t *Trainer) Step(feed FeedFunc) (StepResult, error) {
 	return res, err
 }
 
-// syncTime drains dev and returns the later of its device and host clocks.
-func syncTime(dev *simgpu.Device) (time.Duration, error) {
-	d, err := dev.Synchronize()
-	if err != nil {
-		return 0, err
-	}
-	if h := dev.HostTime(); h > d {
-		d = h
-	}
-	return d, nil
-}
-
 // onSurvivors runs one phase of a step on every live replica concurrently —
 // one goroutine per replica, mirroring the real hardware where each GPU (and
 // its driving host thread) advances independently: reset the device clocks,
@@ -415,7 +403,7 @@ func (t *Trainer) onSurvivors(fn func(i int, r *replica) error) (time.Duration, 
 				err = fn(i, r)
 			}
 			if err == nil {
-				times[i], err = syncTime(r.dev)
+				times[i], err = r.dev.SyncTime()
 			}
 			if err != nil {
 				errs[i] = &replicaError{i, err}

@@ -338,6 +338,18 @@ func (d *Device) Synchronize() (time.Duration, error) {
 	return time.Duration(d.eng.now), nil
 }
 
+// SyncTime is the iteration clock: it drains all queued work like
+// Synchronize and returns the later of the device and host timelines — a
+// step is over when its last kernel has completed and the dispatching host
+// thread (launch, profiling and analysis overheads included) has caught up.
+// That is the host timeline: the barrier never leaves it behind the device.
+func (d *Device) SyncTime() (time.Duration, error) {
+	if _, err := d.Synchronize(); err != nil {
+		return 0, err
+	}
+	return d.HostTime(), nil
+}
+
 // Now returns the device clock after draining all pending work. Like
 // Synchronize it is a full barrier in virtual time.
 func (d *Device) Now() (time.Duration, error) {
