@@ -45,11 +45,12 @@ race:
 	done
 
 # The steady-state allocation contract (Gemm, Im2col/Col2im, the scratch
-# arena, and a prefetched input batch end to end) must run without -race:
+# arena, a prefetched input batch end to end, and the simulator's event
+# engine per launch) must run without -race:
 # race instrumentation skews the allocation accounting, so the tests skip
 # themselves under the race build.
 alloc:
-	$(GO) test -run 'SteadyStateAllocs' ./internal/tensor ./internal/data
+	$(GO) test -run 'SteadyStateAllocs' ./internal/tensor ./internal/data ./internal/simgpu
 
 # The pure-Go fallback (no asm micro-kernels, the only path off amd64) must
 # stay green: vet and the focused kernel/engine suites with the asm files
@@ -105,7 +106,7 @@ serve:
 # quotes before and after in CHANGES.md. Non-test Go lines outside
 # benchmark/ (total, then every package under internal/ with its
 # exported-symbol count),
-# each CLI's flag count, the settable options (exported fields of every
+# each CLI's non-test lines and flag count, the settable options (exported fields of every
 # exported *Config / *Options struct under internal/), the façade's
 # exported-symbol count, the registered experiment IDs and the examples/
 # mains. Tier-1 wall time is `time make test`.
@@ -118,7 +119,9 @@ stats:
 			$$($(GO) doc -short ./$$p | wc -l); \
 	done
 	@for c in bench info serve train; do \
-		printf 'glp4nn-%s flags: ' $$c; $(GO) run ./cmd/glp4nn-$$c -h 2>&1 | grep -c '^  -'; \
+		printf 'cmd/glp4nn-%s: %s non-test lines, %s flags\n' $$c \
+			$$(find cmd/glp4nn-$$c -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) \
+			$$($(GO) run ./cmd/glp4nn-$$c -h 2>&1 | grep -c '^  -'); \
 	done
 	@printf 'options: '; find internal -name '*.go' -not -name '*_test.go' | xargs awk ' \
 		/^type ([A-Z][A-Za-z0-9]*)?(Config|Options) struct \{/ { inside = 1; next } \

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"math"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dnn"
+	"repro/internal/models"
 	"repro/internal/simgpu"
 )
 
@@ -308,6 +311,150 @@ func TestHostileFlagsRefused(t *testing.T) {
 			}
 			if sb.Len() != 0 {
 				t.Errorf("devices=%d %s: run printed %q before refusing", devices, c.flag, sb.String())
+			}
+		}
+	}
+}
+
+// traceKernelEvents counts the complete ("X") events of a Chrome trace file.
+func traceKernelEvents(t *testing.T, path string) int {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Ph string `json:"ph"`
+	}
+	if err := json.Unmarshal(blob, &events); err != nil {
+		t.Fatalf("%s is not a trace-event array: %v", path, err)
+	}
+	n := 0
+	for _, e := range events {
+		if e.Ph == "X" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTraceFlagHoldsFinalIteration: -trace writes the lead device's whole
+// final iteration. On the solver loop that is one event per launch (input
+// copy included) of one iteration, counted here on an independent device;
+// a device built with a one-record trace limit wrote exactly one. On the
+// trainer each phase resets the clocks, so the file holds the last phase —
+// the update — and must not be empty.
+func TestTraceFlagHoldsFinalIteration(t *testing.T) {
+	w, err := models.Get("CIFAR10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := simgpu.NewDevice(simgpu.TeslaP100)
+	ctx := dnn.NewContext(dnn.SerialLauncher{Dev: dev}, 1)
+	net, err := w.Build(ctx, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.NewFeeder(4, 2)(net); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.UploadInputs(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dnn.NewSolver(net, ctx, dnn.CIFAR10QuickSolver()).Step(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := dev.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "trace.json")
+	o := runOptions{Net: "CIFAR10", Batch: 4, Iters: 3, Device: "P100", Compute: true, Seed: 1, Trace: path}
+	if _, err := run(io.Discard, o); err != nil {
+		t.Fatal(err)
+	}
+	if got := traceKernelEvents(t, path); int64(got) != st.Launches || got < 2 {
+		t.Fatalf("solver loop: trace holds %d events, the final iteration launched %d", got, st.Launches)
+	}
+
+	o.Devices, o.GLP = 2, true
+	if _, err := run(io.Discard, o); err != nil {
+		t.Fatal(err)
+	}
+	if got := traceKernelEvents(t, path); got == 0 {
+		t.Fatal("trainer: trace of the lead device's final phase is empty")
+	}
+}
+
+// TestFlagMatrix: every feature flag works on both step engines, with and
+// without GLP4NN — the cell's final loss equals its engine's plain run bit
+// for bit, its artefact exists and the tail reports what the flags turned
+// on — and the two refusals that remain come from run's validation block,
+// on both engines, before anything is printed.
+func TestFlagMatrix(t *testing.T) {
+	dir := t.TempDir()
+	cells := []struct {
+		name string
+		set  func(o *runOptions)
+		want string // in the output
+	}{
+		{"plain", func(o *runOptions) {}, "done:"},
+		{"-dag", func(o *runOptions) { o.DAG = true }, ""},
+		{"-fuse", func(o *runOptions) { o.Fuse = true }, "fused GEMM epilogues:"},
+		{"-prefetch", func(o *runOptions) { o.Prefetch = true }, "input pipeline: shard 0 hits="},
+		{"-trace", func(o *runOptions) { o.Trace = filepath.Join(dir, "t.json") }, "chrome trace"},
+		{"-save-weights", func(o *runOptions) { o.SaveWeights = filepath.Join(dir, "w.glpw") }, "trained weights written"},
+	}
+	for _, devices := range []int{1, 2} {
+		for _, glp := range []bool{false, true} {
+			base := runOptions{Net: "CIFAR10", Batch: 4, Iters: 2, Device: "P100", GLP: glp, Devices: devices, Compute: true, Seed: 1}
+			var plain float64
+			for _, c := range cells {
+				o := base
+				c.set(&o)
+				var sb strings.Builder
+				loss, err := run(&sb, o)
+				if err != nil {
+					t.Fatalf("devices=%d glp4nn=%v %s: %v", devices, glp, c.name, err)
+				}
+				if c.name == "plain" {
+					plain = loss
+				}
+				if math.Float64bits(loss) != math.Float64bits(plain) || loss <= 0 {
+					t.Errorf("devices=%d glp4nn=%v %s: final loss %v, plain run %v", devices, glp, c.name, loss, plain)
+				}
+				want := []string{c.want}
+				if glp {
+					want = append(want, "glp4nn overhead:", "concurrency plans:")
+				}
+				if glp && o.DAG {
+					want = append(want, "operator DAG dispatches:")
+				}
+				for _, s := range want {
+					if !strings.Contains(sb.String(), s) {
+						t.Errorf("devices=%d glp4nn=%v %s: output lacks %q:\n%s", devices, glp, c.name, s, sb.String())
+					}
+				}
+				for _, f := range []string{o.Trace, o.SaveWeights} {
+					if st, err := os.Stat(f); f != "" && (err != nil || st.Size() == 0) {
+						t.Errorf("devices=%d glp4nn=%v %s: %s missing or empty (%v)", devices, glp, c.name, f, err)
+					}
+				}
+			}
+		}
+		for _, c := range []struct {
+			reason string
+			set    func(o *runOptions)
+		}{
+			{"-resume needs -checkpoint-dir", func(o *runOptions) { o.Resume = true }},
+			{"-adapt needs -glp4nn", func(o *runOptions) { o.Adapt = true }},
+		} {
+			o := runOptions{Net: "CIFAR10", Batch: 4, Iters: 2, Device: "P100", Devices: devices, Compute: true, Seed: 1}
+			c.set(&o)
+			var sb strings.Builder
+			if _, err := run(&sb, o); err == nil || !strings.Contains(err.Error(), c.reason) || sb.Len() != 0 {
+				t.Errorf("devices=%d: err = %v after printing %q, want a silent %q refusal", devices, err, sb.String(), c.reason)
 			}
 		}
 	}

@@ -16,6 +16,7 @@ import (
 // armResult captures one launcher arm's measurements on one device.
 type armResult struct {
 	iter   time.Duration // mean full training iteration
+	tsStep time.Duration // T_s one of those iterations charged (GLP4NN arm)
 	fwd    time.Duration // one forward pass
 	trace  []simgpu.KernelRecord
 	ledger core.Snapshot
@@ -26,7 +27,7 @@ type armResult struct {
 // one device spec, reusing a single net instance so both arms see identical
 // kernels.
 func runArms(net *dnn.Net, spec simgpu.DeviceSpec, cfg Config) (naive, glp armResult, err error) {
-	measure := func(l dnn.Launcher, dev *simgpu.Device, warmups int) (armResult, error) {
+	measure := func(l dnn.Launcher, dev *simgpu.Device, warmups int, ledger *core.Ledger) (armResult, error) {
 		ctx := dnn.NewContext(l, cfg.Seed)
 		ctx.Compute = false
 		s := dnn.NewSolver(net, ctx, dnn.CIFAR10QuickSolver())
@@ -36,7 +37,10 @@ func runArms(net *dnn.Net, spec simgpu.DeviceSpec, cfg Config) (naive, glp armRe
 				return r, err
 			}
 		}
-		var total time.Duration
+		var total, ts0 time.Duration
+		if ledger != nil {
+			ts0 = ledger.Snapshot().Ts
+		}
 		for i := 0; i < cfg.Iterations; i++ {
 			d, err := iterationElapsed(s, dev)
 			if err != nil {
@@ -45,6 +49,9 @@ func runArms(net *dnn.Net, spec simgpu.DeviceSpec, cfg Config) (naive, glp armRe
 			total += d
 		}
 		r.iter = total / time.Duration(cfg.Iterations)
+		if ledger != nil {
+			r.tsStep = (ledger.Snapshot().Ts - ts0) / time.Duration(cfg.Iterations)
+		}
 		// One traced forward for the per-layer view.
 		fwd, err := forwardElapsed(net, dev, l)
 		if err != nil {
@@ -58,7 +65,7 @@ func runArms(net *dnn.Net, spec simgpu.DeviceSpec, cfg Config) (naive, glp armRe
 	}
 
 	devN := simgpu.NewDevice(spec)
-	naive, err = measure(dnn.SerialLauncher{Dev: devN}, devN, 1)
+	naive, err = measure(dnn.SerialLauncher{Dev: devN}, devN, 1, nil)
 	if err != nil {
 		return
 	}
@@ -67,7 +74,7 @@ func runArms(net *dnn.Net, spec simgpu.DeviceSpec, cfg Config) (naive, glp armRe
 	fw := core.New()
 	defer fw.Close()
 	rt := fw.Runtime(devG)
-	glp, err = measure(rt, devG, 2) // profiling + analysis warmups
+	glp, err = measure(rt, devG, 2, rt.Ledger()) // profiling + analysis warmups
 	if err != nil {
 		return
 	}

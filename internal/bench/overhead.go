@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 )
 
 func runFig10(cfg Config, w io.Writer) error {
@@ -37,11 +36,13 @@ func runFig10(cfg Config, w io.Writer) error {
 	return nil
 }
 
-// table6ReferenceIters is the iteration count used to contextualize the
-// one-time overhead: Caffe's stock recipes train these nets for thousands
-// of iterations (cifar10_quick alone uses 5000), so 1000 is a conservative
-// lower bound for the "total training time" denominator of the paper's
-// ratio column.
+// table6ReferenceIters is the run length the overhead is quoted for:
+// Caffe's stock recipes train these nets for thousands of iterations
+// (cifar10_quick alone uses 5000), so 1000 is a conservative lower bound
+// for the "total training time" denominator of the paper's ratio column.
+// It is also the run length the repo's benchmark amortises over, so this
+// table and core.overhead_pct are one formula: the one-time T_p + T_a plus
+// the per-iteration T_s of every iteration, over the run's training time.
 const table6ReferenceIters = 1000
 
 func runTable6(cfg Config, w io.Writer) error {
@@ -50,7 +51,7 @@ func runTable6(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	t := newTable("Model", "GPU", "T_p (ms)", "T_a (ms)", "T_s (ms)", "T_total (ms)", "iter (ms)", "ratio")
+	t := newTable("Model", "GPU", "T_p (ms)", "T_a (ms)", "T_s/iter (ms)", "T_total (ms)", "iter (ms)", "ratio")
 	for _, name := range cfg.Networks {
 		net, _, err := buildWorkloadNet(name, cfg)
 		if err != nil {
@@ -62,13 +63,14 @@ func runTable6(cfg Config, w io.Writer) error {
 				return err
 			}
 			s := glp.ledger
-			training := glp.iter * time.Duration(table6ReferenceIters)
-			ratio := float64(s.TTotal()) / float64(training)
-			t.add(name, spec.Name, ms(s.Tp), ms(s.Ta), ms(s.Ts), ms(s.TTotal()), ms(glp.iter),
+			total := s.Tp + s.Ta + glp.tsStep*table6ReferenceIters
+			ratio := float64(total) / float64(glp.iter*table6ReferenceIters)
+			t.add(name, spec.Name, ms(s.Tp), ms(s.Ta), ms(glp.tsStep), ms(total), ms(glp.iter),
 				fmt.Sprintf("%.4f%%", ratio*100))
 		}
 	}
-	fmt.Fprintf(w, "One-time overhead of GLP4NN (Eq. 12); ratio is against %d training iterations\n", table6ReferenceIters)
+	fmt.Fprintf(w, "Overhead of GLP4NN (Eq. 12) over %d training iterations: T_total = T_p + T_a + %d x T_s/iter, ratio = T_total / (%d x iter)\n",
+		table6ReferenceIters, table6ReferenceIters, table6ReferenceIters)
 	t.write(w)
 	return nil
 }

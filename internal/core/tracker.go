@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"time"
@@ -21,10 +20,11 @@ type KernelStats struct {
 	totalDur    time.Duration
 }
 
-// signature distinguishes kernels that share a name but differ in launch
+// kernelSig distinguishes kernels that share a name but differ in launch
 // geometry (e.g. the forward and backward SGEMMs of one layer).
-func signature(name string, cfg simgpu.LaunchConfig) string {
-	return fmt.Sprintf("%s|%v|%v|%d", name, cfg.Grid, cfg.Block, cfg.SharedMemBytes)
+type kernelSig struct {
+	name string
+	cfg  simgpu.LaunchConfig
 }
 
 // LayerProfile aggregates the kernels observed under one scheduler key
@@ -33,11 +33,11 @@ type LayerProfile struct {
 	Key     string
 	Kernels []*KernelStats // first-seen order
 	Records int
-	bydKey  map[string]*KernelStats
+	bydKey  map[kernelSig]*KernelStats
 }
 
 func newLayerProfile(key string) *LayerProfile {
-	return &LayerProfile{Key: key, bydKey: map[string]*KernelStats{}}
+	return &LayerProfile{Key: key, bydKey: map[kernelSig]*KernelStats{}}
 }
 
 // TotalDuration is the layer's total profiled kernel time — the timing a
@@ -59,7 +59,7 @@ func (p *LayerProfile) add(rec cuptisim.KernelActivity) {
 		RegsPerThread:  rec.RegsPerThread,
 		SharedMemBytes: rec.SharedMemBytes,
 	}
-	sig := signature(rec.Name, cfg)
+	sig := kernelSig{rec.Name, cfg}
 	ks := p.bydKey[sig]
 	if ks == nil {
 		ks = &KernelStats{Name: rec.Name, Config: cfg}

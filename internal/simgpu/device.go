@@ -199,27 +199,31 @@ func (d *Device) Launch(k *Kernel, s *Stream) error {
 		return fmt.Errorf("simgpu: launch of %q on destroyed %v", k.Name, s)
 	}
 
-	d.host += float64(d.spec.LaunchOverhead.Nanoseconds())
-	d.launches++
-	d.seq++
-
 	blocks := k.Config.Blocks()
-	e := &kernelExec{
+	d.submit(&kernelExec{
 		name:          k.Name,
 		tag:           k.Tag,
 		cfg:           k.Config,
-		seq:           d.seq,
-		streamID:      s.id,
-		issue:         d.host,
 		totalBlocks:   blocks,
 		flopsPerBlock: k.Cost.FLOPs / float64(blocks),
 		bytesPerBlock: k.Cost.Bytes / float64(blocks),
 		threads:       k.Config.ThreadsPerBlock(),
 		smem:          k.Config.SharedMemBytes,
 		extra:         hang,
-	}
+	}, s)
+	return nil
+}
 
-	// Ordering edges: stream predecessor, then default-stream semantics.
+// submit charges one launch to the host dispatch timeline, stamps e with
+// its issue time and sequence number, links its ordering edges — stream
+// predecessor, then default-stream semantics — and enqueues it. The caller
+// holds d.mu.
+func (d *Device) submit(e *kernelExec, s *Stream) {
+	d.host += float64(d.spec.LaunchOverhead.Nanoseconds())
+	d.launches++
+	d.seq++
+	e.seq, e.streamID, e.issue = d.seq, s.id, d.host
+
 	if s.tail != nil && !s.tail.done {
 		e.deps = append(e.deps, s.tail)
 	}
@@ -241,7 +245,6 @@ func (d *Device) Launch(k *Kernel, s *Stream) error {
 	s.tail = e
 	d.tails[s.id] = e
 	d.eng.enqueue(e)
-	return nil
 }
 
 // memcpy enqueues a DMA transfer of the given size on a stream. Transfers
@@ -267,38 +270,14 @@ func (d *Device) memcpy(name string, bytes int64, s *Stream) error {
 	if s.destroyed {
 		return fmt.Errorf("simgpu: %s on destroyed %v", name, s)
 	}
-	d.host += float64(d.spec.LaunchOverhead.Nanoseconds())
-	d.launches++
-	d.seq++
-	dur := float64(d.spec.MemcpyLatency.Nanoseconds()) + float64(bytes)/d.spec.PCIeBandwidth()*1e9
-	e := &kernelExec{
+	d.submit(&kernelExec{
 		name:          name,
 		cfg:           LaunchConfig{Grid: D1(1), Block: D1(1)},
-		seq:           d.seq,
-		streamID:      s.id,
-		issue:         d.host,
 		totalBlocks:   1,
 		threads:       1,
-		fixedDur:      dur,
+		fixedDur:      float64(d.spec.MemcpyLatency.Nanoseconds()) + float64(bytes)/d.spec.PCIeBandwidth()*1e9,
 		bytesPerBlock: float64(bytes),
-	}
-	if s.tail != nil && !s.tail.done {
-		e.deps = append(e.deps, s.tail)
-	}
-	if s.isDefault {
-		for id, tail := range d.tails {
-			if tail != s.tail && !tail.done {
-				e.deps = append(e.deps, tail)
-			}
-			delete(d.tails, id)
-		}
-		d.lastDefault = e
-	} else if d.lastDefault != nil && !d.lastDefault.done {
-		e.deps = append(e.deps, d.lastDefault)
-	}
-	s.tail = e
-	d.tails[s.id] = e
-	d.eng.enqueue(e)
+	}, s)
 	return nil
 }
 
@@ -388,7 +367,7 @@ func (d *Device) ResetClocks() error {
 	d.eng.reset()
 	d.host = 0
 	d.records = nil
-	d.tails = map[int]*kernelExec{}
+	clear(d.tails)
 	d.lastDefault = nil
 	d.traceDropped = 0
 	// Stream tails point at completed execs; clear them so no stale deps

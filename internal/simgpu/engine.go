@@ -1,9 +1,10 @@
 package simgpu
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // timing epsilon in nanoseconds: completions within this window coincide.
@@ -96,6 +97,13 @@ type engine struct {
 
 	onComplete func(*kernelExec)
 
+	// Per-event scratch, reused across calls: the stream heads in launch
+	// order, admitBlocks' per-SM room and load, computeRates' per-SM demand.
+	headBuf []*kernelExec
+	fit     []int
+	load    []int
+	demand  []float64
+
 	// utilization accounting (invariant checks and reports)
 	threadNSIntegral float64 // ∫ resident threads dt
 	flopsRetired     float64
@@ -114,6 +122,9 @@ func newEngine(spec DeviceSpec, onComplete func(*kernelExec)) *engine {
 		smThreads:        make([]int, spec.SMCount),
 		smBlocks:         make([]int, spec.SMCount),
 		smSmem:           make([]int, spec.SMCount),
+		fit:              make([]int, spec.SMCount),
+		load:             make([]int, spec.SMCount),
+		demand:           make([]float64, spec.SMCount),
 		maxSlots:         spec.MaxConcurrentKernels(),
 		onComplete:       onComplete,
 		peakFlopsPerSMns: spec.PeakFlopsPerSM() * 1e-9,
@@ -128,7 +139,7 @@ func (g *engine) reset() {
 	for i := range g.smThreads {
 		g.smThreads[i], g.smBlocks[i], g.smSmem[i] = 0, 0, 0
 	}
-	g.queues = map[int][]*kernelExec{}
+	clear(g.queues)
 	g.cohorts = nil
 	g.runningSlots = 0
 	g.threadNSIntegral = 0
@@ -146,13 +157,15 @@ func (g *engine) enqueue(e *kernelExec) {
 	g.queues[e.streamID] = append(g.queues[e.streamID], e)
 }
 
-// heads returns the current stream heads in seq (launch) order.
+// heads returns the current stream heads in seq (launch) order. The slice
+// is the engine's scratch: valid until the next call.
 func (g *engine) heads() []*kernelExec {
-	out := make([]*kernelExec, 0, len(g.queues))
+	out := g.headBuf[:0]
 	for _, q := range g.queues {
 		out = append(out, q[0])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	slices.SortFunc(out, func(a, b *kernelExec) int { return cmp.Compare(a.seq, b.seq) })
+	g.headBuf = out
 	return out
 }
 
@@ -184,10 +197,9 @@ func (g *engine) drain() error {
 			}
 			if math.IsInf(next, 1) {
 				if len(g.queues) > 0 {
-					for _, q := range g.queues {
-						return fmt.Errorf("simgpu: engine stalled with %d streams waiting (first %q seq=%d)",
-							len(g.queues), q[0].name, q[0].seq)
-					}
+					first := g.heads()[0]
+					return fmt.Errorf("simgpu: engine stalled with %d streams waiting (first %q seq=%d)",
+						len(g.queues), first.name, first.seq)
 				}
 				return nil
 			}
@@ -235,11 +247,7 @@ func (g *engine) admit() {
 				e.start = g.now
 				e.blocksLeft = 0
 				e.activeCohorts++
-				g.cohorts = append(g.cohorts, &cohort{
-					exec:   e,
-					perSM:  make([]int32, g.spec.SMCount),
-					minEnd: g.now + e.fixedDur,
-				})
+				g.cohorts = append(g.cohorts, &cohort{exec: e, minEnd: g.now + e.fixedDur})
 			}
 			g.pop(e)
 			continue
@@ -270,7 +278,7 @@ func (g *engine) admit() {
 // cohort.
 func (g *engine) admitBlocks(e *kernelExec) {
 	n := g.spec.SMCount
-	fit := make([]int, n)
+	fit, load := g.fit, g.load
 	total := 0
 	for s := 0; s < n; s++ {
 		f := g.fitOn(s, e)
@@ -289,7 +297,6 @@ func (g *engine) admitBlocks(e *kernelExec) {
 	// Water-filling: each block goes to the least-loaded SM that still has
 	// room, which is how hardware block schedulers spread work and what
 	// keeps the paper's "fill idle SMs" concurrency benefit observable.
-	load := make([]int, n)
 	copy(load, g.smThreads)
 	for placed < a {
 		best := -1
@@ -362,12 +369,12 @@ func (g *engine) fitOn(s int, e *kernelExec) int {
 // computeRates assigns each cohort its compute and memory progress rates
 // under the current residency (processor sharing; see DESIGN.md §5).
 func (g *engine) computeRates() {
-	n := g.spec.SMCount
 	cores := float64(g.spec.CoresPerSM)
 
 	// Per-SM compute demand in resident threads, counting only cohorts that
 	// still have arithmetic left.
-	demand := make([]float64, n)
+	demand := g.demand
+	clear(demand)
 	for _, c := range g.cohorts {
 		if c.remC <= 0 {
 			continue

@@ -1,7 +1,9 @@
 package simgpu
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -589,5 +591,70 @@ func TestMemcpyErrors(t *testing.T) {
 	}
 	if d.Spec().PCIeBandwidth() != 12e9 {
 		t.Fatalf("default PCIe bandwidth = %v", d.Spec().PCIeBandwidth())
+	}
+}
+
+// TestEngineSteadyStateAllocs is the simulator's allocation ceiling (part
+// of `make alloc`): a warm device running a layer-shaped burst — eight
+// kernels round-robin over four streams, the wide ones admitted in some ten
+// waves each, a default-stream barrier kernel, one drain — allocates only
+// what outlives the event that made it: per launch the exec and its
+// dependency list, per admitted wave the cohort and its per-SM placement.
+// That is 27 allocations per launch here. The scheduling scans (stream
+// heads, per-SM fit, load and demand) run on engine-owned scratch: a fresh
+// slice per scan puts the same burst at 117, which the ceiling refuses.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is meaningless under the race detector")
+	}
+	dev := NewDevice(TeslaP100)
+	dev.SetTracing(false)
+	var streams []*Stream
+	for i := 0; i < 4; i++ {
+		streams = append(streams, mustStream(dev))
+	}
+	wide := computeKernel("wide", 4096, 256, 1e9)
+	narrow := memKernel("narrow", 8, 128, 1e6)
+	const launches = 9
+	burst := func() {
+		for i := 0; i < launches-1; i++ {
+			k := wide
+			if i%2 == 1 {
+				k = narrow
+			}
+			if err := dev.Launch(k, streams[i%len(streams)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := dev.Launch(narrow, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dev.Synchronize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	perLaunch := testing.AllocsPerRun(50, burst) / launches
+	t.Logf("%.2f allocations per launch", perLaunch)
+	if perLaunch > 40 {
+		t.Errorf("steady-state burst allocates %.2f times per launch, ceiling 40", perLaunch)
+	}
+}
+
+// TestStalledErrorNamesEarliestHead: the engine's stall diagnostic names
+// the waiting head that was launched first, not whichever stream the map
+// happens to yield.
+func TestStalledErrorNamesEarliestHead(t *testing.T) {
+	for round := 0; round < 8; round++ {
+		g := newEngine(testSpec, nil)
+		never := &kernelExec{name: "never"}
+		for seq := 6; seq >= 1; seq-- {
+			g.enqueue(&kernelExec{name: fmt.Sprintf("k%d", seq), seq: seq, streamID: seq,
+				deps: []*kernelExec{never}, totalBlocks: 1, threads: 32})
+		}
+		err := g.drain()
+		if err == nil || !strings.Contains(err.Error(), `6 streams waiting (first "k1" seq=1)`) {
+			t.Fatalf("round %d: stall error = %v, want it to name k1", round, err)
+		}
 	}
 }
