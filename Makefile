@@ -9,7 +9,7 @@ MAINS := \
 	./examples/multigpu \
 	./examples/quickstart
 
-.PHONY: tier1 vet build test race alloc purego bins bench-tensor serve chaos checkpoint stats clean
+.PHONY: tier1 vet build test race alloc purego bins bench-tensor bench-sim serve chaos checkpoint stats clean
 
 # tier1 is the CI gate: vet, build, the full test suite under the race
 # detector (the host-side parallel engine must stay race-clean), the
@@ -95,6 +95,14 @@ checkpoint:
 # (GEMM shapes and im2col/col2im column layouts).
 bench-tensor:
 	$(GO) test -run '^$$' -bench 'Gemm|Im2col|Col2im' -benchmem ./internal/tensor
+
+# One timing-only (Compute=false) solver step of each paper net on a P100
+# through core.Runtime: the loop the benchmark's sim-paper workload times.
+# "Where does a simulated step's host time go" is this with a profile:
+#   go test -run '^$' -bench TimingOnlyStep/CIFAR10 -o /tmp/models.test -cpuprofile /tmp/cpu.prof ./internal/models
+#   go tool pprof -top /tmp/models.test /tmp/cpu.prof
+bench-sim:
+	$(GO) test -run '^$$' -bench TimingOnlyStep -benchmem ./internal/models
 
 # Serving demo: freeze CIFAR10, answer a seeded heavy-tailed request load
 # through the dynamic batcher on the GLP4NN runtime, and report p50/p99 as

@@ -64,6 +64,7 @@ type ConvLayer struct {
 	partW    []*tensor.Buf // per-chain weight-gradient partials
 	partB    []*tensor.Buf // per-chain bias-gradient partials
 	onesP    []float32     // length p, for bias broadcast
+	tags     []string      // per-image kernel tag "name/n<i>", built once in Setup
 
 	// Fusion flags set by Net.EnableFusion (see fusion.go): fuseBias folds
 	// the gemmk bias pass into the forward GEMM's epilogue; fusedReLU, when
@@ -127,6 +128,10 @@ func (l *ConvLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 	for i := range l.onesP {
 		l.onesP[i] = 1
 	}
+	l.tags = make([]string, b.Num())
+	for i := range l.tags {
+		l.tags[i] = fmt.Sprintf("%s/n%d", l.name, i)
+	}
 	return nil
 }
 
@@ -181,7 +186,7 @@ func (l *ConvLayer) forwardDispatch(ctx *Context, bottom, top []*Blob, width int
 		buf := l.colBufs[i%width].Data
 		img := bottom[0].SampleData(i)
 		out := top[0].SampleData(i)
-		tag := fmt.Sprintf("%s/n%d", l.name, i)
+		tag := l.tags[i]
 		if err := ctx.Dispatch(kernels.Im2col(tag, img, l.geom, buf), chain); err != nil {
 			return err
 		}
@@ -243,7 +248,7 @@ func (l *ConvLayer) backwardDispatch(ctx *Context, top []*Blob, propagate []bool
 		buf := l.colBufs[j].Data
 		img := bottom[0].SampleData(i)
 		dtop := top[0].SampleDiff(i)
-		tag := fmt.Sprintf("%s/n%d", l.name, i)
+		tag := l.tags[i]
 
 		if err := ctx.Dispatch(kernels.Im2col(tag, img, l.geom, buf), chain); err != nil {
 			return err

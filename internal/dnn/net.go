@@ -202,9 +202,13 @@ func (n *Net) Backward(ctx *Context) error {
 	return n.prog.run(ctx, true, n.dagOn, n.bwdHooks)
 }
 
-// ForwardBackward is one full pass: clear diffs, forward, backward.
+// ForwardBackward is one full pass: clear diffs, forward, backward. A
+// timing-only pass (ctx.Compute off) runs no kernel closure, so it neither
+// reads nor accumulates into a gradient and leaves them all as they are.
 func (n *Net) ForwardBackward(ctx *Context) (float64, error) {
-	n.ClearDiffs()
+	if ctx.Compute {
+		n.ClearDiffs()
+	}
 	loss, err := n.Forward(ctx)
 	if err != nil {
 		return 0, err

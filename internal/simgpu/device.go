@@ -223,6 +223,7 @@ func (d *Device) submit(e *kernelExec, s *Stream) {
 	d.launches++
 	d.seq++
 	e.seq, e.streamID, e.issue = d.seq, s.id, d.host
+	e.deps = e.depBuf[:0]
 
 	if s.tail != nil && !s.tail.done {
 		e.deps = append(e.deps, s.tail)
@@ -370,8 +371,8 @@ func (d *Device) ResetClocks() error {
 	clear(d.tails)
 	d.lastDefault = nil
 	d.traceDropped = 0
-	// Stream tails point at completed execs; clear them so no stale deps
-	// survive the reset.
+	// Every exec is complete and holds no dependency edge any more, so a
+	// pool stream's tail pins that one exec and nothing behind it.
 	d.def.tail = nil
 	return nil
 }

@@ -22,7 +22,11 @@ type kernelExec struct {
 	streamID int
 
 	issue float64 // host time the launch call completed (ns)
-	deps  []*kernelExec
+	// deps are the unfinished execs this one waits for, cleared when it
+	// completes so a finished exec pins none of its predecessors; depBuf
+	// backs the usual one or two (stream predecessor, default barrier).
+	deps   []*kernelExec
+	depBuf [2]*kernelExec
 
 	flopsPerBlock float64
 	bytesPerBlock float64
@@ -31,6 +35,7 @@ type kernelExec struct {
 
 	hasSlot       bool
 	started       bool
+	done          bool
 	blocksLeft    int
 	totalBlocks   int
 	activeCohorts int
@@ -46,7 +51,6 @@ type kernelExec struct {
 
 	start float64
 	end   float64
-	done  bool
 }
 
 func (e *kernelExec) depsDone() bool {
@@ -82,9 +86,7 @@ type engine struct {
 
 	now float64 // device timeline, ns
 
-	smThreads []int
-	smBlocks  []int
-	smSmem    []int
+	sm []smState
 
 	// queues holds issued-but-not-fully-admitted kernels as per-stream
 	// FIFOs: only each stream's head can possibly run next (CUDA stream
@@ -92,16 +94,19 @@ type engine struct {
 	// O(#outstanding kernels).
 	queues       map[int][]*kernelExec
 	cohorts      []*cohort
+	free         []*cohort // retired cohorts, perSM zeroed, for newCohort to reuse
 	runningSlots int
 	maxSlots     int
 
 	onComplete func(*kernelExec)
 
 	// Per-event scratch, reused across calls: the stream heads in launch
-	// order, admitBlocks' per-SM room and load, computeRates' per-SM demand.
+	// order, admitBlocks' runs of like SMs, per-level SM counts and
+	// last-level order, computeRates' per-SM demand.
 	headBuf []*kernelExec
-	fit     []int
-	load    []int
+	runs    []smRun
+	delta   []int
+	order   []uint64
 	demand  []float64
 
 	// utilization accounting (invariant checks and reports)
@@ -119,11 +124,8 @@ func newEngine(spec DeviceSpec, onComplete func(*kernelExec)) *engine {
 	return &engine{
 		spec:             spec,
 		queues:           map[int][]*kernelExec{},
-		smThreads:        make([]int, spec.SMCount),
-		smBlocks:         make([]int, spec.SMCount),
-		smSmem:           make([]int, spec.SMCount),
-		fit:              make([]int, spec.SMCount),
-		load:             make([]int, spec.SMCount),
+		sm:               make([]smState, spec.SMCount),
+		delta:            make([]int, spec.MaxThreadsPerSM+1),
 		demand:           make([]float64, spec.SMCount),
 		maxSlots:         spec.MaxConcurrentKernels(),
 		onComplete:       onComplete,
@@ -136,11 +138,9 @@ func newEngine(spec DeviceSpec, onComplete func(*kernelExec)) *engine {
 
 func (g *engine) reset() {
 	g.now = 0
-	for i := range g.smThreads {
-		g.smThreads[i], g.smBlocks[i], g.smSmem[i] = 0, 0, 0
-	}
+	clear(g.sm)
 	clear(g.queues)
-	g.cohorts = nil
+	g.cohorts = g.cohorts[:0]
 	g.runningSlots = 0
 	g.threadNSIntegral = 0
 	g.flopsRetired = 0
@@ -246,8 +246,7 @@ func (g *engine) admit() {
 				e.started = true
 				e.start = g.now
 				e.blocksLeft = 0
-				e.activeCohorts++
-				g.cohorts = append(g.cohorts, &cohort{exec: e, minEnd: g.now + e.fixedDur})
+				g.newCohort(e, 0).minEnd = g.now + e.fixedDur
 			}
 			g.pop(e)
 			continue
@@ -273,97 +272,129 @@ func (g *engine) admit() {
 	}
 }
 
-// admitBlocks places as many of e's remaining blocks as currently fit,
-// spreading them evenly over SMs (the paper's model assumption), as one
-// cohort.
+// smState is one SM's residency: threads, blocks and shared-memory bytes.
+type smState struct{ threads, blocks, smem int }
+
+// smRun is a run [lo, hi) of neighbouring SMs with equal residency and what
+// each can still take of the kernel being admitted: fit blocks, its free
+// threads being lvl whole blocks' worth plus rem.
+type smRun struct{ lo, hi, fit, lvl, rem int }
+
+// admitBlocks places as many of e's remaining blocks as currently fit, as
+// one cohort, each block on the least-loaded SM that still has room (ties to
+// the lower index): how hardware block schedulers spread work, and what keeps
+// the paper's "fill idle SMs" concurrency benefit observable. Every block
+// adds the same e.threads, so that greedy order is the merge of the per-SM
+// sequences load[s] + j·threads, j < fit[s], and the a blocks placed are its
+// a smallest (resident threads, SM index) candidates. Cut each SM's free
+// threads into levels of one block: an SM has exactly one candidate on each
+// of the levels lvl, lvl-1, … lvl-fit+1, every candidate of a higher level
+// precedes every one of a lower level, and within any level the order is
+// (larger rem, lower index). So whole levels are placed at once, only the
+// last, partial one is ordered, and neighbouring SMs with equal residency
+// are handled as one run: the cost is O(SMs + levels) plus a sort of the
+// last level's runs, whatever the block count, and the placement is the
+// block-by-block one exactly.
 func (g *engine) admitBlocks(e *kernelExec) {
-	n := g.spec.SMCount
-	fit, load := g.fit, g.load
-	total := 0
-	for s := 0; s < n; s++ {
-		f := g.fitOn(s, e)
-		fit[s] = f
-		total += f
+	n, runs := len(g.sm), g.runs[:0]
+	total, top := 0, 0
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && g.sm[hi] == g.sm[lo] {
+			hi++
+		}
+		r := g.roomOn(lo, hi, e)
+		// Each SM of the run has a candidate on the levels (lvl-fit, lvl].
+		g.delta[r.lvl] += hi - lo
+		g.delta[r.lvl-r.fit] -= hi - lo
+		total += (hi - lo) * r.fit
+		top = max(top, r.lvl)
+		runs = append(runs, r)
+		lo = hi
 	}
+	g.runs = runs
 	if total == 0 {
 		return
 	}
-	a := e.blocksLeft
-	if a > total {
-		a = total
-	}
-	per := make([]int32, n)
-	placed := 0
-	// Water-filling: each block goes to the least-loaded SM that still has
-	// room, which is how hardware block schedulers spread work and what
-	// keeps the paper's "fill idle SMs" concurrency benefit observable.
-	copy(load, g.smThreads)
-	for placed < a {
-		best := -1
-		for s := 0; s < n; s++ {
-			if fit[s] > 0 && (best < 0 || load[s] < load[best]) {
-				best = s
-			}
-		}
-		if best < 0 {
+	a := min(e.blocksLeft, total)
+	// Whole levels from the top while they fit in a; level k takes the rest.
+	whole, active, k := 0, 0, top
+	for ; k > 0; k-- {
+		active += g.delta[k]
+		if whole+active > a {
 			break
 		}
-		fit[best]--
-		per[best]++
-		load[best] += e.threads
-		placed++
+		whole += active
 	}
-	if placed == 0 {
-		return
-	}
-	for s := 0; s < n; s++ {
-		if per[s] == 0 {
-			continue
+	clear(g.delta[:top+1])
+
+	c := g.newCohort(e, n)
+	order := g.order[:0] // the runs with a candidate on level k
+	for i, r := range runs {
+		if b := min(max(r.lvl-k, 0), r.fit); b > 0 {
+			for s := r.lo; s < r.hi; s++ {
+				g.occupy(c, s, b)
+			}
 		}
-		g.smThreads[s] += int(per[s]) * e.threads
-		g.smBlocks[s] += int(per[s])
-		g.smSmem[s] += int(per[s]) * e.smem
+		if r.lvl >= k && r.lvl-r.fit < k {
+			order = append(order, uint64(e.threads-1-r.rem)<<32|uint64(i))
+		}
+	}
+	slices.Sort(order)
+	g.order = order
+	left := a - whole
+	for _, key := range order {
+		r := runs[uint32(key)]
+		for s := r.lo; s < r.hi && left > 0; s++ {
+			g.occupy(c, s, 1)
+			left--
+		}
 	}
 	if !e.started {
 		e.started = true
 		e.start = g.now
 	}
-	e.blocksLeft -= placed
-	e.activeCohorts++
-	g.cohorts = append(g.cohorts, &cohort{
-		exec:   e,
-		blocks: placed,
-		perSM:  per,
-		remC:   float64(placed) * e.flopsPerBlock,
-		remM:   float64(placed) * e.bytesPerBlock,
-		minEnd: g.now + g.floorNS + e.extra,
-	})
+	e.blocksLeft -= a
+	c.blocks = a
+	c.remC = float64(a) * e.flopsPerBlock
+	c.remM = float64(a) * e.bytesPerBlock
+	c.minEnd = g.now + g.floorNS + e.extra
 }
 
-// fitOn returns how many more blocks of e fit on SM s right now.
-func (g *engine) fitOn(s int, e *kernelExec) int {
-	byBlocks := g.spec.MaxBlocksPerSM - g.smBlocks[s]
-	if byBlocks <= 0 {
-		return 0
-	}
-	byThreads := (g.spec.MaxThreadsPerSM - g.smThreads[s]) / e.threads
-	if byThreads <= 0 {
-		return 0
-	}
-	n := byBlocks
-	if byThreads < n {
-		n = byThreads
-	}
+// occupy moves b more blocks of c onto SM s; a negative b frees them.
+func (g *engine) occupy(c *cohort, s, b int) {
+	c.perSM[s] += int32(b)
+	g.sm[s].threads += b * c.exec.threads
+	g.sm[s].blocks += b
+	g.sm[s].smem += b * c.exec.smem
+}
+
+// roomOn returns the room for e on each SM of the like run [lo, hi).
+func (g *engine) roomOn(lo, hi int, e *kernelExec) smRun {
+	free := g.spec.MaxThreadsPerSM - g.sm[lo].threads
+	lvl := free / e.threads
+	fit := min(lvl, g.spec.MaxBlocksPerSM-g.sm[lo].blocks)
 	if e.smem > 0 {
-		bySmem := (g.spec.SharedMemPerSM() - g.smSmem[s]) / e.smem
-		if bySmem < n {
-			n = bySmem
-		}
+		fit = min(fit, (g.spec.SharedMemPerSM()-g.sm[lo].smem)/e.smem)
 	}
-	if n < 0 {
-		n = 0
+	return smRun{lo: lo, hi: hi, fit: max(fit, 0), lvl: lvl, rem: free - lvl*e.threads}
+}
+
+// newCohort makes e's next cohort resident, reusing a retired one. perSM has
+// n zero entries: the SM count for blocks, 0 for a DMA transfer.
+func (g *engine) newCohort(e *kernelExec, n int) *cohort {
+	if len(g.free) == 0 {
+		g.free = append(g.free, &cohort{})
 	}
-	return n
+	c := g.free[len(g.free)-1]
+	g.free = g.free[:len(g.free)-1]
+	if cap(c.perSM) < n {
+		c.perSM = make([]int32, n)
+	}
+	*c = cohort{exec: e, perSM: c.perSM[:n]}
+	e.activeCohorts++
+	g.cohorts = append(g.cohorts, c)
+	return c
 }
 
 // computeRates assigns each cohort its compute and memory progress rates
@@ -463,8 +494,8 @@ func (g *engine) advance(t float64) {
 		dt = 0
 	}
 	resident := 0
-	for s := range g.smThreads {
-		resident += g.smThreads[s]
+	for s := range g.sm {
+		resident += g.sm[s].threads
 	}
 	g.threadNSIntegral += float64(resident) * dt
 
@@ -502,12 +533,9 @@ func (g *engine) advance(t float64) {
 func (g *engine) retire(c *cohort) {
 	e := c.exec
 	for s, b := range c.perSM {
-		if b == 0 {
-			continue
+		if b != 0 {
+			g.occupy(c, s, -int(b)) // leaves perSM zeroed for the next admission
 		}
-		g.smThreads[s] -= int(b) * e.threads
-		g.smBlocks[s] -= int(b)
-		g.smSmem[s] -= int(b) * e.smem
 	}
 	g.flopsRetired += float64(c.blocks) * e.flopsPerBlock
 	g.bytesRetired += float64(c.blocks) * e.bytesPerBlock
@@ -515,11 +543,14 @@ func (g *engine) retire(c *cohort) {
 	if e.activeCohorts == 0 && e.blocksLeft == 0 {
 		g.completeKernel(e)
 	}
+	c.exec = nil
+	g.free = append(g.free, c)
 }
 
 func (g *engine) completeKernel(e *kernelExec) {
 	e.done = true
 	e.end = g.now
+	e.deps, e.depBuf = nil, [2]*kernelExec{}
 	if !e.started {
 		e.started = true
 		e.start = g.now
