@@ -83,56 +83,70 @@ func (l *PoolLayer) Forward(ctx *Context, bottom, top []*Blob) error {
 	return ctx.Barrier()
 }
 
+// forwardHost pools plane by plane, each output row in runs of windows of
+// one width: a clamped edge window is a run of one, and the windows whose
+// columns lie wholly inside the plane — outputs [xa,xb), where no clamp can
+// fire — are one run stepped by the stride. The method is tested per run.
+// Elements are visited in row-major order within a window, as ever: max
+// ties, masks and average sums keep their bits.
 func (l *PoolLayer) forwardHost(src, dst []float32) {
-	kh, kw := l.cfg.KernelH, l.cfg.KernelW
-	sh, sw := l.cfg.StrideH, l.cfg.StrideW
-	ph, pw := l.cfg.PadH, l.cfg.PadW
-	idx := 0
-	for nc := 0; nc < l.n*l.c; nc++ {
-		plane := src[nc*l.h*l.w:]
-		for y := 0; y < l.oh; y++ {
-			for x := 0; x < l.ow; x++ {
-				y0, x0 := y*sh-ph, x*sw-pw
-				y1, x1 := y0+kh, x0+kw
-				if y0 < 0 {
-					y0 = 0
+	kh, kw, sh, sw, ph, pw := l.cfg.KernelH, l.cfg.KernelW, l.cfg.StrideH, l.cfg.StrideW, l.cfg.PadH, l.cfg.PadW
+	h, w, oh, ow := l.h, l.w, l.oh, l.ow
+	isMax, area := l.cfg.Method == MaxPool, float32(kh*kw) // Caffe averages over the full (padded) window
+	xa, xb := (pw+sw-1)/sw, 0
+	if w+pw >= kw {
+		xb = min((w+pw-kw)/sw+1, ow)
+	}
+	for nc, idx := 0, 0; nc < l.n*l.c; nc++ {
+		plane := src[nc*h*w : (nc+1)*h*w]
+		for y := 0; y < oh; y++ {
+			y0, y1 := max(y*sh-ph, 0), min(y*sh-ph+kh, h)
+			for x, run := 0, 1; x < ow; x, idx = x+run, idx+run {
+				x0, x1 := max(x*sw-pw, 0), min(x*sw-pw+kw, w)
+				if run = 1; x == xa && xb > xa {
+					run = xb - xa
 				}
-				if x0 < 0 {
-					x0 = 0
-				}
-				if y1 > l.h {
-					y1 = l.h
-				}
-				if x1 > l.w {
-					x1 = l.w
-				}
-				if l.cfg.Method == MaxPool {
-					best := float32(math.Inf(-1))
-					bestAt := int32(-1)
-					for yy := y0; yy < y1; yy++ {
-						for xx := x0; xx < x1; xx++ {
-							v := plane[yy*l.w+xx]
-							if v > best {
-								best = v
-								bestAt = int32(yy*l.w + xx)
-							}
-						}
-					}
-					dst[idx] = best
-					l.mask[idx] = bestAt
+				if isMax {
+					maxRun(plane, w, y0, y1, x0, x1-x0, sw, dst[idx:idx+run], l.mask[idx:idx+run])
 				} else {
-					s := float32(0)
-					for yy := y0; yy < y1; yy++ {
-						for xx := x0; xx < x1; xx++ {
-							s += plane[yy*l.w+xx]
-						}
-					}
-					// Caffe averages over the full (padded) window size.
-					dst[idx] = s / float32(kh*kw)
+					aveRun(plane, w, y0, y1, x0, x1-x0, sw, area, dst[idx:idx+run])
 				}
-				idx++
 			}
 		}
+	}
+}
+
+// maxRun max-pools len(out) windows of rows [y0,y1) and kw columns of a
+// w-wide plane, the first at column x0 and each next sw to its right.
+func maxRun(plane []float32, w, y0, y1, x0, kw, sw int, out []float32, mask []int32) {
+	for i := range out {
+		// The running max is carried as bits, so that it and its index are
+		// updated by conditional moves: a branch here mostly mispredicts.
+		best, at := math.Float32bits(float32(math.Inf(-1))), int32(-1)
+		for yy := y0; yy < y1; yy++ {
+			for xx, v := range plane[yy*w+x0 : yy*w+x0+kw] {
+				vb, vat := math.Float32bits(v), int32(yy*w+x0+xx)
+				if v > math.Float32frombits(best) {
+					best, at = vb, vat
+				}
+			}
+		}
+		out[i], mask[i] = math.Float32frombits(best), at
+		x0 += sw
+	}
+}
+
+// aveRun is maxRun for average pooling: window sums over area.
+func aveRun(plane []float32, w, y0, y1, x0, kw, sw int, area float32, out []float32) {
+	for i := range out {
+		s := float32(0)
+		for yy := y0; yy < y1; yy++ {
+			for _, v := range plane[yy*w+x0 : yy*w+x0+kw] {
+				s += v
+			}
+		}
+		out[i] = s / area
+		x0 += sw
 	}
 }
 
@@ -173,23 +187,9 @@ func (l *PoolLayer) backwardHost(dtop, dbot []float32) {
 						plane[at] += g
 					}
 				} else {
-					y0, x0 := y*sh-ph, x*sw-pw
-					y1, x1 := y0+kh, x0+kw
-					if y0 < 0 {
-						y0 = 0
-					}
-					if x0 < 0 {
-						x0 = 0
-					}
-					if y1 > l.h {
-						y1 = l.h
-					}
-					if x1 > l.w {
-						x1 = l.w
-					}
 					share := g / float32(kh*kw)
-					for yy := y0; yy < y1; yy++ {
-						for xx := x0; xx < x1; xx++ {
+					for yy := max(y*sh-ph, 0); yy < min(y*sh-ph+kh, l.h); yy++ {
+						for xx := max(x*sw-pw, 0); xx < min(x*sw-pw+kw, l.w); xx++ {
 							plane[yy*l.w+xx] += share
 						}
 					}

@@ -30,11 +30,32 @@ func TestGemmSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
+	gemmStripAllocs(t, "")
+}
+
+// gemmStripAllocs pins the paths the dense 70×520×300 call above never
+// takes: a sparse A (compacted rows, their scratch on the stack) and a
+// single-panel product with a column tail (B read in place, the tail tile
+// through its scratch copies).
+func gemmStripAllocs(t *testing.T, at string) {
+	rng := rand.New(rand.NewSource(5))
+	m, n, k := 32, 75, 300
+	sparse, b, c := hostileInputs(rng, m, n, k, 60)
+	dense := randSlice(rng, m*k)
+	for name, call := range map[string]func(){
+		"sparse A, dW":       func() { Gemm(false, true, m, n, k, 1, sparse, b, 1, c) },
+		"tail tile, B as is": func() { Gemm(false, false, m, n, k, 1, dense, b, 0, c) },
+	} {
+		call() // warm the arena
+		if allocs := testing.AllocsPerRun(10, call); allocs != 0 {
+			t.Errorf("Gemm (%s)%s allocates %.1f objects per call in steady state, want 0", name, at, allocs)
+		}
+	}
 }
 
 // TestGemmISASteadyStateAllocs extends the zero-allocation gate across the
 // dispatch ladder: every runnable ISA level must hit the heap zero times in
-// steady state (the AVX2 8×8 path included — //go:noescape keeps its
+// steady state (the AVX2 strip kernels included — //go:noescape keeps its
 // pointer arguments off the heap).
 func TestGemmISASteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -54,6 +75,7 @@ func TestGemmISASteadyStateAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("Gemm at %s allocates %.1f objects per call in steady state, want 0", lv, allocs)
 		}
+		gemmStripAllocs(t, " at "+lv.String())
 	}
 }
 

@@ -45,12 +45,24 @@ func GemmFused(transA, transB bool, m, n, k int, alpha float32, a, b []float32, 
 	if m == 0 || n == 0 {
 		return
 	}
-	gemmScaleBeta(beta, c[:m*n])
+	gemmRows(ActiveISA(), transA, transB, 0, m, m, n, k, alpha, a, b, beta, c, epi)
+}
+
+// gemmRows is the whole product for rows [i0,i1) of C — everything, or one
+// band of GemmParallel. A product with no terms (k == 0 or alpha == 0) is
+// the beta pass plus the epilogue. Otherwise beta == 0 is not a pass over C
+// at all: the blocked kernel starts its first k panel from +0 in registers
+// (stale NaN/Inf in C is still never read), and any other beta scales first.
+func gemmRows(lv ISA, transA, transB bool, i0, i1, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi GemmEpilogue) {
 	if k == 0 || alpha == 0 {
-		applyEpilogueRows(epi, 0, m, n, c)
+		gemmScaleBeta(beta, c[i0*n:i1*n])
+		applyEpilogueRows(epi, i0, i1, n, c)
 		return
 	}
-	gemmBlocked(ActiveISA(), transA, transB, 0, m, m, n, k, alpha, a, b, c, epi)
+	if beta != 0 {
+		gemmScaleBeta(beta, c[i0*n:i1*n])
+	}
+	gemmBlocked(lv, transA, transB, i0, i1, m, n, k, alpha, a, b, c, beta == 0, epi)
 }
 
 // applyEpilogueRows runs epi over whole rows [i0,i1) of the m×n C — the

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -13,15 +14,20 @@ var gemmShapes = []struct {
 	m, n, k int
 }{
 	{"CIFAR10_conv1_32x1024x75", 32, 1024, 75},
+	{"CIFAR10_conv2_32x256x800", 32, 256, 800},
+	{"CIFAR10_conv3_64x64x800", 64, 64, 800},
 	{"Siamese_conv2_50x64x500", 50, 64, 500},
 	{"CaffeNet_conv1_96x3025x363", 96, 3025, 363},
 	{"CaffeNet_conv2_128x729x1200", 128, 729, 1200}, // the AlexNet conv2 shape of the acceptance bar
 	{"GoogLeNet_3a1_64x784x192", 64, 784, 192},
 }
 
-func benchGemm(b *testing.B, m, n, k int, fn func(a, bb, c []float32)) {
+// benchGemm times fn over random operands; zeroPct of A's elements are
+// zeroed at random positions first (the sparsity of a backward operand).
+func benchGemm(b *testing.B, m, n, k int, fn func(a, bb, c []float32), zeroPct int) {
 	rng := rand.New(rand.NewSource(1))
 	a := randSlice(rng, m*k)
+	sprinkleZeros(rng, a, zeroPct)
 	bb := randSlice(rng, k*n)
 	c := make([]float32, m*n)
 	b.SetBytes(int64(2) * int64(m) * int64(n) * int64(k)) // FLOPs as "bytes" so ns/op converts to GFLOP/s
@@ -38,7 +44,7 @@ func BenchmarkGemm(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			benchGemm(b, s.m, s.n, s.k, func(a, bb, c []float32) {
 				Gemm(false, false, s.m, s.n, s.k, 1, a, bb, 0, c)
-			})
+			}, 0)
 		})
 	}
 }
@@ -48,7 +54,7 @@ func BenchmarkGemmTransB(b *testing.B) {
 	m, n, k := 128, 1200, 729
 	benchGemm(b, m, n, k, func(a, bb, c []float32) {
 		Gemm(false, true, m, n, k, 1, a, bb, 0, c)
-	})
+	}, 0)
 }
 
 // BenchmarkGemmTransA is the conv-backward dcol shape: Wᵀ(K×Co)·dTop(Co×P).
@@ -56,7 +62,7 @@ func BenchmarkGemmTransA(b *testing.B) {
 	m, n, k := 1200, 729, 128
 	benchGemm(b, m, n, k, func(a, bb, c []float32) {
 		Gemm(true, false, m, n, k, 1, a, bb, 0, c)
-	})
+	}, 0)
 }
 
 // Table 5 conv geometries for the im2col/col2im kernels.
@@ -102,4 +108,55 @@ func BenchmarkCol2im(b *testing.B) {
 			}
 		})
 	}
+}
+
+// The backward GEMMs of a training step, by the shapes a step profile puts
+// on top: dW = dTop·colᵀ (transB, β = 1) whose A is a post-ReLU / max-pool
+// gradient — mostly zeros in no pattern — and dcol = Wᵀ·dTop (transA, β = 0).
+var backwardShapes = []struct {
+	name    string
+	m, n, k int
+}{
+	{"CIFAR10_conv1", 32, 75, 1024},
+	{"CIFAR10_conv2", 32, 800, 256},
+	{"CIFAR10_conv3", 64, 800, 64},
+}
+
+func BenchmarkGemmDW(b *testing.B) {
+	for _, s := range backwardShapes {
+		for _, zeroPct := range []int{0, 50, 80} {
+			s, zeroPct := s, zeroPct
+			b.Run(fmt.Sprintf("%s_%dx%dx%d_zeros%d", s.name, s.m, s.n, s.k, zeroPct), func(b *testing.B) {
+				benchGemm(b, s.m, s.n, s.k, func(a, bb, c []float32) {
+					Gemm(false, true, s.m, s.n, s.k, 1, a, bb, 1, c)
+				}, zeroPct)
+			})
+		}
+	}
+}
+
+func BenchmarkGemmDcol(b *testing.B) {
+	for _, s := range backwardShapes {
+		s := s
+		b.Run(fmt.Sprintf("%s_%dx%dx%d", s.name, s.n, s.k, s.m), func(b *testing.B) {
+			benchGemm(b, s.n, s.k, s.m, func(a, bb, c []float32) {
+				Gemm(true, false, s.n, s.k, s.m, 1, a, bb, 0, c)
+			}, 0)
+		})
+	}
+}
+
+// BenchmarkGemmSkinnyFC is CaffeNet fc6 at the benchmark's two images per
+// replica: the forward y = x·Wᵀ and the backward dx = dy·W.
+func BenchmarkGemmSkinnyFC(b *testing.B) {
+	b.Run("fwd_2x4096x9216_transB", func(b *testing.B) {
+		benchGemm(b, 2, 4096, 9216, func(a, bb, c []float32) {
+			Gemm(false, true, 2, 4096, 9216, 1, a, bb, 0, c)
+		}, 0)
+	})
+	b.Run("dx_2x9216x4096", func(b *testing.B) {
+		benchGemm(b, 2, 9216, 4096, func(a, bb, c []float32) {
+			Gemm(false, false, 2, 9216, 4096, 1, a, bb, 1, c)
+		}, 0)
+	})
 }

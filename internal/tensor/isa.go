@@ -25,7 +25,8 @@ const (
 	// ISASSE2 is the SSE2 4×8 XMM register-tile micro-kernel — part of the
 	// amd64 baseline, so always available on amd64 asm builds.
 	ISASSE2
-	// ISAAVX2 is the AVX2 8×8 YMM register-tile micro-kernel (VMULPS +
+	// ISAAVX2 is the AVX2 rung: 8-row strips through a dense 8×8 YMM tile
+	// or, where a strip holds a zero, compacted rows (pack.go; VMULPS +
 	// VADDPS only — deliberately no FMA: fused rounding would break the
 	// scalar bit-identity contract; see DESIGN §7.5). Requires CPUID AVX2
 	// plus OS XSAVE support for YMM state.

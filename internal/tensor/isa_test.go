@@ -76,14 +76,14 @@ func TestAvailableISAsAscending(t *testing.T) {
 }
 
 // hostileInputs builds A/B/C with the corners the ladder must agree on:
-// sprinkled zeros (the av==0 skip), whole zero rows of A (every term of a C
-// row skipped), and NaNs in A (the unordered compare must fall through to
-// the multiply, not skip).
-func hostileInputs(rng *rand.Rand, m, n, k int) (a, b, c0 []float32) {
+// zeroPct percent of A zeroed (the av==0 skip) and, with any, a whole zero
+// row of A (every term of a C row skipped), and NaNs in A (the unordered
+// compare must fall through to the multiply, not skip).
+func hostileInputs(rng *rand.Rand, m, n, k, zeroPct int) (a, b, c0 []float32) {
 	a = randSlice(rng, m*k)
 	b = randSlice(rng, k*n)
-	sprinkleZeros(rng, a)
-	if m > 1 {
+	sprinkleZeros(rng, a, zeroPct)
+	if zeroPct > 0 && m > 1 {
 		zr := rng.Intn(m)
 		for l := 0; l < k; l++ {
 			a[zr*k+l] = 0
@@ -115,7 +115,7 @@ func TestGemmBitIdenticalAcrossISALevels(t *testing.T) {
 		for _, s := range sizes {
 			for _, ta := range []bool{false, true} {
 				for _, tb := range []bool{false, true} {
-					a, b, c0 := hostileInputs(rng, s.m, s.n, s.k)
+					a, b, c0 := hostileInputs(rng, s.m, s.n, s.k, 12)
 					got := append([]float32(nil), c0...)
 					want := append([]float32(nil), c0...)
 					Gemm(ta, tb, s.m, s.n, s.k, 1, a, b, 1, got)
@@ -128,6 +128,10 @@ func TestGemmBitIdenticalAcrossISALevels(t *testing.T) {
 				}
 			}
 		}
+		// The strip classes one by one — dense, sparse at three densities,
+		// whole-zero rows and strips, signed zeros, Inf/NaN under a skip,
+		// β = 0 over stale C — at tile-edge shapes (cases_test.go).
+		forEachGemmCase(t, caseMs, caseNs, caseKs, nil, Gemm)
 	}
 }
 
@@ -136,11 +140,13 @@ func TestGemmBitIdenticalAcrossISALevels(t *testing.T) {
 // lowest runnable level (purego) is the reference; every higher level must
 // match it exactly, NaNs and zero rows included.
 func FuzzGemmISAParity(f *testing.F) {
-	f.Add(int64(1), uint8(7), uint8(9), uint8(5), false, false, float32(1), float32(0))
-	f.Add(int64(2), uint8(8), uint8(8), uint8(16), true, false, float32(-0.5), float32(1))
-	f.Add(int64(3), uint8(65), uint8(130), uint8(255), false, true, float32(2), float32(-1))
-	f.Add(int64(4), uint8(16), uint8(64), uint8(64), true, true, float32(0), float32(2))
-	f.Fuzz(func(t *testing.T, seed int64, m8, n8, k8 uint8, ta, tb bool, alpha, beta float32) {
+	f.Add(int64(1), uint8(7), uint8(9), uint8(5), false, false, float32(1), float32(0), uint8(12))
+	f.Add(int64(2), uint8(8), uint8(8), uint8(16), true, false, float32(-0.5), float32(1), uint8(12))
+	f.Add(int64(3), uint8(65), uint8(130), uint8(255), false, true, float32(2), float32(-1), uint8(12))
+	f.Add(int64(4), uint8(16), uint8(64), uint8(64), true, true, float32(0), float32(2), uint8(12))
+	f.Add(int64(5), uint8(40), uint8(74), uint8(255), false, true, float32(1), float32(1), uint8(0))  // dense strips only
+	f.Add(int64(6), uint8(40), uint8(74), uint8(255), false, true, float32(1), float32(1), uint8(90)) // compacted rows only
+	f.Fuzz(func(t *testing.T, seed int64, m8, n8, k8 uint8, ta, tb bool, alpha, beta float32, zeroPct uint8) {
 		if math.IsNaN(float64(alpha)) || math.IsNaN(float64(beta)) {
 			return // poisons everything equally; useless failure messages
 		}
@@ -150,7 +156,7 @@ func FuzzGemmISAParity(f *testing.F) {
 		}
 		m, n, k := int(m8)+1, int(n8)+1, int(k8)+1
 		rng := rand.New(rand.NewSource(seed))
-		a, b, c0 := hostileInputs(rng, m, n, k)
+		a, b, c0 := hostileInputs(rng, m, n, k, int(zeroPct)%101)
 
 		prev := ActiveISA()
 		defer func() { _ = SetISA(prev) }()
@@ -214,7 +220,7 @@ func TestGemmFusedMatchesSeparatePass(t *testing.T) {
 			for _, epi := range []GemmEpilogue{reluEpi, biasEpi} {
 				a := randSlice(rng, cs.m*cs.k)
 				b := randSlice(rng, cs.k*cs.n)
-				sprinkleZeros(rng, a)
+				sprinkleZeros(rng, a, 12)
 				c0 := randSlice(rng, cs.m*cs.n)
 				fused := append([]float32(nil), c0...)
 				want := append([]float32(nil), c0...)
@@ -241,7 +247,7 @@ func TestGemmParallelFusedMatchesSerial(t *testing.T) {
 	m, n, k := 128, 257, 65
 	a := randSlice(rng, m*k)
 	b := randSlice(rng, k*n)
-	sprinkleZeros(rng, a)
+	sprinkleZeros(rng, a, 12)
 	c0 := randSlice(rng, m*n)
 	want := append([]float32(nil), c0...)
 	GemmFused(false, false, m, n, k, 1, a, b, 0, want, reluEpi)

@@ -6,19 +6,21 @@ import "sync"
 // processed in cache-sized panels — B in KC×NC panels that stay resident in
 // L2, A in MC×KC panels repacked into register-block order — with a
 // register-blocked micro-kernel at the bottom, selected by the runtime ISA
-// ladder (isa.go): pure-Go 4×4 tiles, SSE2 4×8, or AVX2 8×8. Two properties
-// are load bearing and must survive any future tuning:
+// ladder (isa.go): pure-Go 4×4 tiles, SSE2 4×8, or the AVX2 strip kernels.
+// Two properties are load bearing and must survive any future tuning:
 //
 //  1. Determinism. Every C element accumulates its k terms in strictly
 //     ascending order: the KC loop walks k blocks in ascending order and the
 //     micro-kernel walks l within a block in ascending order, accumulating
-//     straight into C. Together with the per-row `av == 0` skip (inherited
-//     from the naive kernel) this makes the blocked kernel bit-identical to
-//     gemmNaive for every transpose combination, every alpha/beta, any row
-//     banding, AND every ISA level — SIMD lanes always map to distinct j
-//     columns, never to k, and the wider AVX2 tile only changes how many
-//     *rows* share one pass over packed B, not any element's accumulation
-//     order. This is the convergence-invariance contract the dnn layers and
+//     straight into C. A zero α·a contributes nothing to its row (the naive
+//     kernel's `av == 0` skip: Inf or NaN opposite it in B never reaches C,
+//     a −0 in C keeps its sign) — the Go and SSE2 tiles test every packed
+//     value, the AVX2 rung drops the zero terms of a row before its kernel
+//     runs and sends only strips without one to the dense tile. Together
+//     this makes the blocked kernel bit-identical to gemmNaive for every
+//     transpose combination, every alpha/beta, any row banding, AND every
+//     ISA level — SIMD lanes always map to distinct j columns, never to k.
+//     This is the convergence-invariance contract the dnn layers and
 //     internal/models/invariance_test.go rely on.
 //
 //  2. Zero steady-state allocation. Packing buffers are drawn from a
@@ -62,29 +64,53 @@ var gemmPool = sync.Pool{New: func() any {
 // logical M of op(A) (the lead dimension of a transposed A), so a row band
 // sees exactly the same memory layout as the full product — the basis of
 // GemmParallel's bitwise determinism at any band count. The caller has
-// already applied beta and screened out the k==0 / alpha==0 / empty cases.
+// already applied a beta other than 0 and screened out the k==0 / alpha==0 /
+// empty cases; with zeroC (beta == 0) the first k panel starts every
+// accumulator from +0 instead of reading C, which is what a cleared C
+// would give, in one pass over C instead of two.
 //
 // A non-nil epi runs once per completed C row segment, immediately after
 // the final k panel finishes that block — while the rows are still cache
 // hot. The epilogue must be elementwise (each output element transformed
 // independently), which makes the fused result bitwise identical to running
 // the same transform as a separate full pass, by construction.
-func gemmBlocked(lv ISA, transA, transB bool, i0, i1, m, n, k int, alpha float32, a, b, c []float32, epi GemmEpilogue) {
+func gemmBlocked(lv ISA, transA, transB bool, i0, i1, m, n, k int, alpha float32, a, b, c []float32, zeroC bool, epi GemmEpilogue) {
 	mr := lv.mr()
 	bufs := gemmPool.Get().(*gemmBufs)
 	ap, bp := bufs.ap, bufs.bp
+	// Packing B pays when several A panels reuse the copy. A row-major B
+	// that a single A panel consumes is read where it lies, in whole 8-column
+	// tiles; only the columns past the last whole tile are packed (into a
+	// zero-padded 8-wide panel), so that no 8-float load crosses b's end.
+	inPlace := !transB && i1-i0 <= gemmMC
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
+		nb, ldb := nc, (nc+7)&^7 // columns behind the (bq, ldb) view, its row stride
+		if inPlace {
+			nb, ldb = nc&^7, n
+		}
 		// k blocks strictly ascending: each C element in this column panel
 		// accumulates its k terms in the same order the naive kernel uses.
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
 			lastK := pc+kc == k
-			packB(transB, b, bp, pc, jc, kc, nc, n, k)
+			zero := zeroC && pc == 0
+			bq := bp
+			if inPlace {
+				bq = b[pc*n+jc:]
+				if nb < nc {
+					packB(false, b, bp, pc, jc+nb, kc, nc-nb, n, k, 8)
+				}
+			} else {
+				packB(transB, b, bp, pc, jc, kc, nc, n, k, ldb)
+			}
 			for ic := i0; ic < i1; ic += gemmMC {
 				mc := min(gemmMC, i1-ic)
-				packA(transA, a, ap, ic, pc, mc, kc, m, k, alpha, mr)
-				gemmMicro(lv, mr, ap, bp, c, ic, jc, mc, kc, nc, n)
+				sparse := packA(transA, a, ap, ic, pc, mc, kc, m, k, alpha, mr)
+				gemmMicro(lv, mr, ap, sparse, bq, ldb, c, ic, jc, mc, kc, nb, n, zero)
+				if nb < nc {
+					gemmMicro(lv, mr, ap, sparse, bp, 8, c, ic, jc+nb, mc, kc, nc-nb, n, zero)
+				}
 				if epi != nil && lastK {
 					for i := ic; i < ic+mc; i++ {
 						epi(i, jc, c[i*n+jc:i*n+jc+nc])
@@ -97,22 +123,36 @@ func gemmBlocked(lv ISA, transA, transB bool, i0, i1, m, n, k int, alpha float32
 	gemmPool.Put(bufs)
 }
 
+// gemmZeros stands in for the source rows past a transposed panel's edge.
+var gemmZeros [gemmKC]float32
+
 // packB copies the kc×nc panel of op(B) starting at (pc, jc) into bp as a
-// contiguous row-major panel. For transB the stored layout is N×K, so the
-// pack reads each source row once (contiguous) and scatters it into a panel
-// column — this replaces the naive kernel's full N×K transpose allocation.
-func packB(transB bool, b, bp []float32, pc, jc, kc, nc, n, k int) {
+// row-major panel of row stride ldb — nc rounded up to whole 8-column tiles,
+// the pad zero-filled, so a vector kernel may load 8 floats at any tile. For
+// transB the stored layout is N×K: eight source rows are walked together and
+// each l writes their eight values as one contiguous run (a blocked
+// transpose; a column at a time would touch a new cache line per store). This
+// replaces the naive kernel's full N×K transpose allocation.
+func packB(transB bool, b, bp []float32, pc, jc, kc, nc, n, k, ldb int) {
 	if !transB {
 		for l := 0; l < kc; l++ {
-			src := b[(pc+l)*n+jc : (pc+l)*n+jc+nc]
-			copy(bp[l*nc:l*nc+nc], src)
+			row := bp[l*ldb : l*ldb+ldb]
+			clear(row[copy(row, b[(pc+l)*n+jc:(pc+l)*n+jc+nc]):])
 		}
 		return
 	}
-	for j := 0; j < nc; j++ {
-		src := b[(jc+j)*k+pc : (jc+j)*k+pc+kc]
-		for l, v := range src {
-			bp[l*nc+j] = v
+	var src [8][]float32
+	for j := 0; j < nc; j += 8 {
+		for i := range src {
+			src[i] = gemmZeros[:kc]
+			if j+i < nc {
+				src[i] = b[(jc+j+i)*k+pc:][:kc]
+			}
+		}
+		s0, s1, s2, s3, s4, s5, s6, s7 := src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7]
+		for l := 0; l < kc; l++ {
+			d := bp[l*ldb+j : l*ldb+j+8 : l*ldb+j+8]
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0[l], s1[l], s2[l], s3[l], s4[l], s5[l], s6[l], s7[l]
 		}
 	}
 }
@@ -121,27 +161,41 @@ func packB(transB bool, b, bp []float32, pc, jc, kc, nc, n, k int) {
 // alpha folded in (av = alpha·a matches the naive kernel's per-term
 // multiply bit for bit). Layout: full mr-row strips interleaved by l
 // ([l*mr+r] within a strip), then any remainder rows appended one
-// contiguous kc-length row each.
-func packA(transA bool, a, ap []float32, ic, pc, mc, kc, m, k int, alpha float32, mr int) {
+// contiguous kc-length row each. Bit s of the result is set when strip s
+// holds a zero av (±0; a NaN is not one) — counted without a branch, since
+// the zeros of a backward operand fall in no predictable pattern.
+func packA(transA bool, a, ap []float32, ic, pc, mc, kc, m, k int, alpha float32, mr int) (sparse uint32) {
 	off := 0
 	strips := mc / mr
 	for s := 0; s < strips; s++ {
 		r := ic + s*mr
 		dst := ap[off : off+mr*kc]
+		nonzero := 0
 		if !transA {
 			for rr := 0; rr < mr; rr++ {
 				row := a[(r+rr)*k+pc : (r+rr)*k+pc+kc]
 				for l, v := range row {
-					dst[l*mr+rr] = alpha * v
+					av := alpha * v
+					dst[l*mr+rr] = av
+					if av != 0 {
+						nonzero++
+					}
 				}
 			}
 		} else {
 			for l := 0; l < kc; l++ {
 				row := a[(pc+l)*m+r : (pc+l)*m+r+mr]
 				for rr, v := range row {
-					dst[l*mr+rr] = alpha * v
+					av := alpha * v
+					dst[l*mr+rr] = av
+					if av != 0 {
+						nonzero++
+					}
 				}
 			}
+		}
+		if nonzero < mr*kc {
+			sparse |= 1 << s
 		}
 		off += mr * kc
 	}
@@ -157,85 +211,138 @@ func packA(transA bool, a, ap []float32, ic, pc, mc, kc, m, k int, alpha float32
 		}
 		off += kc
 	}
+	return sparse
 }
 
-// gemmMicro runs the packed panels against the C block at (ic, jc):
-// mr-row register-blocked strips through the level's register-tile kernel,
-// then single remainder rows through a scalar kernel. Both keep their C
-// elements in registers across the whole k block (one load and one store
-// per element per panel pass instead of one round trip per k term — the
-// difference between the naive kernel's store-port bound and this one's FPU
-// bound), and both accumulate l in ascending order with the naive kernel's
-// `av == 0` skip applied per row, so every element's value is bit-identical
-// to the naive kernel's at every ISA level.
-func gemmMicro(lv ISA, mr int, ap, bp, c []float32, ic, jc, mc, kc, nc, n int) {
+// gemmMicro runs the packed A panel against the nc columns of the B view
+// (bq, ldb) — a packed panel, or op(B) where it lies — for the C block at
+// (ic, jc): mr-row register-blocked strips through the level's register-tile
+// kernel, then single remainder rows. Every kernel keeps its C elements in
+// registers across the whole k block (one load and one store per element
+// per panel pass instead of one round trip per k term — the difference
+// between the naive kernel's store-port bound and this one's FPU bound,
+// and with zero not even the load), accumulates l in ascending order and
+// lets a zero av contribute nothing to its row, so every element's value is
+// bit-identical to the naive kernel's at every ISA level.
+//
+// On the AVX2 rung the kernel is chosen per strip from what packA saw: a
+// strip without a zero runs the branch-free dense tile; any other row — a
+// strip that holds a zero, or a remainder row — is compacted to its non-zero
+// terms first, so its cost follows its non-zeros and no kernel branches on
+// data.
+func gemmMicro(lv ISA, mr int, ap []float32, sparse uint32, bq []float32, ldb int, c []float32, ic, jc, mc, kc, nc, n int, zero bool) {
+	if nc == 0 {
+		return
+	}
 	off := 0
 	strips := mc / mr
 	for s := 0; s < strips; s++ {
 		r := ic + s*mr
 		strip := ap[off : off+mr*kc]
-		if mr == gemmMR8 {
-			micro8(strip, bp, c, r, jc, kc, nc, n)
-		} else {
-			micro4(lv >= ISASSE2, strip, bp,
+		switch {
+		case mr == gemmMR4:
+			micro4(lv >= ISASSE2, strip, bq, ldb,
 				c[r*n+jc:r*n+jc+nc],
 				c[(r+1)*n+jc:(r+1)*n+jc+nc],
 				c[(r+2)*n+jc:(r+2)*n+jc+nc],
 				c[(r+3)*n+jc:(r+3)*n+jc+nc],
-				kc, nc)
+				kc, zero)
+		case sparse&(1<<s) == 0:
+			denseStrip(strip, bq, ldb, c, r, jc, kc, nc, n, zero)
+		default:
+			for rr := 0; rr < gemmMR8; rr++ {
+				sparseRow(strip[rr:], gemmMR8, kc, bq, ldb, c[(r+rr)*n+jc:(r+rr)*n+jc+nc], zero)
+			}
 		}
 		off += mr * kc
 	}
 	for r := ic + strips*mr; r < ic+mc; r++ {
-		micro1(ap[off:off+kc], bp, c[r*n+jc:r*n+jc+nc], kc, nc)
+		if mr == gemmMR8 {
+			sparseRow(ap[off:off+kc], 1, kc, bq, ldb, c[r*n+jc:r*n+jc+nc], zero)
+		} else {
+			micro1(ap[off:off+kc], bq, ldb, c[r*n+jc:r*n+jc+nc], kc, zero)
+		}
 		off += kc
 	}
 }
 
-// micro8 computes eight C rows against the packed panels at the ISAAVX2
-// level: 8×8 YMM register tiles through the assembly kernel, then a scalar
-// column tail with the same per-element ordering contract. strip is the
-// packed 8-row A strip ([l*8+row], alpha folded in); r/jc locate the block
-// inside the n-wide C.
-func micro8(strip, bp, c []float32, r, jc, kc, nc, n int) {
+// denseStrip computes eight C rows from a strip that holds no zero: 8×8 YMM
+// register tiles, the column tail narrower than 8 through the same tile over
+// a scratch copy of its C block (B rows are padded to whole tiles, C rows
+// are not).
+func denseStrip(strip, bq []float32, ldb int, c []float32, r, jc, kc, nc, n int, zero bool) {
 	j := 0
-	if kc > 0 {
-		for ; j+8 <= nc; j += 8 {
-			micro8x8(&strip[0], &bp[j], &c[r*n+jc+j], kc, 4*nc, 4*n)
-		}
+	for ; j+8 <= nc; j += 8 {
+		dense8x8(&strip[0], &bq[j], &c[r*n+jc+j], kc, 4*ldb, 4*n, zero)
 	}
-	for ; j < nc; j++ {
-		for rr := 0; rr < gemmMR8; rr++ {
-			s := c[(r+rr)*n+jc+j]
-			for l := 0; l < kc; l++ {
-				if a := strip[l*gemmMR8+rr]; a != 0 {
-					s += a * bp[l*nc+j]
-				}
-			}
-			c[(r+rr)*n+jc+j] = s
+	if j < nc {
+		var cs [8 * 8]float32
+		for rr := 0; rr < 8; rr++ {
+			copy(cs[rr*8:rr*8+8], c[(r+rr)*n+jc+j:(r+rr)*n+jc+nc])
+		}
+		dense8x8(&strip[0], &bq[j], &cs[0], kc, 4*ldb, 4*8, zero)
+		for rr := 0; rr < 8; rr++ {
+			copy(c[(r+rr)*n+jc+j:(r+rr)*n+jc+nc], cs[rr*8:])
 		}
 	}
 }
 
-// micro4 computes four C rows against the packed panels: 4×8 SSE register
-// tiles where useAsm (the SSE2-or-higher rungs of the ladder), portable Go
-// 4×4 register tiles plus a scalar column tail otherwise. strip is the
-// packed 4-row A strip ([l*4+row], alpha folded in).
-func micro4(useAsm bool, strip, bp, c0, c1, c2, c3 []float32, kc, nc int) {
+// sparseRow computes one C row segment ci from the kc packed values
+// src[l*stride]: the row is first compacted to its non-zero terms — value
+// and k index, ascending; the dropped terms are exactly those the naive
+// kernel skips — then walked 64 and 8 columns at a time, the tail narrower
+// than 8 over a scratch copy. The compaction is branch-free: every term is
+// written and the cursor advances only past a non-zero one.
+func sparseRow(src []float32, stride, kc int, bq []float32, ldb int, ci []float32, zero bool) {
+	var vals [gemmKC]float32
+	var ls [gemmKC]int32
+	cnt := 0
+	for l := 0; l < kc; l++ {
+		v := src[l*stride]
+		vals[cnt], ls[cnt] = v, int32(l)
+		if v != 0 {
+			cnt++
+		}
+	}
 	j := 0
-	if hasAsmMicro && useAsm && kc > 0 {
+	for ; j+64 <= len(ci); j += 64 {
+		sparseRow64(&vals[0], &ls[0], cnt, &bq[j], 4*ldb, &ci[j], zero)
+	}
+	for ; j+8 <= len(ci); j += 8 {
+		sparseRow8(&vals[0], &ls[0], cnt, &bq[j], 4*ldb, &ci[j], zero)
+	}
+	if j < len(ci) {
+		var cs [8]float32
+		copy(cs[:], ci[j:])
+		sparseRow8(&vals[0], &ls[0], cnt, &bq[j], 4*ldb, &cs[0], zero)
+		copy(ci[j:], cs[:])
+	}
+}
+
+// micro4 computes four C rows (c0..c3, nc columns each) against the B view
+// (bp, ldb): 4×8 SSE register tiles where useAsm (the SSE2-or-higher rungs
+// of the ladder), portable Go 4×4 register tiles plus a scalar column tail
+// otherwise. strip is the packed 4-row A strip ([l*4+row], alpha folded
+// in). With zero the accumulators start from +0 instead of C.
+func micro4(useAsm bool, strip, bp []float32, ldb int, c0, c1, c2, c3 []float32, kc int, zero bool) {
+	nc := len(c0)
+	j := 0
+	if hasAsmMicro && useAsm {
 		for ; j+8 <= nc; j += 8 {
-			micro4x8(&strip[0], &bp[j], &c0[j], &c1[j], &c2[j], &c3[j], kc, 4*nc)
+			micro4x8(&strip[0], &bp[j], &c0[j], &c1[j], &c2[j], &c3[j], kc, 4*ldb, zero)
 		}
 	}
 	for ; j+4 <= nc; j += 4 {
 		// The 16 accumulators live in registers for the whole k block.
-		s00, s01, s02, s03 := c0[j], c0[j+1], c0[j+2], c0[j+3]
-		s10, s11, s12, s13 := c1[j], c1[j+1], c1[j+2], c1[j+3]
-		s20, s21, s22, s23 := c2[j], c2[j+1], c2[j+2], c2[j+3]
-		s30, s31, s32, s33 := c3[j], c3[j+1], c3[j+2], c3[j+3]
+		var s00, s01, s02, s03, s10, s11, s12, s13, s20, s21, s22, s23, s30, s31, s32, s33 float32
+		if !zero {
+			s00, s01, s02, s03 = c0[j], c0[j+1], c0[j+2], c0[j+3]
+			s10, s11, s12, s13 = c1[j], c1[j+1], c1[j+2], c1[j+3]
+			s20, s21, s22, s23 = c2[j], c2[j+1], c2[j+2], c2[j+3]
+			s30, s31, s32, s33 = c3[j], c3[j+1], c3[j+2], c3[j+3]
+		}
 		for l := 0; l < kc; l++ {
-			bl := bp[l*nc+j : l*nc+j+4 : l*nc+j+4]
+			bl := bp[l*ldb+j : l*ldb+j+4 : l*ldb+j+4]
 			b0, b1, b2, b3 := bl[0], bl[1], bl[2], bl[3]
 			al := strip[l*gemmMR4 : l*gemmMR4+gemmMR4 : l*gemmMR4+gemmMR4]
 			if a := al[0]; a != 0 {
@@ -269,9 +376,12 @@ func micro4(useAsm bool, strip, bp, c0, c1, c2, c3 []float32, kc, nc int) {
 		c3[j], c3[j+1], c3[j+2], c3[j+3] = s30, s31, s32, s33
 	}
 	for ; j < nc; j++ {
-		s0, s1, s2, s3 := c0[j], c1[j], c2[j], c3[j]
+		var s0, s1, s2, s3 float32
+		if !zero {
+			s0, s1, s2, s3 = c0[j], c1[j], c2[j], c3[j]
+		}
 		for l := 0; l < kc; l++ {
-			b := bp[l*nc+j]
+			b := bp[l*ldb+j]
 			al := strip[l*gemmMR4 : l*gemmMR4+gemmMR4 : l*gemmMR4+gemmMR4]
 			if a := al[0]; a != 0 {
 				s0 += a * b
@@ -290,19 +400,23 @@ func micro4(useAsm bool, strip, bp, c0, c1, c2, c3 []float32, kc, nc int) {
 	}
 }
 
-// micro1 computes one C row against the packed panels (remainder rows of a
-// panel): 1×4 register tiles with a scalar tail, same ordering contract as
-// the strip kernels.
-func micro1(arow, bp, ci []float32, kc, nc int) {
+// micro1 computes one C row against the B view (remainder rows of a panel
+// below the AVX2 rung): 1×4 register tiles with a scalar tail, same ordering
+// contract as the strip kernels.
+func micro1(arow, bp []float32, ldb int, ci []float32, kc int, zero bool) {
+	nc := len(ci)
 	j := 0
 	for ; j+4 <= nc; j += 4 {
-		s0, s1, s2, s3 := ci[j], ci[j+1], ci[j+2], ci[j+3]
+		var s0, s1, s2, s3 float32
+		if !zero {
+			s0, s1, s2, s3 = ci[j], ci[j+1], ci[j+2], ci[j+3]
+		}
 		for l := 0; l < kc; l++ {
 			a := arow[l]
 			if a == 0 {
 				continue
 			}
-			bl := bp[l*nc+j : l*nc+j+4 : l*nc+j+4]
+			bl := bp[l*ldb+j : l*ldb+j+4 : l*ldb+j+4]
 			s0 += a * bl[0]
 			s1 += a * bl[1]
 			s2 += a * bl[2]
@@ -311,10 +425,13 @@ func micro1(arow, bp, ci []float32, kc, nc int) {
 		ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
 	}
 	for ; j < nc; j++ {
-		s := ci[j]
+		var s float32
+		if !zero {
+			s = ci[j]
+		}
 		for l := 0; l < kc; l++ {
 			if a := arow[l]; a != 0 {
-				s += a * bp[l*nc+j]
+				s += a * bp[l*ldb+j]
 			}
 		}
 		ci[j] = s
@@ -378,12 +495,7 @@ func (st *bandState) run(band int) {
 	if band < st.rem {
 		i1++
 	}
-	gemmScaleBeta(st.beta, st.c[i0*st.n:i1*st.n])
-	if st.k == 0 || st.alpha == 0 {
-		applyEpilogueRows(st.epi, i0, i1, st.n, st.c)
-		return
-	}
-	gemmBlocked(st.lv, st.transA, st.transB, i0, i1, st.m, st.n, st.k, st.alpha, st.a, st.b, st.c, st.epi)
+	gemmRows(st.lv, st.transA, st.transB, i0, i1, st.m, st.n, st.k, st.alpha, st.a, st.b, st.beta, st.c, st.epi)
 }
 
 // GemmParallelFused is GemmParallel with an optional fused epilogue: each

@@ -2,15 +2,16 @@
 
 #include "textflag.h"
 
-// func micro4x8(strip, b, c0, c1, c2, c3 *float32, kc, ldbBytes int)
+// func micro4x8(strip, b, c0, c1, c2, c3 *float32, kc, ldbBytes int, zero bool)
 //
 // 4-row × 8-col SGEMM register tile. X0..X7 hold the C block for the whole
 // k loop (two 4-wide vectors per row); each k step loads one packed B row
 // pair, broadcasts the four packed A values (alpha already folded in), and
 // accumulates c += av*b per lane. A row with av == 0 is skipped, matching
 // the scalar kernel's short-circuit; the unordered (NaN) compare result
-// falls through to the multiply so NaN propagation is identical too.
-TEXT ·micro4x8(SB), NOSPLIT, $0-64
+// falls through to the multiply so NaN propagation is identical too. With
+// zero set the block starts from +0 and C is written without being read.
+TEXT ·micro4x8(SB), NOSPLIT, $0-65
 	MOVQ strip+0(FP), SI
 	MOVQ b+8(FP), BX
 	MOVQ c0+16(FP), R8
@@ -20,7 +21,12 @@ TEXT ·micro4x8(SB), NOSPLIT, $0-64
 	MOVQ kc+48(FP), CX
 	MOVQ ldbBytes+56(FP), DX
 
-	// Load the 4×8 C block into X0..X7.
+	XORPS X14, X14 // constant zero for the av == 0 test
+
+	// The 4×8 C block lives in X0..X7: loaded, or +0 on the first k panel
+	// of a β = 0 product.
+	CMPB zero+64(FP), $0
+	JNE  clear
 	MOVUPS (R8), X0
 	MOVUPS 16(R8), X1
 	MOVUPS (R9), X2
@@ -29,8 +35,17 @@ TEXT ·micro4x8(SB), NOSPLIT, $0-64
 	MOVUPS 16(R10), X5
 	MOVUPS (R11), X6
 	MOVUPS 16(R11), X7
+	JMP    loop
 
-	XORPS X14, X14 // constant zero for the av == 0 test
+clear:
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
 
 loop:
 	MOVUPS (BX), X8    // b[j..j+3]

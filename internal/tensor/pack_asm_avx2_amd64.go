@@ -2,23 +2,34 @@
 
 package tensor
 
-// micro8x8 is the AVX2 register-tile kernel: it accumulates an 8-row ×
-// 8-col block of C held in 8 YMM registers across kc ascending k steps.
+// The three AVX2 kernels (pack_asm_avx2_amd64.s). Callers must only
+// dispatch here when ActiveISA() == ISAAVX2 — the instruction stream
+// requires AVX2 plus OS YMM-state support (detectISA). Every lane computes
+// c += av*b in ascending-l order with VMULPS/VADDPS (never FMA — DESIGN
+// §7.5), rounding exactly like scalar MULSS/ADDSS. With zero set the
+// accumulators start from +0 and C is written without being read. Each
+// kernel touches exactly the floats named below and nothing past them.
+
+// dense8x8 accumulates an 8-row × 8-col block of C across kc k steps for a
+// strip in which no α·a is zero (the tile has no skip to apply).
 //
-//   - strip points at the packed 8-row A strip ([l*8+row], alpha folded in)
-//   - b points at the packed B panel element bp[0*nc + j]; ldbBytes is the
-//     byte stride between consecutive packed B rows (4*nc)
-//   - c points at the C element C[r*n + jc + j]; ldcBytes is the byte
-//     stride between consecutive C rows (4*n)
-//
-// Per-element arithmetic matches the scalar and SSE2 kernels bit for bit:
-// each lane computes c += av*b in ascending-l order with VMULPS/VADDPS
-// (never FMA — see the .s file and DESIGN §7.5), a row whose av is zero is
-// skipped (NaN av is not — the unordered compare falls through to the
-// multiply), and lanes round exactly like scalar MULSS/ADDSS.
-//
-// Callers must only dispatch here when ActiveISA() == ISAAVX2 — the
-// instruction stream requires AVX2 plus OS YMM-state support (detectISA).
+//   - strip is the packed 8-row A strip ([l*8+row], alpha folded in)
+//   - b is B[0][j]: 8 floats are read from each of kc rows ldbBytes apart
+//   - c is C[r][j]: 8 floats in each of 8 rows ldcBytes apart
 //
 //go:noescape
-func micro8x8(strip, b, c *float32, kc, ldbBytes, ldcBytes int)
+func dense8x8(strip, b, c *float32, kc, ldbBytes, ldcBytes int, zero bool)
+
+// sparseRow64 accumulates one C row × 64 columns from the row's cnt
+// non-zero terms: vals[i] = α·a and ls[i] its k index in the panel, in
+// ascending order — the zero terms were dropped by compactRow, which is the
+// naive kernel's skip. b is B[0][j]: 64 floats are read from row ls[i] for
+// each i, and from no other row. cnt == 0 stores C back (or +0) unchanged.
+//
+//go:noescape
+func sparseRow64(vals *float32, ls *int32, cnt int, b *float32, ldbBytes int, c *float32, zero bool)
+
+// sparseRow8 is sparseRow64 over 8 columns.
+//
+//go:noescape
+func sparseRow8(vals *float32, ls *int32, cnt int, b *float32, ldbBytes int, c *float32, zero bool)

@@ -19,11 +19,12 @@ func bitsEqual(a, b []float32) (int, bool) {
 	return -1, true
 }
 
-// sprinkleZeros zeroes roughly one in eight elements so the blocked kernel's
-// per-row av == 0 skip path is exercised, not just the dense fast path.
-func sprinkleZeros(rng *rand.Rand, s []float32) {
+// sprinkleZeros zeroes roughly pct percent of the elements, at random
+// positions, so the blocked kernel's av == 0 skip is exercised and not just
+// the dense fast path.
+func sprinkleZeros(rng *rand.Rand, s []float32, pct int) {
 	for i := range s {
-		if rng.Intn(8) == 0 {
+		if rng.Intn(100) < pct {
 			s[i] = 0
 		}
 	}
@@ -33,7 +34,7 @@ func checkGemmAgainstNaive(t *testing.T, rng *rand.Rand, ta, tb bool, m, n, k in
 	t.Helper()
 	a := randSlice(rng, m*k)
 	b := randSlice(rng, k*n)
-	sprinkleZeros(rng, a)
+	sprinkleZeros(rng, a, 12)
 	c0 := randSlice(rng, m*n)
 
 	got := append([]float32(nil), c0...)
@@ -81,6 +82,12 @@ func TestGemmBitIdenticalToNaive(t *testing.T) {
 			}
 		}
 	}
+	// The strip-class sweep (cases_test.go) through a fused epilogue; bare
+	// Gemm runs it at every rung in TestGemmBitIdenticalAcrossISALevels.
+	forEachGemmCase(t, caseMs, caseNs, caseKs, reluEpi,
+		func(ta, tb bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
+			GemmFused(ta, tb, m, n, k, alpha, a, b, beta, c, reluEpi)
+		})
 }
 
 // TestGemmBitIdenticalRandomized is the property test: random shapes around
@@ -115,7 +122,7 @@ func FuzzGemmBitIdentical(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randSlice(rng, m*k)
 		b := randSlice(rng, k*n)
-		sprinkleZeros(rng, a)
+		sprinkleZeros(rng, a, 12)
 		c0 := randSlice(rng, m*n)
 		got := append([]float32(nil), c0...)
 		want := append([]float32(nil), c0...)
@@ -153,7 +160,7 @@ func TestGemmParallelBitIdenticalAtEveryWidth(t *testing.T) {
 				m, n, k := 70+rng.Intn(80), 1+rng.Intn(520), 1+rng.Intn(300)
 				a := randSlice(rng, m*k)
 				b := randSlice(rng, k*n)
-				sprinkleZeros(rng, a)
+				sprinkleZeros(rng, a, 12)
 				c0 := randSlice(rng, m*n)
 				got := append([]float32(nil), c0...)
 				want := append([]float32(nil), c0...)
@@ -164,6 +171,12 @@ func TestGemmParallelBitIdenticalAtEveryWidth(t *testing.T) {
 				}
 			}
 		}
+		// The strip-class sweep through bands: 65 rows split two ways, 130
+		// up to four, every band at most one A panel tall (B read in place).
+		forEachGemmCase(t, []int{65, 130}, []int{7, 75}, caseKs, nil,
+			func(ta, tb bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
+				GemmParallel(serialBands{width}, ta, tb, m, n, k, alpha, a, b, beta, c)
+			})
 	}
 }
 
