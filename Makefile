@@ -77,19 +77,20 @@ bins:
 # checkpoint, bitwise identical to the uninterrupted run), and the
 # overlapped all-reduce bit-identity suite (blocking vs bucketed-overlapped
 # arms on all four workloads, plus an eviction mid-soak), and the adaptive
-# plan-swap soak (drift injected into the profiling window, online
-# re-profiling and step-boundary swaps, bitwise identical to the serial
-# reference replaying the same width schedule). Not a separate tier1
+# plan-swap soak (the first profiling window's records dropped, the pinned
+# fallbacks re-profiled and swapped at step boundaries, bitwise identical to
+# the serial reference replaying the same width schedule). Not a separate tier1
 # dependency: `race` already runs these via ./... — this target exists for
 # fast iteration on the recovery paths alone.
 chaos:
 	$(GO) test -race -timeout 45m -run 'TestChaosSoak|TestStepRollback|TestMidRunDegradation|TestDeviceLossSoak|TestCrashResumeSoak|TestOverlappedAllReduce|TestAdaptivePlanSwapInvariance' -v ./internal/parallel/
 
 # Durable-checkpoint suite alone: the on-disk GLPC codec, corruption
-# refusal (flipped CRC byte, truncated tail, wrong version), atomic-write
-# guarantees, the crash-resume soak, and the CLI resume paths.
+# refusal (flipped CRC byte, truncated tail, wrong version, a declared
+# length beyond the file, out-of-range plans), the decoder fuzz seeds,
+# atomic-write guarantees, the crash-resume soak, and the CLI resume paths.
 checkpoint:
-	$(GO) test -race -timeout 45m -run 'TestDurable|TestCheckpoint|TestCrashResumeSoak|TestWriteFileAtomic|TestTrainerCheckpoint|TestResumeRefuses' -v ./internal/parallel/ ./cmd/glp4nn-train/
+	$(GO) test -race -timeout 45m -run 'TestDurable|TestCheckpoint|TestPeekRefusesHugeDeclaredLength|TestPeekRefusesPlanOutOfRange|FuzzCheckpointDecode|TestCrashResumeSoak|TestWriteFileAtomic|TestTrainerCheckpoint|TestResumeRefuses' -v ./internal/parallel/ ./cmd/glp4nn-train/
 
 # Kernel micro-benchmarks over the paper's Table 5 convolution geometries
 # (GEMM shapes and im2col/col2im column layouts).

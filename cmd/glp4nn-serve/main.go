@@ -59,7 +59,7 @@ func main() {
 	flag.BoolVar(&o.useGLP, "glp4nn", false, "serve through GLP4NN's runtime (stream pool + copy stream) instead of the serial launcher")
 	flag.BoolVar(&o.useDAG, "dag", false, "dispatch independent layers as concurrent wavefronts (bits unchanged)")
 	flag.BoolVar(&o.useFuse, "fuse", false, "fuse bias/ReLU epilogues into the GEMM kernels (bits unchanged)")
-	flag.BoolVar(&o.adapt, "adapt", false, "with -glp4nn: adaptive concurrency control — drifted layers re-profile between batches (forward is width-invariant, so answers never change)")
+	flag.BoolVar(&o.adapt, "adapt", false, "with -glp4nn: adaptive concurrency control — layers whose plan a fault pinned (serial demotion or lost profile) re-profile between batches (forward is width-invariant, so answers never change)")
 	flag.StringVar(&o.weights, "weights", "", "load a weights snapshot (glp4nn-train -save-weights) before freezing")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for weights, load shape and sample content")
 	flag.DurationVar(&o.mean, "mean-gap", 500*time.Microsecond, "mean request inter-arrival gap (Pareto tail)")
@@ -240,8 +240,4 @@ func run(out io.Writer, o options) error {
 // changes an answer's bits — no checkpoint needed, unlike training.
 type adaptDriver struct{ rt *core.Runtime }
 
-func (a *adaptDriver) BatchBoundary() {
-	if drifted := a.rt.StepBoundary(); len(drifted) > 0 {
-		a.rt.ScheduleReprofile(drifted)
-	}
-}
+func (a *adaptDriver) BatchBoundary() { a.rt.ScheduleReprofile(a.rt.StepBoundary()) }

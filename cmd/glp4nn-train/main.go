@@ -78,7 +78,7 @@ func main() {
 	flag.StringVar(&o.Bus, "bus", "pcie3", "inter-GPU interconnect model for the gradient all-reduce: pcie3 or nvlink1")
 	flag.IntVar(&o.BucketKB, "bucket-kb", 0, "gradient bucket size in KiB for the overlapped all-reduce (0 = default 256; bits unchanged)")
 	flag.BoolVar(&o.BlockingComm, "blocking-allreduce", false, "use the legacy blocking all-reduce instead of the bucketed overlapped one (bits unchanged)")
-	flag.BoolVar(&o.Adapt, "adapt", false, "with -glp4nn: adaptive concurrency control — re-profile layers whose timing drifts and swap re-solved plans in at checkpointed step boundaries (selects the trainer engine)")
+	flag.BoolVar(&o.Adapt, "adapt", false, "with -glp4nn: adaptive concurrency control — re-profile layers whose plan a fault pinned (serial demotion or lost profile) and swap re-solved plans in at checkpointed step boundaries (selects the trainer engine)")
 
 	f := &o.Fault
 	flag.Int64Var(&f.Seed, "fault-seed", 0, "fault schedule seed (0 = reuse -seed)")

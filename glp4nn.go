@@ -158,7 +158,8 @@ type (
 	// retry, elastic device-loss eviction and durable on-disk checkpoints.
 	Trainer = parallel.Trainer
 	// TrainerConfig tunes a Trainer (solver schedule, GLP4NN on/off, step
-	// retry budget, Elastic device-loss tolerance, prefetch pipelines).
+	// retry budget, Elastic device-loss tolerance, prefetch pipelines,
+	// Adaptive re-profiling of fault-pinned plans).
 	TrainerConfig = parallel.Config
 	// BuildFunc constructs one replica's network on its context.
 	BuildFunc = parallel.BuildFunc
@@ -179,17 +180,15 @@ type (
 	// the critical path (DESIGN §7.7).
 	CommStats = parallel.CommStats
 
-	// DriftDetector watches per-layer observed kernel timings and flags
-	// layers whose EWMA leaves the band around their plan's solved-from
-	// timing — the adaptive concurrency controller of DESIGN §7.8 (arm via
-	// Runtime.SetAdaptive or TrainerConfig.Adaptive).
-	DriftDetector = core.DriftDetector
 	// Budget is the unified SM-concurrency budget shared by chain streams,
 	// the DAG wavefront and copy-stream transfers on one device
 	// (Runtime.Budget).
 	Budget = core.Budget
 	// PlanSwapEvent records one width transition the adaptive trainer
-	// applied at a checkpointed step boundary (Trainer.SwapEvents).
+	// applied at a checkpointed step boundary (Trainer.SwapEvents): a plan a
+	// fault pinned — serial-demoted, or solved from a lost profile —
+	// evicted into its re-profile, or its re-solved plan swapping in
+	// (TrainerConfig.Adaptive, DESIGN §7.8).
 	PlanSwapEvent = parallel.PlanSwapEvent
 	// PlanInfo is one checkpointed concurrency plan as read back from a
 	// durable checkpoint (DurableInfo.Plans).

@@ -1,208 +1,171 @@
 package core
 
 import (
-	"math"
-	"sort"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/simgpu"
 )
 
-// solvedMap adapts a plain map to StepBoundary's lookup callback.
-func solvedMap(m map[string]time.Duration) func(string) (time.Duration, bool) {
-	return func(key string) (time.Duration, bool) {
-		d, ok := m[key]
-		return d, ok
-	}
+// adaptiveRuntime is a fresh P100 runtime with re-profiling armed.
+func adaptiveRuntime(t *testing.T) *Runtime {
+	t.Helper()
+	fw := New()
+	t.Cleanup(fw.Close)
+	rt := fw.Runtime(simgpu.NewDevice(simgpu.TeslaP100))
+	rt.SetAdaptive()
+	return rt
 }
 
-// tick observes one duration for each key and folds a step boundary.
-func tick(d *DriftDetector, obs map[string]time.Duration, solved map[string]time.Duration) []string {
-	for k, v := range obs {
-		d.Observe(k, v)
-	}
-	return d.StepBoundary(solvedMap(solved))
-}
-
-func TestDriftDetectorHealingCase(t *testing.T) {
-	// A plan solved from an empty/corrupted profile carries SolvedFrom 0:
-	// any real observation must drift it once warmup passes.
-	d := NewDriftDetector()
-	solved := map[string]time.Duration{"conv1/fwd": 0}
-	obs := map[string]time.Duration{"conv1/fwd": time.Millisecond}
-	if got := tick(d, obs, solved); len(got) != 0 {
-		t.Fatalf("drifted during warmup: %v", got)
-	}
-	if got := tick(d, obs, solved); len(got) != 1 || got[0] != "conv1/fwd" {
-		t.Fatalf("healing case did not drift after warmup: %v", got)
-	}
-}
-
-func TestDriftDetectorBandEdges(t *testing.T) {
-	// Exactly on the band edge is inside; one step past it drifts.
-	const ref = float64(1000)
-	const band = DefaultDriftBand
-	cases := []struct {
-		obs   float64
-		drift bool
-	}{
-		{ref * (1 + band), false},
-		{ref*(1+band) + 1, true},
-		{ref / (1 + band), false},
-		{ref/(1+band) - 1, true},
-		{ref, false},
-	}
-	for _, c := range cases {
-		if got := outsideBand(c.obs, ref); got != c.drift {
-			t.Errorf("outsideBand(%v, %v) = %v, want %v", c.obs, ref, got, c.drift)
+// runLayer runs one invocation of key through the root session: kernels
+// chain launches (none for a pure-host layer) and the layer barrier.
+func runLayer(t *testing.T, rt *Runtime, key string, kernels int) {
+	t.Helper()
+	rt.BeginLayer(key)
+	for c := 0; c < kernels; c++ {
+		if err := rt.Launch(testKernel("sgemm", ""), c); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-func TestOutsideBandDegenerateInputs(t *testing.T) {
-	nan := math.NaN()
-	if outsideBand(nan, 1000) {
-		t.Error("NaN observation drifted")
-	}
-	if outsideBand(1000, nan) {
-		t.Error("NaN reference drifted")
-	}
-	if outsideBand(0, 1000) || outsideBand(-5, 1000) {
-		t.Error("non-positive observation drifted")
-	}
-	if !outsideBand(1, 0) || !outsideBand(1, -3) {
-		t.Error("non-positive reference with real observation must drift (healing case)")
+	if err := rt.Sync(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestDriftDetectorUnseenAndUnsolvedKeys(t *testing.T) {
-	d := NewDriftDetector()
-	// Key observed but its plan is unknown to the solver: never drifts.
-	obs := map[string]time.Duration{"mystery/fwd": time.Second}
-	for i := 0; i < 4; i++ {
-		if got := tick(d, obs, map[string]time.Duration{}); len(got) != 0 {
-			t.Fatalf("unsolved key drifted: %v", got)
-		}
-	}
-	// Key solved but never observed: StepBoundary skips it entirely.
-	solved := map[string]time.Duration{"idle/fwd": time.Millisecond}
-	if got := d.StepBoundary(solvedMap(solved)); len(got) != 0 {
-		t.Fatalf("never-observed key drifted: %v", got)
-	}
-	if _, ok := d.Observed("idle/fwd"); ok {
-		t.Fatal("never-observed key reported an EWMA")
+func wantFlagged(t *testing.T, rt *Runtime, want ...string) {
+	t.Helper()
+	if got := rt.StepBoundary(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("StepBoundary = %v, want %v", got, want)
 	}
 }
 
-func TestDriftDetectorCooldown(t *testing.T) {
-	d := NewDriftDetector()
-	solved := map[string]time.Duration{"k": time.Microsecond}
-	obs := map[string]time.Duration{"k": time.Second} // way out of band
-	for i := 1; i < DefaultDriftWarmup; i++ {
-		if got := tick(d, obs, solved); len(got) != 0 {
-			t.Fatalf("drifted during warmup fold %d: %v", i, got)
-		}
-	}
-	if got := tick(d, obs, solved); len(got) != 1 {
-		t.Fatalf("expected drift on the fold that ends warmup, got %v", got)
-	}
-	// The cooldown boundaries: the still-drifted key stays quiet.
-	for i := 0; i < DefaultDriftCooldown; i++ {
-		if got := tick(d, obs, solved); len(got) != 0 {
-			t.Fatalf("cooldown boundary %d re-reported drift: %v", i, got)
-		}
-	}
-	if got := tick(d, obs, solved); len(got) != 1 {
-		t.Fatalf("expected re-drift after cooldown, got %v", got)
+// TestReprofileLostProfile: a plan solved from no records is a lost profile
+// once its layer completes a kernel — flagged at the boundary after the
+// layer ran, and not at a boundary it sat out.
+func TestReprofileLostProfile(t *testing.T) {
+	rt := adaptiveRuntime(t)
+	rt.InstallPlan("conv1/fwd", 1, false, true, 0)
+	wantFlagged(t, rt) // has not run since the last boundary
+	runLayer(t, rt, "conv1/fwd", 2)
+	wantFlagged(t, rt, "conv1/fwd")
+	wantFlagged(t, rt) // the boundary drained what ran
+}
+
+// TestReprofileSkipsPureHostLayer: a layer that never launches a kernel has
+// an honest empty profile; its zero-record plan is never flagged.
+func TestReprofileSkipsPureHostLayer(t *testing.T) {
+	rt := adaptiveRuntime(t)
+	rt.InstallPlan("loss/fwd", 1, false, true, 0)
+	for i := 0; i < 2*DefaultMaxReprofiles; i++ {
+		runLayer(t, rt, "loss/fwd", 0)
+		wantFlagged(t, rt)
 	}
 }
 
-func TestDriftDetectorMaxReprofilesAndForget(t *testing.T) {
-	d := NewDriftDetector()
-	solved := map[string]time.Duration{"k": time.Microsecond}
-	obs := map[string]time.Duration{"k": time.Second}
+// TestReprofileFlagsSerialPlan: a serial-demoted plan is flagged whether or
+// not its layer ran, evicted by ScheduleReprofile, and not flagged again
+// while its re-profile is in flight. An unarmed runtime flags nothing.
+func TestReprofileFlagsSerialPlan(t *testing.T) {
+	fw := New()
+	defer fw.Close()
+	unarmed := fw.Runtime(simgpu.NewDevice(simgpu.TeslaP100))
+	unarmed.InstallPlan("conv2/fwd", 4, true, false, time.Millisecond)
+	wantFlagged(t, unarmed)
 
-	// Each drift needs DefaultDriftWarmup folds (Forget restarts warmup), so
-	// this many boundaries is room for twice the cap.
-	drifts := 0
-	for i := 0; i < 2*DefaultMaxReprofiles*DefaultDriftWarmup; i++ {
-		if got := tick(d, obs, solved); len(got) == 1 {
-			drifts++
-			d.Forget("k") // caller re-profiles: state resets, evicted count survives
-		}
+	rt := adaptiveRuntime(t)
+	rt.InstallPlan("conv2/fwd", 4, true, false, time.Millisecond)
+	wantFlagged(t, rt, "conv2/fwd")
+	if n := rt.ScheduleReprofile([]string{"conv2/fwd", "unknown/fwd"}); n != 1 {
+		t.Fatalf("ScheduleReprofile evicted %d keys, want 1", n)
 	}
-	if drifts != DefaultMaxReprofiles {
-		t.Fatalf("cap of %d re-profiles allowed %d drifts", DefaultMaxReprofiles, drifts)
-	}
-	// Forget reset the EWMA: the key re-warms from scratch.
-	if ewma, ok := d.Observed("k"); ok && ewma == 0 {
-		t.Fatalf("unexpected zero EWMA after folds")
+	runLayer(t, rt, "conv2/fwd", 4) // the shadow step: profiling again
+	wantFlagged(t, rt)
+	if s := rt.Ledger().Snapshot(); s.DriftEvents != 1 || s.Reprofiles != 1 {
+		t.Fatalf("ledger flagged=%d reprofiles=%d, want 1 and 1", s.DriftEvents, s.Reprofiles)
 	}
 }
 
-func TestDriftDetectorZeroDurationObservations(t *testing.T) {
-	// Zero/negative durations count as observations (the step boundary
-	// folds them) but contribute no time — so a layer that only ever
-	// reports zeroes never drifts, even against a zero reference.
-	d := NewDriftDetector()
-	solved := map[string]time.Duration{"k": 0}
-	for i := 0; i < 4; i++ {
-		d.Observe("k", 0)
-		d.Observe("k", -time.Millisecond)
-		if got := d.StepBoundary(solvedMap(solved)); len(got) != 0 {
-			t.Fatalf("zero-duration observations drifted: %v", got)
-		}
+// TestReprofileSkipsSolvedPlan: a plan solved from real records is the
+// paper's plan — never flagged, however wide, however long it runs, even
+// when the MILP fell back to width 1.
+func TestReprofileSkipsSolvedPlan(t *testing.T) {
+	rt := adaptiveRuntime(t)
+	rt.InstallPlan("conv3/fwd", 4, false, false, time.Millisecond)
+	rt.InstallPlan("fc6/fwd", 1, false, true, time.Microsecond)
+	for i := 0; i < 2*DefaultMaxReprofiles; i++ {
+		runLayer(t, rt, "conv3/fwd", 8)
+		runLayer(t, rt, "fc6/fwd", 1)
+		wantFlagged(t, rt)
 	}
 }
 
-func TestDriftDetectorEmptyKeyIgnored(t *testing.T) {
-	d := NewDriftDetector()
-	d.Observe("", time.Second)
-	if got := d.StepBoundary(solvedMap(map[string]time.Duration{"": 0})); len(got) != 0 {
-		t.Fatalf("empty key drifted: %v", got)
+// TestReprofileConcurrentWithLaunches: the listener notes keys under the
+// device lock while boundaries drain them; every layer that ran is flagged
+// at some boundary. Run under -race.
+func TestReprofileConcurrentWithLaunches(t *testing.T) {
+	rt := adaptiveRuntime(t)
+	keys := []string{"a/fwd", "b/fwd", "c/fwd"}
+	for _, k := range keys {
+		rt.InstallPlan(k, 2, false, true, 0)
 	}
-}
-
-// FuzzDriftDetector drives the detector through arbitrary observation
-// streams and asserts its structural invariants: no panics, sorted output,
-// only solved keys drift, and a drifted key is always one the caller fed
-// real time under.
-func FuzzDriftDetector(f *testing.F) {
-	f.Add(int64(1000), int64(2000), int64(0), "conv1/fwd", false)
-	f.Add(int64(0), int64(-5), int64(1), "k", true)
-	f.Add(int64(1), int64(1), int64(1<<40), "a|b", false)
-	f.Add(int64(77), int64(88), int64(99), "x", true)
-	f.Add(int64(5), int64(5), int64(5), "y", false)
-	f.Fuzz(func(t *testing.T, d1, d2, ref int64, key string, known bool) {
-		d := NewDriftDetector()
-		solved := map[string]time.Duration{}
-		if known {
-			solved[key] = time.Duration(ref)
-		}
-		lookup := solvedMap(solved)
-		// Enough rounds for a drift, its Forget, and a second drift.
-		for round := 0; round < 2*DefaultDriftWarmup+1; round++ {
-			d.Observe(key, time.Duration(d1))
-			d.Observe(key, time.Duration(d2))
-			d.Observe(key+"-other", time.Duration(d1))
-			drifted := d.StepBoundary(lookup)
-			if !sort.StringsAreSorted(drifted) {
-				t.Fatalf("unsorted drift report: %v", drifted)
+	var wg sync.WaitGroup
+	for _, k := range keys {
+		wg.Add(1)
+		go func(k string) {
+			defer wg.Done()
+			s := rt.ForkLayerSession().(*LayerSession)
+			for i := 0; i < 50; i++ {
+				s.BeginLayer(k)
+				if err := s.Launch(testKernel("sgemm", ""), i); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.Sync(); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-			for _, k := range drifted {
-				if _, ok := solved[k]; !ok {
-					t.Fatalf("unsolved key %q drifted", k)
-				}
-				if k == "" {
-					t.Fatal("empty key drifted")
-				}
-				if d1 <= 0 && d2 <= 0 {
-					t.Fatalf("non-positive observations drifted %q", k)
-				}
-				d.Forget(k)
-			}
+		}(k)
+	}
+	flagged := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		for _, k := range rt.StepBoundary() {
+			flagged[k] = true
 		}
-		// A forgotten key must be re-observable without panic.
-		d.Observe(key, time.Duration(d1))
-		d.StepBoundary(lookup)
-	})
+	}
+	wg.Wait()
+	for _, k := range rt.StepBoundary() {
+		flagged[k] = true
+	}
+	if len(flagged) != len(keys) {
+		t.Fatalf("flagged %v, want every one of %v", flagged, keys)
+	}
+}
+
+// TestReprofileCapHolds: a key whose fault recurs after every re-profile is
+// flagged exactly DefaultMaxReprofiles times and then keeps its pinned plan.
+func TestReprofileCapHolds(t *testing.T) {
+	rt := adaptiveRuntime(t)
+	flags := 0
+	for i := 0; i < 3*DefaultMaxReprofiles; i++ {
+		// The re-solved plan is demoted again, as a recurring hang would.
+		if _, ok := rt.Analyzer().Cached("conv4/fwd"); !ok {
+			rt.InstallPlan("conv4/fwd", 4, true, false, time.Millisecond)
+		}
+		if got := rt.StepBoundary(); len(got) > 0 {
+			flags++
+			rt.ScheduleReprofile(got)
+		}
+	}
+	if flags != DefaultMaxReprofiles {
+		t.Fatalf("flagged %d times, want the cap %d", flags, DefaultMaxReprofiles)
+	}
+	if p, ok := rt.Analyzer().Cached("conv4/fwd"); !ok || !p.Serial {
+		t.Fatalf("capped key lost its pinned plan: %+v, %v", p, ok)
+	}
+	if s := rt.Ledger().Snapshot(); s.Reprofiles != DefaultMaxReprofiles {
+		t.Fatalf("ledger reprofiles=%d, want %d", s.Reprofiles, DefaultMaxReprofiles)
+	}
 }

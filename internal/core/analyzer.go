@@ -36,10 +36,10 @@ type Plan struct {
 	OccupancyRatio float64 // OR_SM of Eq. 1 implied by the plan
 	MILPNodes      int
 	// SolvedFrom is the total profiled kernel time the plan was solved
-	// from (Σ launches·duration over the layer's profile). The drift
-	// detector compares live observations against it; a fallback plan
-	// solved from an empty or corrupted profile carries 0, which any real
-	// observation drifts away from (the healing case).
+	// from (Σ launches·duration over the layer's profile). Zero means the
+	// plan was solved from no records: honest for a pure-host layer, a lost
+	// profile for one that launches kernels — the case Runtime.StepBoundary
+	// re-profiles under SetAdaptive.
 	SolvedFrom time.Duration
 	Fallback   bool // true when the MILP was infeasible and Streams=1 was forced
 	// Serial marks a plan demoted by the self-healing runtime: every launch
@@ -155,9 +155,10 @@ func (a *Analyzer) ForceSerial(key string) *Plan {
 // runtime would otherwise open a profiling window and run the first resumed
 // iteration at width 1, where the run being resumed executed it at the
 // planned width — and width is part of the numeric contract. Only the
-// fields dispatch depends on are seeded (solvedFrom keeps the drift
-// detector's reference alive across a resume); kernel diagnostics are not
-// restored. An installed plan overwrites any cached one.
+// fields dispatch depends on are seeded, plus solvedFrom, so an adaptive
+// resumed run still tells a lost profile (0 on a layer that launches
+// kernels) from a real one; kernel diagnostics are not restored. An
+// installed plan overwrites any cached one.
 func (a *Analyzer) Install(key string, streams int, serial, fallback bool, solvedFrom time.Duration) *Plan {
 	if streams < 1 {
 		streams = 1
@@ -170,8 +171,8 @@ func (a *Analyzer) Install(key string, streams int, serial, fallback bool, solve
 }
 
 // Evict removes a key's cached plan, reporting whether one existed. The
-// adaptive controller uses it to force a drifted layer back through the
-// first-sighting profiling path.
+// adaptive controller uses it to force a fault-pinned layer back through
+// the first-sighting profiling path.
 func (a *Analyzer) Evict(key string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()

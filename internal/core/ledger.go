@@ -113,9 +113,10 @@ type Snapshot struct {
 	ServeBatchP50 time.Duration
 	ServeBatchP99 time.Duration
 
-	// Adaptive-controller counters. DriftEvents counts step-boundary
-	// verdicts where a layer's observed timing left its plan's band;
-	// Reprofiles counts layers evicted into a shadow re-profiling window;
+	// Adaptive-controller counters. DriftEvents counts keys StepBoundary
+	// flagged because a fault pinned their plan (Serial, or solved from no
+	// records); Reprofiles counts layers evicted into a shadow re-profiling
+	// window;
 	// PlanSwaps counts re-solved plans swapped in at a step boundary.
 	DriftEvents int64
 	Reprofiles  int64
@@ -167,7 +168,7 @@ func (s Snapshot) Serving() string {
 
 // Adaptive renders the online-controller and unified-budget counters.
 func (s Snapshot) Adaptive() string {
-	return fmt.Sprintf("drift=%d reprofiles=%d swaps=%d | budget: acquires=%d throttled=%d peak=%d/%d",
+	return fmt.Sprintf("pinned=%d reprofiles=%d swaps=%d | budget: acquires=%d throttled=%d peak=%d/%d",
 		s.DriftEvents, s.Reprofiles, s.PlanSwaps,
 		s.BudgetAcquires, s.BudgetThrottles, s.BudgetPeak, s.BudgetCap)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/simgpu"
@@ -42,20 +43,24 @@ type Runtime struct {
 	root LayerSession
 	// reprofiling marks keys evicted by ScheduleReprofile whose re-solved
 	// plan has not landed yet; the first re-analysis of such a key is the
-	// plan swap the ledger counts.
+	// plan swap the ledger counts. reprofiles counts each key's evictions
+	// against DefaultMaxReprofiles.
 	reprofiling map[string]bool
+	reprofiles  map[string]int
 
 	// Completion-listener state: observe flags layer keys whose kernels
 	// overstayed wdLimit (Sync drains the set and degrades those layers) and,
-	// once SetAdaptive armed it, feeds the drift detector. Guarded by obsMu,
-	// never by r.mu — the listener runs under the device lock and must stay
-	// free of device calls and runtime state. listener is the Subscribe
-	// token Framework.Close detaches.
+	// once SetAdaptive armed it, notes in ran every key that completed a
+	// kernel (StepBoundary drains it). Guarded by obsMu, never by r.mu — the
+	// listener runs under the device lock and must stay free of device calls
+	// and runtime state. listener is the Subscribe token Framework.Close
+	// detaches.
 	obsMu    sync.Mutex
 	listener int
 	wdLimit  time.Duration
 	wdHung   map[string]bool
-	adaptive *DriftDetector
+	adaptive atomic.Bool
+	ran      map[string]bool
 
 	// Copy-stream state for StageInput: a dedicated stream that carries
 	// input H2D copies so they overlap pool-stream compute. Created lazily;
@@ -156,7 +161,7 @@ func (r *Runtime) analyzeLocked(profile *LayerProfile) *Plan {
 		return r.analyzer.CacheFallback(profile.Key)
 	}
 	if r.reprofiling[profile.Key] {
-		// A drift-evicted key just got its re-solved plan: that is the
+		// An evicted key just got its re-solved plan: that is the
 		// plan swap the adaptive controller promised at this boundary.
 		delete(r.reprofiling, profile.Key)
 		r.ledger.add(&r.ledger.s.PlanSwaps, 1)
@@ -357,17 +362,23 @@ func (r *Runtime) Sync() error {
 }
 
 // observe is the runtime's one device completion listener. It runs under
-// the device lock, so it only touches listener state: it feeds the armed
-// drift detector, and flags the layer key of any kernel resident longer than
-// the watchdog limit.
+// the device lock, so it only touches listener state: once SetAdaptive armed
+// it, it notes the kernel's layer key as having run, and it flags the layer
+// key of any kernel resident longer than the watchdog limit. A healthy
+// kernel on an unarmed runtime costs one comparison and one atomic load.
 func (r *Runtime) observe(rec simgpu.KernelRecord) {
+	hung := r.wdLimit > 0 && rec.Duration() >= r.wdLimit
+	adaptive := r.adaptive.Load()
+	if !hung && !adaptive {
+		return
+	}
 	key := layerKey(rec.Tag)
 	r.obsMu.Lock()
 	defer r.obsMu.Unlock()
-	if r.adaptive != nil {
-		r.adaptive.Observe(key, rec.Duration())
+	if adaptive {
+		r.ran[key] = true
 	}
-	if r.wdLimit <= 0 || rec.Duration() < r.wdLimit {
+	if !hung {
 		return
 	}
 	r.ledger.add(&r.ledger.s.WatchdogTrips, 1)

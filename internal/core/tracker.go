@@ -41,8 +41,8 @@ func newLayerProfile(key string) *LayerProfile {
 }
 
 // TotalDuration is the layer's total profiled kernel time — the timing a
-// concurrency plan is solved from, and the drift detector's reference
-// (Plan.SolvedFrom). An empty profile totals 0.
+// concurrency plan is solved from (Plan.SolvedFrom). An empty profile
+// totals 0.
 func (p *LayerProfile) TotalDuration() time.Duration {
 	var total time.Duration
 	for _, ks := range p.Kernels {

@@ -7,16 +7,14 @@ import (
 	"repro/internal/core"
 )
 
-// Adaptive concurrency control, trainer side. The per-device drift
-// detectors (core.DriftDetector) watch kernel timings continuously; the
-// trainer drives the control loop at step boundaries, where width changes
-// are safe:
+// Adaptive concurrency control, trainer side. Each replica's runtime flags
+// the plans a fault pinned (core.Runtime.StepBoundary); the trainer drives
+// the re-profile at step boundaries, where width changes are safe:
 //
-//	step N   completes → driftTick folds observations; drifted keys are
-//	         collected (union across replicas, so replicas stay in width
-//	         lockstep) into pendingDrift.
+//	step N   completes → pinnedTick collects the flagged keys (union across
+//	         replicas, so replicas stay in width lockstep) into pinned.
 //	step N+1 entry     → adaptiveBoundary checkpoints the trainer, then
-//	         ScheduleReprofile evicts the drifted keys on every live
+//	         ScheduleReprofile evicts the flagged keys on every live
 //	         replica. Step N+1 is the shadow window: the evicted layers run
 //	         serially at width 1 through the first-sighting profiling path.
 //	step N+2 entry     → adaptiveBoundary checkpoints again and finalizes
@@ -29,8 +27,9 @@ import (
 // trains bitwise-identical parameters (TestAdaptivePlanSwapInvariance).
 
 // PlanSwapEvent records one width transition applied at a step boundary:
-// either a drifted layer entering its shadow re-profile (Shadow=true, the
-// layer drops to width 1) or a re-solved plan swapping in (Shadow=false).
+// either a fault-pinned layer entering its shadow re-profile (Shadow=true,
+// the layer drops to width 1) or a re-solved plan swapping in
+// (Shadow=false).
 // Iter is the iteration the transition takes effect before.
 type PlanSwapEvent struct {
 	Iter       int
@@ -52,12 +51,12 @@ func (t *Trainer) SwapEvents() []PlanSwapEvent {
 	return out
 }
 
-// driftTick runs after a successful step: fold each live replica's pending
-// observations and take the union of drifted keys across replicas. The
-// union keeps replicas in width lockstep — a layer that drifted on one
-// device is re-profiled on all of them, because widths must match for the
-// all-reduce fold order to stay consistent.
-func (t *Trainer) driftTick() {
+// pinnedTick runs after a successful step: take the union of the keys each
+// live replica's runtime flagged. The union keeps replicas in width
+// lockstep — a layer pinned on one device is re-profiled on all of them,
+// because widths must match for the all-reduce fold order to stay
+// consistent.
+func (t *Trainer) pinnedTick() {
 	seen := map[string]bool{}
 	for _, r := range t.replicas {
 		if r.lost {
@@ -75,7 +74,7 @@ func (t *Trainer) driftTick() {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	t.pendingDrift = append(t.pendingDrift, keys...)
+	t.pinned = append(t.pinned, keys...)
 }
 
 // adaptiveBoundary runs at Step entry, before inputs are fed. When a swap
@@ -84,7 +83,7 @@ func (t *Trainer) driftTick() {
 // returns the checkpoint for Step's retry loop; otherwise it returns nil
 // and Step proceeds on its normal path.
 func (t *Trainer) adaptiveBoundary() *Checkpoint {
-	if !t.swapArmed && len(t.pendingDrift) == 0 {
+	if !t.swapArmed && len(t.pinned) == 0 {
 		return nil
 	}
 	cp := t.Checkpoint()
@@ -121,9 +120,9 @@ func (t *Trainer) adaptiveBoundary() *Checkpoint {
 		t.swapArmed = false
 	}
 
-	if len(t.pendingDrift) > 0 {
-		keys := t.pendingDrift
-		t.pendingDrift = nil
+	if len(t.pinned) > 0 {
+		keys := t.pinned
+		t.pinned = nil
 		evicted := map[string]bool{}
 		for _, r := range t.replicas {
 			if r.lost {

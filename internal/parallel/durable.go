@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dnn"
+	"repro/internal/simgpu"
 )
 
 // Durable checkpoints: the trainer's complete training state in one
@@ -32,12 +33,13 @@ import (
 //	                  | solvedFrom i64 ns (version ≥ 2 only)
 //	    solver snapshot (GLPW … GLPS …) of the first surviving replica
 //
-// Version 2 adds each plan's solved-from timing (Plan.SolvedFrom) so the
-// adaptive controller's drift reference survives a resume; version-1 files
-// are still read, with solvedFrom defaulting to 0 (which the drift
-// detector treats as the always-drifts healing case — a resumed adaptive
-// run re-solves its plans from fresh observations rather than trusting a
-// reference the file never carried).
+// Version 2 adds each plan's solved-from timing (Plan.SolvedFrom) so a
+// resumed adaptive run still tells a lost profile from a real one;
+// version-1 files are still read, with solvedFrom defaulting to 0, which
+// makes a v1 plan provisional only for layers that launch kernels: a
+// resumed adaptive run re-profiles those once, while pure-host layers keep
+// their plans. Every plan's width must lie in [1, maxPlanStreams] and its
+// solvedFrom must not be negative.
 //
 // The plan tables exist because the planned per-layer stream width is part
 // of the numeric contract (layers index per-chain scratch and fold
@@ -59,6 +61,16 @@ const (
 	// allocation: a corrupt header must fail cleanly, not OOM.
 	maxDurableBytes = int64(1) << 33
 )
+
+// maxPlanStreams bounds a checkpointed plan's width: the largest
+// MaxConcurrentKernels (Eq. 6's C) in simgpu's architecture table.
+var maxPlanStreams = func() int {
+	c := 1
+	for _, a := range simgpu.Architectures {
+		c = max(c, a.MaxConcurrentKernels)
+	}
+	return c
+}()
 
 // DurableInfo describes a durable checkpoint.
 type DurableInfo struct {
@@ -210,8 +222,14 @@ func readDurablePayload(r io.Reader) ([]byte, uint32, error) {
 	if err := binary.Read(r, binary.LittleEndian, &sum); err != nil {
 		return nil, 0, fmt.Errorf("parallel: reading checkpoint checksum: %w", err)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Read through a LimitReader rather than allocating plen up front, so
+	// memory follows the bytes actually present: a 20-byte file declaring
+	// 8 GiB is refused as truncated, not allowed to exhaust memory.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(plen)))
+	if err == nil && uint64(len(payload)) < plen {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, 0, fmt.Errorf("parallel: checkpoint truncated (want %d payload bytes): %w", plen, err)
 	}
 	if got := crc32.ChecksumIEEE(payload); got != sum {
@@ -317,6 +335,11 @@ func parseDurablePayload(payload []byte, ver uint32) (DurableInfo, []dnn.RNGStat
 				if err := binary.Read(br, binary.LittleEndian, &solvedFrom); err != nil {
 					return fail(fmt.Errorf("parallel: checkpoint payload truncated: %w", err))
 				}
+			}
+			// InstallPlan sizes the stream pool to the width: a width no
+			// simulated device can run is corruption, not a plan.
+			if streams == 0 || streams > uint32(maxPlanStreams) || solvedFrom < 0 {
+				return fail(fmt.Errorf("parallel: corrupt checkpoint: plan %q width %d solved from %dns", key, streams, solvedFrom))
 			}
 			plans[i] = append(plans[i], PlanInfo{
 				Key:        string(key),

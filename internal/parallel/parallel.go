@@ -114,15 +114,15 @@ type Trainer struct {
 	resumes    int
 	events     []EvictionEvent
 
-	// Adaptive-controller state (see adaptive.go). pendingDrift holds keys
-	// flagged by driftTick awaiting eviction at the next boundary;
+	// Adaptive-controller state (see adaptive.go). pinned holds keys
+	// flagged by pinnedTick awaiting eviction at the next boundary;
 	// shadowKeys the keys currently in their shadow re-profile window;
 	// swapArmed marks that the next boundary must finalize and swap.
-	adaptive     bool
-	pendingDrift []string
-	shadowKeys   []string
-	swapArmed    bool
-	swapLog      []PlanSwapEvent
+	adaptive   bool
+	pinned     []string
+	shadowKeys []string
+	swapArmed  bool
+	swapLog    []PlanSwapEvent
 }
 
 // Config tunes a Trainer.
@@ -171,12 +171,12 @@ type Config struct {
 	// exposed comm. Trains bitwise identically to the default overlapped
 	// path; kept as the reference arm for tests and benchmarks.
 	BlockingAllReduce bool
-	// Adaptive, with UseGLP, arms the online concurrency controller: each
-	// replica's runtime watches per-layer kernel timings, layers whose
-	// timing drifts out of the band around their plan's solved-from timing
-	// are re-profiled in a shadow window, and the re-solved plans swap in at
-	// checkpointed step boundaries (see adaptive.go). The width schedule is
-	// recorded (SwapEvents) so a non-adaptive replay trains identical bits.
+	// Adaptive, with UseGLP, arms the online concurrency controller: layers
+	// whose plan a fault pinned (serial-demoted, or solved from a lost
+	// profile) are re-profiled in a shadow window, and the re-solved plans
+	// swap in at checkpointed step boundaries (see adaptive.go). The width
+	// schedule is recorded (SwapEvents) so a non-adaptive replay trains
+	// identical bits.
 	Adaptive bool
 }
 
@@ -341,7 +341,7 @@ func (t *Trainer) Step(feed FeedFunc) (StepResult, error) {
 	if t.stepRetries <= 0 && !t.elastic && acp == nil {
 		res, err := t.stepOnce()
 		if err == nil && t.adaptive {
-			t.driftTick()
+			t.pinnedTick()
 		}
 		return res, err
 	}
@@ -376,7 +376,7 @@ func (t *Trainer) Step(feed FeedFunc) (StepResult, error) {
 		res, err = t.stepOnce()
 	}
 	if err == nil && t.adaptive {
-		t.driftTick()
+		t.pinnedTick()
 	}
 	return res, err
 }
