@@ -45,12 +45,12 @@ race:
 	done
 
 # The steady-state allocation contract (Gemm, Im2col/Col2im, the scratch
-# arena, a prefetched input batch end to end, and the simulator's event
-# engine per launch) must run without -race:
+# arena, a prefetched input batch end to end, the simulator's event engine
+# per launch and the runtime's planned launch) must run without -race:
 # race instrumentation skews the allocation accounting, so the tests skip
 # themselves under the race build.
 alloc:
-	$(GO) test -run 'SteadyStateAllocs' ./internal/tensor ./internal/data ./internal/simgpu
+	$(GO) test -run 'SteadyStateAllocs' ./internal/tensor ./internal/data ./internal/simgpu ./internal/core
 
 # The pure-Go fallback (no asm micro-kernels, the only path off amd64) must
 # stay green: vet and the focused kernel/engine suites with the asm files
@@ -97,10 +97,11 @@ checkpoint:
 bench-tensor:
 	$(GO) test -run '^$$' -bench 'Gemm|Im2col|Col2im' -benchmem ./internal/tensor
 
-# One timing-only (Compute=false) solver step of each paper net on a P100
-# through core.Runtime: the loop the benchmark's sim-paper workload times.
+# One timing-only (Compute=false) solver step of each paper net on a K40C
+# and a P100, naive and through core.Runtime ({net}/{K40C,P100}/{naive,glp4nn}):
+# the loop the benchmark's sim-paper workload times.
 # "Where does a simulated step's host time go" is this with a profile:
-#   go test -run '^$' -bench TimingOnlyStep/CIFAR10 -o /tmp/models.test -cpuprofile /tmp/cpu.prof ./internal/models
+#   go test -run '^$' -bench TimingOnlyStep/CIFAR10/P100/glp4nn -o /tmp/models.test -cpuprofile /tmp/cpu.prof ./internal/models
 #   go tool pprof -top /tmp/models.test /tmp/cpu.prof
 bench-sim:
 	$(GO) test -run '^$$' -bench TimingOnlyStep -benchmem ./internal/models

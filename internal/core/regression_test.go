@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/simgpu"
@@ -249,5 +251,98 @@ func TestCacheFallbackDoesNotOverwrite(t *testing.T) {
 	}
 	if a.CacheFallback("fresh") != fb {
 		t.Fatal("CacheFallback not idempotent")
+	}
+}
+
+// TestLaunchTagsConcurrent: sessions launching the same kernel tags under
+// their own keys at once each record key|tag, resolved once per pair. Run
+// under -race.
+func TestLaunchTagsConcurrent(t *testing.T) {
+	dev := simgpu.NewDevice(simgpu.TeslaP100)
+	fw := New()
+	defer fw.Close()
+	r := fw.Runtime(dev)
+	keys := []string{"a/fwd", "b/fwd", "c/fwd"}
+	var wg sync.WaitGroup
+	for _, key := range keys {
+		wg.Add(1)
+		go func(key string) {
+			defer wg.Done()
+			s := r.ForkLayerSession().(*LayerSession)
+			s.BeginLayer(key)
+			for i := 0; i < 40; i++ {
+				if err := s.Launch(testKernel("k", fmt.Sprintf("n%d", i%4)), -1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(key)
+	}
+	wg.Wait()
+	recs, err := dev.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags := map[string]int{}
+	for _, rec := range recs {
+		tags[rec.Tag]++
+	}
+	if len(tags) != len(keys)*4 {
+		t.Fatalf("record tags %v, want 4 per key", tags)
+	}
+	for _, key := range keys {
+		for j := 0; j < 4; j++ {
+			if n := tags[fmt.Sprintf("%s|n%d", key, j)]; n != 10 {
+				t.Errorf("%s|n%d recorded %d times, want 10", key, j, n)
+			}
+		}
+	}
+}
+
+// TestLaunchSteadyStateAllocs is the runtime's allocation ceiling (part of
+// `make alloc`): once a key is planned, Runtime.Launch — the session's plan
+// and stream choice, the key|tag launch tag resolved once per (key, tag)
+// pair, and the stack copy of the kernel that carries it — allocates nothing
+// beyond the device's own share, which simgpu.TestEngineSteadyStateAllocs
+// holds at zero. Each launch used to allocate the joined tag and the copy.
+func TestLaunchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is meaningless under the race detector")
+	}
+	dev := simgpu.NewDevice(simgpu.TeslaP100)
+	dev.SetTracing(false)
+	fw := New()
+	defer fw.Close()
+	r := fw.Runtime(dev)
+	var ks []*simgpu.Kernel
+	for i := 0; i < 16; i++ {
+		ks = append(ks, testKernel("sgemm", "conv/n"+strings.Repeat("i", i)))
+	}
+	launch := func() {
+		for i, k := range ks {
+			if err := r.Launch(k, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := dev.Synchronize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Profile, analyse, first planned pass.
+	for i := 0; i < 3; i++ {
+		r.BeginLayer("conv/fwd")
+		launch()
+		if err := r.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.BeginLayer("conv/fwd")
+	if r.Width() < 2 {
+		t.Fatalf("conv/fwd planned at width %d, want a pooled plan", r.Width())
+	}
+	perLaunch := testing.AllocsPerRun(50, launch) / float64(len(ks))
+	t.Logf("%.2f allocations per launch", perLaunch)
+	if perLaunch > 0 {
+		t.Errorf("a planned launch allocates %.2f times, want 0", perLaunch)
 	}
 }

@@ -47,6 +47,9 @@ type Runtime struct {
 	// against DefaultMaxReprofiles.
 	reprofiling map[string]bool
 	reprofiles  map[string]int
+	// tags maps a [layer key, kernel tag] pair to its launch tag key|tag,
+	// built on the pair's first launch and read without a lock after.
+	tags sync.Map
 
 	// Completion-listener state: observe flags layer keys whose kernels
 	// overstayed wdLimit (Sync drains the set and degrades those layers) and,
@@ -476,7 +479,7 @@ func (s *LayerSession) BeginLayer(key string) {
 // width, and therefore trained bits, are untouched); a grant of 1 routes
 // everything to the default stream, exactly like a serial-demoted plan.
 //
-// The scheduler key is prefixed onto the kernel tag through a local copy of
+// The scheduler key is prefixed onto the kernel tag through a stack copy of
 // the kernel: the caller's kernel is never mutated, so a re-launched kernel
 // cannot accumulate prefixes and concurrent chain dispatch cannot race on
 // shared kernel state.
@@ -490,12 +493,8 @@ func (s *LayerSession) BeginLayer(key string) {
 func (s *LayerSession) Launch(k *simgpu.Kernel, chain int) error {
 	r, plan := s.r, s.plan
 	if s.key != "" {
-		tag := s.key
-		if k.Tag != "" {
-			tag = s.key + "|" + k.Tag
-		}
 		kk := *k
-		kk.Tag = tag
+		kk.Tag = r.tagged(s.key, k.Tag)
 		k = &kk
 	}
 	var stream *simgpu.Stream
@@ -526,6 +525,18 @@ func (s *LayerSession) Launch(k *simgpu.Kernel, chain int) error {
 	}
 	r.ledger.add(&r.ledger.s.LaunchFailures, 1)
 	return err
+}
+
+// tagged returns key|tag (key alone for an untagged kernel).
+func (r *Runtime) tagged(key, tag string) string {
+	if tag == "" {
+		return key
+	}
+	if v, ok := r.tags.Load([2]string{key, tag}); ok {
+		return v.(string)
+	}
+	v, _ := r.tags.LoadOrStore([2]string{key, tag}, key+"|"+tag)
+	return v.(string)
 }
 
 // Sync implements dnn.Launcher: the device-wide barrier (concurrent

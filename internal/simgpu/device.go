@@ -2,6 +2,7 @@ package simgpu
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -30,16 +31,16 @@ type Device struct {
 	host float64 // host dispatch timeline, ns
 	seq  int
 
-	// tails holds the most recent kernel per stream since the last
-	// default-stream barrier; a default-stream kernel depends on exactly
-	// these (stream ordering covers everything earlier), which keeps the
+	// tails holds the non-default streams launched into since the last
+	// default-stream kernel; that kernel depends on exactly their tails
+	// (stream ordering covers everything earlier), which keeps the
 	// legacy-barrier dependency lists O(#streams) instead of O(#kernels).
-	tails       map[int]*kernelExec
-	lastDefault *kernelExec
+	tails       []*Stream
+	lastDefault execRef
 
 	records   []KernelRecord
 	tracing   bool
-	listeners map[int]func(KernelRecord)
+	listeners []listener // in subscription order
 	nextLst   int
 
 	launches     int64
@@ -76,12 +77,7 @@ func NewDeviceChecked(spec DeviceSpec, opts ...Option) (*Device, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("simgpu: invalid device spec: %w", err)
 	}
-	d := &Device{
-		spec:      spec,
-		listeners: map[int]func(KernelRecord){},
-		tails:     map[int]*kernelExec{},
-		tracing:   true,
-	}
+	d := &Device{spec: spec, tracing: true}
 	d.eng = newEngine(spec, d.onComplete)
 	d.def = &Stream{id: 0, dev: d, isDefault: true}
 	d.nextStream = 1
@@ -148,10 +144,10 @@ func (d *Device) DestroyStream(s *Stream) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if s.destroyed {
+	if s.destroyed.Load() {
 		return fmt.Errorf("simgpu: double destroy of %v", s)
 	}
-	s.destroyed = true
+	s.destroyed.Store(true)
 	d.activeStrms--
 	return nil
 }
@@ -177,10 +173,15 @@ func (d *Device) Launch(k *Kernel, s *Stream) error {
 	if err := k.Validate(d.spec); err != nil {
 		return err
 	}
-	// Fault decision precedes the host closure: a failed launch never
-	// executes the kernel, so a retried launch runs the math exactly once —
-	// the property that keeps recovery convergence-invariant even for
-	// non-idempotent (accumulating) kernels.
+	// A destroyed stream is refused, and the fault decision made, before
+	// the host closure: a failed launch never executes the kernel, so a
+	// retried launch runs the math exactly once — the property that keeps
+	// recovery convergence-invariant even for non-idempotent (accumulating)
+	// kernels. A stream destroyed after this check still takes the launch,
+	// as CUDA completes work issued before cudaStreamDestroy.
+	if s.destroyed.Load() {
+		return fmt.Errorf("simgpu: launch of %q on destroyed %v", k.Name, s)
+	}
 	var hang float64
 	if d.inj != nil {
 		f := d.inj.Decide(OpLaunch, k.Name)
@@ -195,10 +196,6 @@ func (d *Device) Launch(k *Kernel, s *Stream) error {
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if s.destroyed {
-		return fmt.Errorf("simgpu: launch of %q on destroyed %v", k.Name, s)
-	}
-
 	blocks := k.Config.Blocks()
 	d.submit(&kernelExec{
 		name:          k.Name,
@@ -214,37 +211,43 @@ func (d *Device) Launch(k *Kernel, s *Stream) error {
 	return nil
 }
 
-// submit charges one launch to the host dispatch timeline, stamps e with
-// its issue time and sequence number, links its ordering edges — stream
-// predecessor, then default-stream semantics — and enqueues it. The caller
-// holds d.mu.
-func (d *Device) submit(e *kernelExec, s *Stream) {
+// submit charges one launch to the host dispatch timeline, makes x an
+// engine exec stamped with its issue time and sequence number, links its
+// ordering edges — stream predecessor, then default-stream semantics — and
+// enqueues it. The caller holds d.mu.
+func (d *Device) submit(x *kernelExec, s *Stream) {
 	d.host += float64(d.spec.LaunchOverhead.Nanoseconds())
 	d.launches++
 	d.seq++
+	e := d.eng.newExec(x)
 	e.seq, e.streamID, e.issue = d.seq, s.id, d.host
-	e.deps = e.depBuf[:0]
 
-	if s.tail != nil && !s.tail.done {
-		e.deps = append(e.deps, s.tail)
+	if s.tail.pending() {
+		e.deps = append(e.deps, s.tail.e)
 	}
 	if s.isDefault {
 		// Legacy barrier: wait for the tail of every stream that has run
 		// since the previous default-stream kernel (stream ordering makes
 		// those tails cover all earlier work).
-		for id, tail := range d.tails {
-			if tail != s.tail && !tail.done {
-				e.deps = append(e.deps, tail)
+		for _, t := range d.tails {
+			if t.tail.pending() {
+				e.deps = append(e.deps, t.tail.e)
 			}
-			delete(d.tails, id)
+			t.listed = false
 		}
-		d.lastDefault = e
-	} else if d.lastDefault != nil && !d.lastDefault.done {
-		e.deps = append(e.deps, d.lastDefault)
+		clear(d.tails)
+		d.tails = d.tails[:0]
+		d.lastDefault = execRef{e, e.seq}
+	} else {
+		if d.lastDefault.pending() {
+			e.deps = append(e.deps, d.lastDefault.e)
+		}
+		if !s.listed {
+			s.listed = true
+			d.tails = append(d.tails, s)
+		}
 	}
-
-	s.tail = e
-	d.tails[s.id] = e
+	s.tail = execRef{e, e.seq}
 	d.eng.enqueue(e)
 }
 
@@ -268,7 +271,7 @@ func (d *Device) memcpy(name string, bytes int64, s *Stream) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if s.destroyed {
+	if s.destroyed.Load() {
 		return fmt.Errorf("simgpu: %s on destroyed %v", name, s)
 	}
 	d.submit(&kernelExec{
@@ -357,8 +360,9 @@ func (d *Device) AdvanceHost(dt time.Duration) {
 	d.host += float64(dt.Nanoseconds())
 }
 
-// ResetClocks drains pending work and resets both clocks and the trace. It
-// is the experiment-boundary operation: streams stay valid.
+// ResetClocks drains pending work and resets both clocks and the trace,
+// keeping the trace buffer's capacity. It is the experiment-boundary
+// operation: streams stay valid.
 func (d *Device) ResetClocks() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -367,13 +371,8 @@ func (d *Device) ResetClocks() error {
 	}
 	d.eng.reset()
 	d.host = 0
-	d.records = nil
-	clear(d.tails)
-	d.lastDefault = nil
+	d.records = d.records[:0]
 	d.traceDropped = 0
-	// Every exec is complete and holds no dependency edge any more, so a
-	// pool stream's tail pins that one exec and nothing behind it.
-	d.def.tail = nil
 	return nil
 }
 
@@ -411,14 +410,14 @@ func (d *Device) LaunchSeq() int {
 }
 
 // Subscribe registers a completion listener and returns an unsubscribe
-// token. Listeners run under the device lock during drains: they must not
-// call device methods.
+// token. Listeners run in subscription order, under the device lock during
+// drains: they must not call device methods.
 func (d *Device) Subscribe(fn func(KernelRecord)) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	id := d.nextLst
 	d.nextLst++
-	d.listeners[id] = fn
+	d.listeners = append(d.listeners, listener{id, fn})
 	return id
 }
 
@@ -426,7 +425,13 @@ func (d *Device) Subscribe(fn func(KernelRecord)) int {
 func (d *Device) Unsubscribe(id int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.listeners, id)
+	d.listeners = slices.DeleteFunc(d.listeners, func(l listener) bool { return l.id == id })
+}
+
+// listener is one Subscribe registration.
+type listener struct {
+	id int
+	fn func(KernelRecord)
 }
 
 func (d *Device) onComplete(e *kernelExec) {
@@ -464,8 +469,8 @@ func (d *Device) onComplete(e *kernelExec) {
 			d.records = append(d.records, r)
 		}
 	}
-	for _, fn := range d.listeners {
-		fn(r)
+	for _, l := range d.listeners {
+		l.fn(r)
 	}
 }
 

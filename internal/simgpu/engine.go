@@ -1,7 +1,6 @@
 package simgpu
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -13,6 +12,8 @@ const epsNS = 1e-6
 // kernelExec is one launched kernel making its way through the simulated
 // device: queued behind stream predecessors and default-stream barriers,
 // waiting for a hardware queue slot, then admitted to SMs in block cohorts.
+// Execs are engine-owned: a completed one is recycled by the next launch, so
+// a reference kept past completion is an execRef.
 type kernelExec struct {
 	name string
 	tag  string
@@ -22,11 +23,10 @@ type kernelExec struct {
 	streamID int
 
 	issue float64 // host time the launch call completed (ns)
-	// deps are the unfinished execs this one waits for, cleared when it
-	// completes so a finished exec pins none of its predecessors; depBuf
-	// backs the usual one or two (stream predecessor, default barrier).
-	deps   []*kernelExec
-	depBuf [2]*kernelExec
+	// deps are the unfinished execs this one waits for (stream predecessor,
+	// default-stream barrier), cleared when it completes; the buffer stays
+	// with the exec for its next launch.
+	deps []*kernelExec
 
 	flopsPerBlock float64
 	bytesPerBlock float64
@@ -53,22 +53,38 @@ type kernelExec struct {
 	end   float64
 }
 
+// depsDone reports whether every dependency has completed, dropping the
+// completed ones from the end of the list so a ready exec answers at once.
 func (e *kernelExec) depsDone() bool {
-	for _, d := range e.deps {
-		if !d.done {
+	for n := len(e.deps); n > 0; n-- {
+		if !e.deps[n-1].done {
 			return false
 		}
+		e.deps[n-1] = nil
+		e.deps = e.deps[:n-1]
 	}
 	return true
 }
 
+// execRef names one launch: it stops matching once its exec is recycled.
+type execRef struct {
+	e   *kernelExec
+	seq int
+}
+
+// pending reports whether the referenced launch has yet to complete.
+func (r execRef) pending() bool { return r.e != nil && r.e.seq == r.seq && !r.e.done }
+
 // cohort is a set of homogeneous blocks of one kernel admitted together and
-// retiring together. perSM holds how many of the cohort's blocks sit on each
-// SM.
+// retiring together. place holds where they sit: ascending runs of SMs each
+// holding the same number of them.
 type cohort struct {
 	exec   *kernelExec
 	blocks int
-	perSM  []int32
+	place  []placed
+	// demand: its threads still count in its SMs' compute demand (it has
+	// arithmetic left).
+	demand bool
 
 	remC float64 // remaining effective FLOPs
 	remM float64 // remaining effective bytes
@@ -79,6 +95,16 @@ type cohort struct {
 	minEnd float64 // latency floor: cohort cannot retire before this time
 }
 
+// placed is a run [lo, hi) of SMs each holding b of a cohort's blocks.
+type placed struct{ lo, hi, b int }
+
+// streamQueue is one stream's FIFO of issued, not fully admitted kernels;
+// buf is reused once the queue drains.
+type streamQueue struct {
+	buf  []*kernelExec
+	head int
+}
+
 // engine is the discrete-event core. It is not safe for concurrent use; the
 // owning Device serializes access.
 type engine struct {
@@ -86,28 +112,34 @@ type engine struct {
 
 	now float64 // device timeline, ns
 
-	sm []smState
+	// res is the SMs' residency as maximal runs of equal neighbours in
+	// ascending order; resident is its thread total.
+	res      []span
+	resBuf   []span
+	resident int
 
-	// queues holds issued-but-not-fully-admitted kernels as per-stream
-	// FIFOs: only each stream's head can possibly run next (CUDA stream
-	// semantics), which keeps every scheduling scan O(#streams) instead of
-	// O(#outstanding kernels).
-	queues       map[int][]*kernelExec
+	// queues holds issued-but-not-fully-admitted kernels as per-stream FIFOs
+	// indexed by stream id, live the ids of the non-empty ones in their
+	// heads' launch order: only each stream's head can possibly run next
+	// (CUDA stream semantics), which keeps every scheduling scan
+	// O(#streams) instead of O(#outstanding kernels).
+	queues       []streamQueue
+	live         []int
 	cohorts      []*cohort
-	free         []*cohort // retired cohorts, perSM zeroed, for newCohort to reuse
+	free         []*cohort     // retired cohorts, for newCohort to reuse
+	execs        []*kernelExec // completed execs, for newExec to reuse
 	runningSlots int
 	maxSlots     int
 
 	onComplete func(*kernelExec)
 
 	// Per-event scratch, reused across calls: the stream heads in launch
-	// order, admitBlocks' runs of like SMs, per-level SM counts and
-	// last-level order, computeRates' per-SM demand.
+	// order, admitBlocks' room per residency run, per-level SM counts and
+	// last-level order.
 	headBuf []*kernelExec
 	runs    []smRun
 	delta   []int
 	order   []uint64
-	demand  []float64
 
 	// utilization accounting (invariant checks and reports)
 	threadNSIntegral float64 // ∫ resident threads dt
@@ -123,10 +155,8 @@ type engine struct {
 func newEngine(spec DeviceSpec, onComplete func(*kernelExec)) *engine {
 	return &engine{
 		spec:             spec,
-		queues:           map[int][]*kernelExec{},
-		sm:               make([]smState, spec.SMCount),
+		res:              []span{{hi: spec.SMCount}},
 		delta:            make([]int, spec.MaxThreadsPerSM+1),
-		demand:           make([]float64, spec.SMCount),
 		maxSlots:         spec.MaxConcurrentKernels(),
 		onComplete:       onComplete,
 		peakFlopsPerSMns: spec.PeakFlopsPerSM() * 1e-9,
@@ -136,50 +166,95 @@ func newEngine(spec DeviceSpec, onComplete func(*kernelExec)) *engine {
 	}
 }
 
+// reset zeroes the clock and the accounting of a drained engine (no queued
+// kernel, no resident cohort).
 func (g *engine) reset() {
 	g.now = 0
-	clear(g.sm)
-	clear(g.queues)
-	g.cohorts = g.cohorts[:0]
-	g.runningSlots = 0
 	g.threadNSIntegral = 0
 	g.flopsRetired = 0
 	g.bytesRetired = 0
 }
 
-func (g *engine) idle() bool {
-	return len(g.queues) == 0 && len(g.cohorts) == 0
+// newExec copies x into an engine-owned exec, recycling a completed one and
+// its dependency buffer.
+func (g *engine) newExec(x *kernelExec) *kernelExec {
+	n := len(g.execs)
+	if n == 0 {
+		e := new(kernelExec)
+		*e = *x
+		return e
+	}
+	e := g.execs[n-1]
+	g.execs = g.execs[:n-1]
+	deps := e.deps
+	*e = *x
+	e.deps = deps
+	return e
 }
 
-// enqueue registers a launched kernel. Deps must have lower seq numbers.
+// enqueue registers a launched kernel. Launches arrive in seq order, so one
+// that becomes its stream's head sorts last in live.
 func (g *engine) enqueue(e *kernelExec) {
 	e.blocksLeft = e.totalBlocks
-	g.queues[e.streamID] = append(g.queues[e.streamID], e)
+	if e.streamID >= len(g.queues) {
+		g.queues = append(g.queues, make([]streamQueue, e.streamID+1-len(g.queues))...)
+	}
+	q := &g.queues[e.streamID]
+	if len(q.buf) == 0 {
+		g.live = append(g.live, e.streamID)
+	}
+	q.buf = append(q.buf, e)
+}
+
+// head returns the first queued kernel of a live stream.
+func (g *engine) head(id int) *kernelExec {
+	q := &g.queues[id]
+	return q.buf[q.head]
 }
 
 // heads returns the current stream heads in seq (launch) order. The slice
 // is the engine's scratch: valid until the next call.
 func (g *engine) heads() []*kernelExec {
 	out := g.headBuf[:0]
-	for _, q := range g.queues {
-		out = append(out, q[0])
+	for _, id := range g.live {
+		out = append(out, g.head(id))
 	}
-	slices.SortFunc(out, func(a, b *kernelExec) int { return cmp.Compare(a.seq, b.seq) })
 	g.headBuf = out
 	return out
 }
 
-// pop removes a fully admitted head from its stream queue.
+// pop removes a fully admitted head from its stream queue, keeping live in
+// launch order of the heads: the stream's next head, launched later, moves
+// back past the heads launched before it.
 func (g *engine) pop(e *kernelExec) {
-	q := g.queues[e.streamID]
-	if len(q) == 0 || q[0] != e {
+	id := e.streamID
+	q := &g.queues[id]
+	if len(q.buf) == 0 || q.buf[q.head] != e {
 		return
 	}
-	if len(q) == 1 {
-		delete(g.queues, e.streamID)
-	} else {
-		g.queues[e.streamID] = q[1:]
+	q.buf[q.head] = nil
+	i := slices.Index(g.live, id)
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+		g.live = slices.Delete(g.live, i, i+1)
+		return
 	}
+	for seq := q.buf[q.head].seq; i+1 < len(g.live) && g.head(g.live[i+1]).seq < seq; i++ {
+		g.live[i] = g.live[i+1]
+	}
+	g.live[i] = id
+}
+
+// nextArrival returns the earliest issue time after now among ready stream
+// heads, or +Inf.
+func (g *engine) nextArrival() float64 {
+	next := math.Inf(1)
+	for _, id := range g.live {
+		if e := g.head(id); e.depsDone() && e.issue > g.now && e.issue < next {
+			next = e.issue
+		}
+	}
+	return next
 }
 
 // drain advances the simulation until every enqueued kernel has completed.
@@ -189,17 +264,12 @@ func (g *engine) drain() error {
 		g.admit()
 		if len(g.cohorts) == 0 {
 			// Nothing resident: either jump to the next arrival or stop.
-			next := math.Inf(1)
-			for _, q := range g.queues {
-				if e := q[0]; e.depsDone() && e.issue > g.now && e.issue < next {
-					next = e.issue
-				}
-			}
+			next := g.nextArrival()
 			if math.IsInf(next, 1) {
-				if len(g.queues) > 0 {
+				if len(g.live) > 0 {
 					first := g.heads()[0]
 					return fmt.Errorf("simgpu: engine stalled with %d streams waiting (first %q seq=%d)",
-						len(g.queues), first.name, first.seq)
+						len(g.live), first.name, first.seq)
 				}
 				return nil
 			}
@@ -210,15 +280,10 @@ func (g *engine) drain() error {
 		g.computeRates()
 
 		// Next event: earliest cohort retirement or kernel arrival.
-		t := math.Inf(1)
+		t := g.nextArrival()
 		for _, c := range g.cohorts {
 			if f := g.finishEstimate(c); f < t {
 				t = f
-			}
-		}
-		for _, q := range g.queues {
-			if e := q[0]; e.depsDone() && e.issue > g.now && e.issue < t {
-				t = e.issue
 			}
 		}
 		if math.IsInf(t, 1) || t < g.now-epsNS {
@@ -246,7 +311,7 @@ func (g *engine) admit() {
 				e.started = true
 				e.start = g.now
 				e.blocksLeft = 0
-				g.newCohort(e, 0).minEnd = g.now + e.fixedDur
+				g.newCohort(e).minEnd = g.now + e.fixedDur
 			}
 			g.pop(e)
 			continue
@@ -272,13 +337,21 @@ func (g *engine) admit() {
 	}
 }
 
-// smState is one SM's residency: threads, blocks and shared-memory bytes.
-type smState struct{ threads, blocks, smem int }
+// smState is one SM's residency: threads, blocks and shared-memory bytes,
+// and demand, the threads of its cohorts that still have arithmetic left.
+type smState struct{ threads, blocks, smem, demand int }
 
-// smRun is a run [lo, hi) of neighbouring SMs with equal residency and what
-// each can still take of the kernel being admitted: fit blocks, its free
-// threads being lvl whole blocks' worth plus rem.
-type smRun struct{ lo, hi, fit, lvl, rem int }
+// span is a run [lo, hi) of neighbouring SMs in the same state.
+type span struct {
+	lo, hi int
+	st     smState
+}
+
+// smRun is a residency run [lo, hi) and what each of its SMs can still take
+// of the kernel being admitted: fit blocks, its free threads being lvl whole
+// blocks' worth plus rem; extra is how many of its first SMs take one block
+// of the last, partial level.
+type smRun struct{ lo, hi, fit, lvl, rem, extra int }
 
 // admitBlocks places as many of e's remaining blocks as currently fit, as
 // one cohort, each block on the least-loaded SM that still has room (ties to
@@ -291,26 +364,21 @@ type smRun struct{ lo, hi, fit, lvl, rem int }
 // of the levels lvl, lvl-1, … lvl-fit+1, every candidate of a higher level
 // precedes every one of a lower level, and within any level the order is
 // (larger rem, lower index). So whole levels are placed at once, only the
-// last, partial one is ordered, and neighbouring SMs with equal residency
-// are handled as one run: the cost is O(SMs + levels) plus a sort of the
-// last level's runs, whatever the block count, and the placement is the
-// block-by-block one exactly.
+// last, partial one is ordered, and each run of equal residency is handled
+// as one: the cost is O(runs + levels) plus a sort of the last level's runs,
+// whatever the block or SM count, and the placement is the block-by-block
+// one exactly.
 func (g *engine) admitBlocks(e *kernelExec) {
-	n, runs := len(g.sm), g.runs[:0]
+	runs := g.runs[:0]
 	total, top := 0, 0
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && g.sm[hi] == g.sm[lo] {
-			hi++
-		}
-		r := g.roomOn(lo, hi, e)
+	for _, sp := range g.res {
+		r := g.roomOn(sp, e)
 		// Each SM of the run has a candidate on the levels (lvl-fit, lvl].
-		g.delta[r.lvl] += hi - lo
-		g.delta[r.lvl-r.fit] -= hi - lo
-		total += (hi - lo) * r.fit
+		g.delta[r.lvl] += r.hi - r.lo
+		g.delta[r.lvl-r.fit] -= r.hi - r.lo
+		total += (r.hi - r.lo) * r.fit
 		top = max(top, r.lvl)
 		runs = append(runs, r)
-		lo = hi
 	}
 	g.runs = runs
 	if total == 0 {
@@ -328,14 +396,10 @@ func (g *engine) admitBlocks(e *kernelExec) {
 	}
 	clear(g.delta[:top+1])
 
-	c := g.newCohort(e, n)
-	order := g.order[:0] // the runs with a candidate on level k
+	// The runs with a candidate on level k share its a-whole blocks in
+	// (larger rem, lower index) order, each run's lowest SMs first.
+	order := g.order[:0]
 	for i, r := range runs {
-		if b := min(max(r.lvl-k, 0), r.fit); b > 0 {
-			for s := r.lo; s < r.hi; s++ {
-				g.occupy(c, s, b)
-			}
-		}
 		if r.lvl >= k && r.lvl-r.fit < k {
 			order = append(order, uint64(e.threads-1-r.rem)<<32|uint64(i))
 		}
@@ -344,11 +408,16 @@ func (g *engine) admitBlocks(e *kernelExec) {
 	g.order = order
 	left := a - whole
 	for _, key := range order {
-		r := runs[uint32(key)]
-		for s := r.lo; s < r.hi && left > 0; s++ {
-			g.occupy(c, s, 1)
-			left--
-		}
+		r := &runs[uint32(key)]
+		r.extra = min(left, r.hi-r.lo)
+		left -= r.extra
+	}
+
+	c := g.newCohort(e)
+	for _, r := range runs {
+		b := min(max(r.lvl-k, 0), r.fit)
+		c.place = appendPlaced(c.place, placed{r.lo, r.lo + r.extra, b + 1})
+		c.place = appendPlaced(c.place, placed{r.lo + r.extra, r.hi, b})
 	}
 	if !e.started {
 		e.started = true
@@ -359,39 +428,80 @@ func (g *engine) admitBlocks(e *kernelExec) {
 	c.remC = float64(a) * e.flopsPerBlock
 	c.remM = float64(a) * e.bytesPerBlock
 	c.minEnd = g.now + g.floorNS + e.extra
-}
-
-// occupy moves b more blocks of c onto SM s; a negative b frees them.
-func (g *engine) occupy(c *cohort, s, b int) {
-	c.perSM[s] += int32(b)
-	g.sm[s].threads += b * c.exec.threads
-	g.sm[s].blocks += b
-	g.sm[s].smem += b * c.exec.smem
-}
-
-// roomOn returns the room for e on each SM of the like run [lo, hi).
-func (g *engine) roomOn(lo, hi int, e *kernelExec) smRun {
-	free := g.spec.MaxThreadsPerSM - g.sm[lo].threads
-	lvl := free / e.threads
-	fit := min(lvl, g.spec.MaxBlocksPerSM-g.sm[lo].blocks)
-	if e.smem > 0 {
-		fit = min(fit, (g.spec.SharedMemPerSM()-g.sm[lo].smem)/e.smem)
+	c.demand = c.remC > 0
+	u := smState{threads: e.threads, blocks: 1, smem: e.smem}
+	if c.demand {
+		u.demand = e.threads
 	}
-	return smRun{lo: lo, hi: hi, fit: max(fit, 0), lvl: lvl, rem: free - lvl*e.threads}
+	g.shift(c, u)
 }
 
-// newCohort makes e's next cohort resident, reusing a retired one. perSM has
-// n zero entries: the SM count for blocks, 0 for a DMA transfer.
-func (g *engine) newCohort(e *kernelExec, n int) *cohort {
+// appendPlaced appends a non-empty run to an ascending placement, merging it
+// into an adjacent run of the same block count.
+func appendPlaced(p []placed, r placed) []placed {
+	if r.lo == r.hi || r.b == 0 {
+		return p
+	}
+	if n := len(p); n > 0 && p[n-1].hi == r.lo && p[n-1].b == r.b {
+		p[n-1].hi = r.hi
+		return p
+	}
+	return append(p, r)
+}
+
+// shift adds b·u to the state of every SM on which c holds b blocks: one
+// merge of the residency runs with c's placement runs, neighbours left
+// equal joined again.
+func (g *engine) shift(c *cohort, u smState) {
+	out, p := g.resBuf[:0], c.place
+	for _, r := range g.res {
+		for lo := r.lo; lo < r.hi; {
+			for len(p) > 0 && p[0].hi <= lo {
+				p = p[1:]
+			}
+			sp := span{lo, r.hi, r.st}
+			if len(p) > 0 && p[0].lo < r.hi {
+				if p[0].lo > lo {
+					sp.hi = p[0].lo
+				} else {
+					b := p[0].b
+					sp.hi = min(r.hi, p[0].hi)
+					sp.st = smState{sp.st.threads + b*u.threads, sp.st.blocks + b*u.blocks,
+						sp.st.smem + b*u.smem, sp.st.demand + b*u.demand}
+				}
+			}
+			if n := len(out); n > 0 && out[n-1].st == sp.st {
+				out[n-1].hi = sp.hi
+			} else {
+				out = append(out, sp)
+			}
+			lo = sp.hi
+		}
+	}
+	g.res, g.resBuf = out, g.res
+	g.resident += c.blocks * u.threads
+}
+
+// roomOn returns the room for e on each SM of a residency run.
+func (g *engine) roomOn(sp span, e *kernelExec) smRun {
+	free := g.spec.MaxThreadsPerSM - sp.st.threads
+	lvl := free / e.threads
+	fit := min(lvl, g.spec.MaxBlocksPerSM-sp.st.blocks)
+	if e.smem > 0 {
+		fit = min(fit, (g.spec.SharedMemPerSM()-sp.st.smem)/e.smem)
+	}
+	return smRun{lo: sp.lo, hi: sp.hi, fit: max(fit, 0), lvl: lvl, rem: free - lvl*e.threads}
+}
+
+// newCohort makes e's next cohort resident, reusing a retired one and its
+// placement buffer.
+func (g *engine) newCohort(e *kernelExec) *cohort {
 	if len(g.free) == 0 {
 		g.free = append(g.free, &cohort{})
 	}
 	c := g.free[len(g.free)-1]
 	g.free = g.free[:len(g.free)-1]
-	if cap(c.perSM) < n {
-		c.perSM = make([]int32, n)
-	}
-	*c = cohort{exec: e, perSM: c.perSM[:n]}
+	*c = cohort{exec: e, place: c.place[:0]}
 	e.activeCohorts++
 	g.cohorts = append(g.cohorts, c)
 	return c
@@ -402,54 +512,41 @@ func (g *engine) newCohort(e *kernelExec, n int) *cohort {
 func (g *engine) computeRates() {
 	cores := float64(g.spec.CoresPerSM)
 
-	// Per-SM compute demand in resident threads, counting only cohorts that
-	// still have arithmetic left.
-	demand := g.demand
-	clear(demand)
-	for _, c := range g.cohorts {
-		if c.remC <= 0 {
-			continue
-		}
-		th := float64(c.exec.threads)
-		for s, b := range c.perSM {
-			if b > 0 {
-				demand[s] += float64(b) * th
-			}
-		}
-	}
-
 	// Device-wide memory demand in resident threads.
-	memThreads := 0.0
+	memThreads := 0
 	for _, c := range g.cohorts {
-		if c.remM <= 0 {
-			continue
+		if c.remM > 0 {
+			memThreads += c.blocks * c.exec.threads
 		}
-		memThreads += float64(c.blocks * c.exec.threads)
 	}
-	memDenom := memThreads
-	if memDenom < g.satThreads {
-		memDenom = g.satThreads
-	}
+	memDenom := max(float64(memThreads), g.satThreads)
 
 	for _, c := range g.cohorts {
 		c.rateC, c.rateM = 0, 0
 		th := float64(c.exec.threads)
 		if c.remC > 0 {
-			r := 0.0
-			for s, b := range c.perSM {
-				if b == 0 {
-					continue
+			r, j := 0.0, 0
+			for _, p := range c.place {
+				d := float64(p.b) * th
+				for s := p.lo; s < p.hi; {
+					for g.res[j].hi <= s {
+						j++
+					}
+					// An SM runs at full throughput once resident-thread
+					// demand covers its cores; below that, throughput scales
+					// with the threads present. The demand of all co-resident
+					// cohorts shares the SM proportionally.
+					den := cores
+					if dm := float64(g.res[j].st.demand); dm > cores {
+						den = dm
+					}
+					// Every SM of the run adds the same term, one addition per
+					// SM: the ascending-SM sum a per-SM loop makes.
+					term := g.peakFlopsPerSMns * d / den
+					for hi := min(p.hi, g.res[j].hi); s < hi; s++ {
+						r += term
+					}
 				}
-				d := float64(b) * th
-				// An SM runs at full throughput once resident-thread demand
-				// covers its cores; below that, throughput scales with the
-				// threads present. The demand of all co-resident cohorts
-				// shares the SM proportionally.
-				den := cores
-				if demand[s] > cores {
-					den = demand[s]
-				}
-				r += g.peakFlopsPerSMns * d / den
 			}
 			c.rateC = r
 		}
@@ -493,11 +590,7 @@ func (g *engine) advance(t float64) {
 	if dt < 0 {
 		dt = 0
 	}
-	resident := 0
-	for s := range g.sm {
-		resident += g.sm[s].threads
-	}
-	g.threadNSIntegral += float64(resident) * dt
+	g.threadNSIntegral += float64(g.resident) * dt
 
 	for _, c := range g.cohorts {
 		if c.remC > 0 {
@@ -523,20 +616,25 @@ func (g *engine) advance(t float64) {
 	for _, c := range g.cohorts {
 		if c.remC <= 0 && c.remM <= 0 && g.now+epsNS >= c.minEnd {
 			g.retire(c)
-		} else {
-			kept = append(kept, c)
+			continue
 		}
+		if c.demand && c.remC <= 0 {
+			// Arithmetic done: its threads leave the SMs' compute demand.
+			c.demand = false
+			g.shift(c, smState{demand: -c.exec.threads})
+		}
+		kept = append(kept, c)
 	}
 	g.cohorts = kept
 }
 
 func (g *engine) retire(c *cohort) {
 	e := c.exec
-	for s, b := range c.perSM {
-		if b != 0 {
-			g.occupy(c, s, -int(b)) // leaves perSM zeroed for the next admission
-		}
+	u := smState{threads: -e.threads, blocks: -1, smem: -e.smem}
+	if c.demand {
+		u.demand = -e.threads
 	}
+	g.shift(c, u)
 	g.flopsRetired += float64(c.blocks) * e.flopsPerBlock
 	g.bytesRetired += float64(c.blocks) * e.bytesPerBlock
 	e.activeCohorts--
@@ -547,10 +645,13 @@ func (g *engine) retire(c *cohort) {
 	g.free = append(g.free, c)
 }
 
+// completeKernel stamps e's end, reports it and recycles it: a completed
+// exec pins none of its predecessors.
 func (g *engine) completeKernel(e *kernelExec) {
 	e.done = true
 	e.end = g.now
-	e.deps, e.depBuf = nil, [2]*kernelExec{}
+	clear(e.deps)
+	e.deps = e.deps[:0]
 	if !e.started {
 		e.started = true
 		e.start = g.now
@@ -562,4 +663,5 @@ func (g *engine) completeKernel(e *kernelExec) {
 	if g.onComplete != nil {
 		g.onComplete(e)
 	}
+	g.execs = append(g.execs, e)
 }

@@ -2,6 +2,7 @@ package simgpu
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 )
 
@@ -13,8 +14,9 @@ type Stream struct {
 	id        int
 	dev       *Device
 	isDefault bool
-	destroyed bool
-	tail      *kernelExec // last kernel launched into this stream
+	destroyed atomic.Bool
+	tail      execRef // last kernel launched into this stream
+	listed    bool    // in the device's barrier tail set
 }
 
 // ID returns the stream's device-unique identifier; the default stream is 0.
@@ -38,66 +40,4 @@ func (s *Stream) String() string {
 		return "stream<default>"
 	}
 	return fmt.Sprintf("stream<%d>", s.id)
-}
-
-// Event is a CUDA-like event: a marker recorded into a stream whose
-// timestamp is the completion time of all work that preceded it there.
-type Event struct {
-	dev      *Device
-	recorded bool
-	after    *kernelExec // nil means "beginning of time" on an empty stream
-	at       float64     // resolved timestamp, valid once resolved
-	resolved bool
-}
-
-// NewEvent creates an unrecorded event on the device.
-func (d *Device) NewEvent() *Event { return &Event{dev: d} }
-
-// Record marks the event after the current tail of the stream.
-func (e *Event) Record(s *Stream) error {
-	if s.dev != e.dev {
-		return fmt.Errorf("simgpu: event recorded on stream of a different device")
-	}
-	s.dev.mu.Lock()
-	defer s.dev.mu.Unlock()
-	if s.destroyed {
-		return fmt.Errorf("simgpu: record on destroyed %v", s)
-	}
-	e.recorded = true
-	e.resolved = false
-	e.after = s.tail
-	return nil
-}
-
-// Synchronize resolves the event's timestamp, draining the device.
-func (e *Event) Synchronize() (time.Duration, error) {
-	if !e.recorded {
-		return 0, fmt.Errorf("simgpu: synchronize on unrecorded event")
-	}
-	if _, err := e.dev.Synchronize(); err != nil {
-		return 0, err
-	}
-	e.dev.mu.Lock()
-	defer e.dev.mu.Unlock()
-	if e.after == nil {
-		e.at = 0
-	} else {
-		e.at = e.after.end
-	}
-	e.resolved = true
-	return time.Duration(e.at), nil
-}
-
-// Elapsed returns the virtual time between two resolved events, like
-// cudaEventElapsedTime.
-func Elapsed(start, end *Event) (time.Duration, error) {
-	st, err := start.Synchronize()
-	if err != nil {
-		return 0, err
-	}
-	en, err := end.Synchronize()
-	if err != nil {
-		return 0, err
-	}
-	return en - st, nil
 }
