@@ -99,9 +99,11 @@ bench-tensor:
 
 # One timing-only (Compute=false) solver step of each paper net on a K40C
 # and a P100, naive and through core.Runtime ({net}/{K40C,P100}/{naive,glp4nn}):
-# the loop the benchmark's sim-paper workload times.
+# the loop the benchmark's sim-paper workload times, its drains replayed from
+# the device's drain memo; the {naive,glp4nn}-cold arms shift every step's
+# host clock so each drain is simulated, the cost of the event engine itself.
 # "Where does a simulated step's host time go" is this with a profile:
-#   go test -run '^$' -bench TimingOnlyStep/CIFAR10/P100/glp4nn -o /tmp/models.test -cpuprofile /tmp/cpu.prof ./internal/models
+#   go test -run '^$' -bench 'TimingOnlyStep/CIFAR10/P100/glp4nn$' -o /tmp/models.test -cpuprofile /tmp/cpu.prof ./internal/models
 #   go tool pprof -top /tmp/models.test /tmp/cpu.prof
 bench-sim:
 	$(GO) test -run '^$$' -bench TimingOnlyStep -benchmem ./internal/models

@@ -194,7 +194,7 @@ func run(out io.Writer, o runOptions) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if o.Batch <= 0 {
+	if o.Batch == 0 {
 		o.Batch = w.DefaultBatch
 	}
 	o.Devices = max(o.Devices, 1)
@@ -208,8 +208,8 @@ func run(out io.Writer, o runOptions) (float64, error) {
 			return 0, fmt.Errorf("-fault-%s must be a probability in [0,1], got %v", name, v)
 		}
 	}
-	if fp.MaxFaults < 0 || o.BucketKB < 0 {
-		return 0, fmt.Errorf("-max-faults and -bucket-kb must not be negative (got %d and %d)", fp.MaxFaults, o.BucketKB)
+	if o.Batch < 0 || fp.MaxFaults < 0 || o.BucketKB < 0 {
+		return 0, fmt.Errorf("-batch, -max-faults and -bucket-kb must not be negative (got %d, %d and %d)", o.Batch, fp.MaxFaults, o.BucketKB)
 	}
 	ckptPath := filepath.Join(o.CheckpointDir, checkpointFile) // meaningful with -checkpoint-dir only
 	if o.Resume && o.CheckpointDir == "" {

@@ -285,9 +285,9 @@ func TestItersBelowOneRefused(t *testing.T) {
 }
 
 // TestHostileFlagsRefused: a fault probability outside the [0,1] its help
-// text promises, or a negative -max-faults / -bucket-kb (the latter used to
-// fall back to 256 KiB and report success), is refused on both run paths
-// before a device is built.
+// text promises, or a negative -max-faults / -bucket-kb / -batch (the latter
+// two used to fall back to their defaults and report success), is refused on
+// both run paths before a device is built.
 func TestHostileFlagsRefused(t *testing.T) {
 	for _, c := range []struct {
 		flag string
@@ -301,6 +301,7 @@ func TestHostileFlagsRefused(t *testing.T) {
 		{"-fault-devloss", func(o *runOptions) { o.Fault.DeviceLoss = -1 }},
 		{"-max-faults", func(o *runOptions) { o.Fault.MaxFaults = -1 }},
 		{"-bucket-kb", func(o *runOptions) { o.BucketKB = -1 }},
+		{"-batch", func(o *runOptions) { o.Batch = -5 }},
 	} {
 		for _, devices := range []int{1, 2} {
 			o := runOptions{Net: "CIFAR10", Batch: 4, Iters: 2, Device: "P100", GLP: true, Devices: devices, Seed: 1}

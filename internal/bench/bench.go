@@ -40,27 +40,31 @@ type Config struct {
 	ConvergenceIters int
 }
 
-// withDefaults fills the zero value with paper defaults.
-func (c Config) withDefaults() Config {
+// withDefaults fills the zero value with paper defaults; a negative count is
+// refused, not replaced.
+func (c Config) withDefaults() (Config, error) {
+	if c.Iterations < 0 || c.ConvergenceIters < 0 {
+		return c, fmt.Errorf("bench: Iterations and ConvergenceIters must not be negative (got %d and %d)", c.Iterations, c.ConvergenceIters)
+	}
 	if len(c.Devices) == 0 {
 		c.Devices = []string{"K40C", "P100", "TitanXP"}
 	}
 	if len(c.Networks) == 0 {
 		c.Networks = append([]string(nil), models.Names...)
 	}
-	if c.Iterations <= 0 {
+	if c.Iterations == 0 {
 		c.Iterations = 3
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.ConvergenceIters <= 0 {
+	if c.ConvergenceIters == 0 {
 		c.ConvergenceIters = 300
 		if c.Quick {
 			c.ConvergenceIters = 12
 		}
 	}
-	return c
+	return c, nil
 }
 
 func (c Config) batchFor(w *models.Workload) int {

@@ -226,9 +226,9 @@ func TestHelpers(t *testing.T) {
 	if _, err := deviceSpecs(Config{Devices: []string{"nope"}}); err == nil {
 		t.Fatal("bad device accepted")
 	}
-	cfg := Config{}.withDefaults()
-	if len(cfg.Devices) != 3 || cfg.Iterations != 3 {
-		t.Fatalf("defaults: %+v", cfg)
+	cfg, err := Config{}.withDefaults()
+	if err != nil || len(cfg.Devices) != 3 || cfg.Iterations != 3 {
+		t.Fatalf("defaults: %+v, %v", cfg, err)
 	}
 	w, _ := models.Get("CaffeNet")
 	if (Config{Quick: true}).batchFor(w) != 16 {
@@ -236,5 +236,36 @@ func TestHelpers(t *testing.T) {
 	}
 	if (Config{}).batchFor(w) != 256 {
 		t.Fatal("full batch for CaffeNet")
+	}
+}
+
+// TestNegativeCountsRefused: a negative Iterations or ConvergenceIters is
+// refused by every experiment that reads them (it used to run with the
+// defaults and succeed), before any work; zero still means the default.
+func TestNegativeCountsRefused(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"Iterations", Config{Quick: true, Iterations: -3}},
+		{"ConvergenceIters", Config{Quick: true, ConvergenceIters: -2}},
+		{"both", Config{Quick: true, Iterations: -1, ConvergenceIters: -1}},
+	} {
+		if _, err := c.cfg.withDefaults(); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%s: withDefaults error = %v, want a negative-count refusal", c.name, err)
+		}
+		for _, id := range []string{"fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "fig10", "table6", "fig11"} {
+			e, err := Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := e.Run(c.cfg, &buf); err == nil || buf.Len() != 0 {
+				t.Errorf("%s: %s ran (err %v, %d bytes written), want a refusal before output", c.name, id, err, buf.Len())
+			}
+		}
+	}
+	if cfg, err := (Config{Iterations: 0, ConvergenceIters: 0}).withDefaults(); err != nil || cfg.Iterations != 3 || cfg.ConvergenceIters != 300 {
+		t.Fatalf("zero counts: %+v, %v; want the defaults 3 and 300", cfg, err)
 	}
 }

@@ -94,7 +94,10 @@ func runConvergenceArm(label string, l dnn.Launcher, dev *simgpu.Device, cfg Con
 }
 
 func runFig11(cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return err
+	}
 	iters := cfg.ConvergenceIters
 	batch := 32
 	every := iters / 10

@@ -49,7 +49,10 @@ func sweepSizes(cfg Config) []int {
 }
 
 func runFig2(cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return err
+	}
 	sizes := sweepSizes(cfg)
 	header := []string{"Layer"}
 	for _, s := range sizes {
@@ -74,7 +77,10 @@ func runFig2(cfg Config, w io.Writer) error {
 }
 
 func runFig3(cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return err
+	}
 	// The paper's Fig. 3 profiles a conv layer on MNIST shapes with a few
 	// samples so the timeline stays readable. We use the Siamese conv2 row
 	// of Table 5 on the K40C: its per-image kernels are long relative to
@@ -110,7 +116,10 @@ func runFig3(cfg Config, w io.Writer) error {
 }
 
 func runFig4(cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return err
+	}
 	sizes := sweepSizes(cfg)
 	specs, err := deviceSpecs(cfg)
 	if err != nil {

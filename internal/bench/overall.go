@@ -99,7 +99,10 @@ func buildWorkloadNet(name string, cfg Config) (*dnn.Net, *models.Workload, erro
 }
 
 func runFig7(cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return err
+	}
 	specs, err := deviceSpecs(cfg)
 	if err != nil {
 		return err
@@ -131,7 +134,10 @@ func runFig7(cfg Config, w io.Writer) error {
 }
 
 func runFig8(cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return err
+	}
 	specs, err := deviceSpecs(cfg)
 	if err != nil {
 		return err
@@ -175,7 +181,10 @@ func runFig8(cfg Config, w io.Writer) error {
 }
 
 func runFig9(cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return err
+	}
 	cases := []struct {
 		network string
 		device  string

@@ -6,7 +6,10 @@ import (
 )
 
 func runFig10(cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return err
+	}
 	specs, err := deviceSpecs(cfg)
 	if err != nil {
 		return err
@@ -46,7 +49,10 @@ func runFig10(cfg Config, w io.Writer) error {
 const table6ReferenceIters = 1000
 
 func runTable6(cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return err
+	}
 	specs, err := deviceSpecs(cfg)
 	if err != nil {
 		return err

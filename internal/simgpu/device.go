@@ -483,6 +483,9 @@ type Stats struct {
 	// RecordsLost counts completed kernel records the fault injector
 	// dropped before tracing and profiling listeners.
 	RecordsLost int64
+	// ReplayedLaunches counts launches whose drain replayed the outcome of
+	// an identical earlier one instead of simulating it (DESIGN.md §5).
+	ReplayedLaunches int64
 	// ThreadNSIntegral is ∫ resident threads dt over the simulation, in
 	// thread-nanoseconds; dividing by elapsed×maxResident gives achieved
 	// occupancy.
@@ -505,6 +508,7 @@ func (d *Device) Stats() (Stats, error) {
 		StreamsMade:      d.streamsMade,
 		TraceDropped:     d.traceDropped,
 		RecordsLost:      d.recordsLost,
+		ReplayedLaunches: d.eng.replayed,
 		ThreadNSIntegral: d.eng.threadNSIntegral,
 		FLOPsRetired:     d.eng.flopsRetired,
 		BytesRetired:     d.eng.bytesRetired,

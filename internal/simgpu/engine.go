@@ -19,6 +19,7 @@ type kernelExec struct {
 	tag  string
 	cfg  LaunchConfig
 	seq  int
+	off  int // position in the engine's segment
 
 	streamID int
 
@@ -146,6 +147,15 @@ type engine struct {
 	flopsRetired     float64
 	bytesRetired     float64
 
+	// The drain memo (memo.go): match is whether seg equals slots[ord] so
+	// far, depAt where its next dependencies sit there.
+	seg              []*kernelExec
+	slots            []drainSlot
+	ord, depAt, held int
+	wasReset, match  bool
+	done             []completion
+	replayed         int64
+
 	peakFlopsPerSMns float64 // FLOP per ns per SM
 	bwBytesPerNS     float64
 	satThreads       float64 // resident threads needed to saturate DRAM
@@ -167,12 +177,13 @@ func newEngine(spec DeviceSpec, onComplete func(*kernelExec)) *engine {
 }
 
 // reset zeroes the clock and the accounting of a drained engine (no queued
-// kernel, no resident cohort).
+// kernel, no resident cohort) and restarts the drain ordinals.
 func (g *engine) reset() {
 	g.now = 0
 	g.threadNSIntegral = 0
 	g.flopsRetired = 0
 	g.bytesRetired = 0
+	g.ord, g.wasReset = 0, true
 }
 
 // newExec copies x into an engine-owned exec, recycling a completed one and
@@ -192,9 +203,9 @@ func (g *engine) newExec(x *kernelExec) *kernelExec {
 	return e
 }
 
-// enqueue registers a launched kernel. Launches arrive in seq order, so one
-// that becomes its stream's head sorts last in live.
-func (g *engine) enqueue(e *kernelExec) {
+// queue appends e to its stream's FIFO. Launches are queued in seq order, so
+// one that becomes its stream's head sorts last in live.
+func (g *engine) queue(e *kernelExec) {
 	e.blocksLeft = e.totalBlocks
 	if e.streamID >= len(g.queues) {
 		g.queues = append(g.queues, make([]streamQueue, e.streamID+1-len(g.queues))...)
@@ -257,9 +268,9 @@ func (g *engine) nextArrival() float64 {
 	return next
 }
 
-// drain advances the simulation until every enqueued kernel has completed.
+// simulate advances the simulation until every queued kernel has completed.
 // It returns an error only on an internal invariant violation.
-func (g *engine) drain() error {
+func (g *engine) simulate() error {
 	for {
 		g.admit()
 		if len(g.cohorts) == 0 {
@@ -645,8 +656,9 @@ func (g *engine) retire(c *cohort) {
 	g.free = append(g.free, c)
 }
 
-// completeKernel stamps e's end, reports it and recycles it: a completed
-// exec pins none of its predecessors.
+// completeKernel stamps e's end, notes the completion for the drain memo,
+// reports it and recycles it: a completed exec pins none of its
+// predecessors.
 func (g *engine) completeKernel(e *kernelExec) {
 	e.done = true
 	e.end = g.now
@@ -656,6 +668,7 @@ func (g *engine) completeKernel(e *kernelExec) {
 		e.started = true
 		e.start = g.now
 	}
+	g.done = append(g.done, completion{e.off, e.start, e.end})
 	if e.hasSlot {
 		e.hasSlot = false
 		g.runningSlots--

@@ -626,6 +626,10 @@ func TestDestroyRacesLaunch(t *testing.T) {
 // engine-owned scratch. It was 27 allocations per launch when every wave made
 // its cohort and placement afresh, and 2.11 when each launch still made its
 // exec, regrew its stream's queue and built the barrier's dependency list.
+// The burst is run three ways: on the running clock, where no drain repeats
+// and the drain memo records nothing; after a reset, replayed from the memo;
+// and after a reset and a host advance never used before, missed and
+// re-recorded in place.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is meaningless under the race detector")
@@ -656,11 +660,47 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	burst()
-	perLaunch := testing.AllocsPerRun(50, burst) / launches
-	t.Logf("%.2f allocations per launch", perLaunch)
-	if perLaunch > 0.1 {
-		t.Errorf("steady-state burst allocates %.2f times per launch, ceiling 0.1", perLaunch)
+	var shift time.Duration
+	reset := func(advance bool) {
+		if err := dev.ResetClocks(); err != nil {
+			t.Fatal(err)
+		}
+		if advance {
+			shift++
+			dev.AdvanceHost(shift)
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		run      func()
+		replayed bool
+	}{
+		{"running clock", burst, false},
+		{"replayed", func() { reset(false); burst() }, true},
+		{"missed", func() { reset(true); burst() }, false},
+	} {
+		c.run()
+		before, err := dev.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		perLaunch := testing.AllocsPerRun(50, c.run) / launches
+		after, err := dev.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %.2f allocations per launch", c.name, perLaunch)
+		if perLaunch > 0.1 {
+			t.Errorf("%s: steady-state burst allocates %.2f times per launch, ceiling 0.1", c.name, perLaunch)
+		}
+		replayed, launched := after.ReplayedLaunches-before.ReplayedLaunches, after.Launches-before.Launches
+		want := int64(0)
+		if c.replayed {
+			want = launched
+		}
+		if replayed != want {
+			t.Errorf("%s: %d of %d launches replayed, want %d", c.name, replayed, launched, want)
+		}
 	}
 }
 
