@@ -45,12 +45,13 @@ race:
 	done
 
 # The steady-state allocation contract (Gemm, Im2col/Col2im, the scratch
-# arena, a prefetched input batch end to end, the simulator's event engine
-# per launch and the runtime's planned launch) must run without -race:
-# race instrumentation skews the allocation accounting, so the tests skip
-# themselves under the race build.
+# arena, a real-math conv Forward + Backward at one closure and one kernel
+# per launch, a prefetched input batch end to end, the simulator's event
+# engine per launch and the runtime's planned launch) must run without
+# -race: race instrumentation skews the allocation accounting, so the tests
+# skip themselves under the race build.
 alloc:
-	$(GO) test -run 'SteadyStateAllocs' ./internal/tensor ./internal/data ./internal/simgpu ./internal/core
+	$(GO) test -run 'SteadyStateAllocs' ./internal/tensor ./internal/dnn ./internal/data ./internal/simgpu ./internal/core
 
 # The pure-Go fallback (no asm micro-kernels, the only path off amd64) must
 # stay green: vet and the focused kernel/engine suites with the asm files
@@ -93,7 +94,8 @@ checkpoint:
 	$(GO) test -race -timeout 45m -run 'TestDurable|TestCheckpoint|TestPeekRefusesHugeDeclaredLength|TestPeekRefusesPlanOutOfRange|FuzzCheckpointDecode|TestCrashResumeSoak|TestWriteFileAtomic|TestTrainerCheckpoint|TestResumeRefuses' -v ./internal/parallel/ ./cmd/glp4nn-train/
 
 # Kernel micro-benchmarks over the paper's Table 5 convolution geometries
-# (GEMM shapes and im2col/col2im column layouts).
+# (GEMM shapes and im2col/col2im column layouts), and GoogLeNet's 7×7-map
+# conv GEMMs with W packed per call against packed once (GemmPackedA).
 bench-tensor:
 	$(GO) test -run '^$$' -bench 'Gemm|Im2col|Col2im' -benchmem ./internal/tensor
 

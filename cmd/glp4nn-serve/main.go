@@ -95,6 +95,9 @@ func run(out io.Writer, o options) error {
 	if o.clients < 1 || o.requests < 1 || o.batch < 1 {
 		return fmt.Errorf("-clients, -requests and -batch must be at least 1 (got %d, %d and %d)", o.clients, o.requests, o.batch)
 	}
+	if o.maxBatch < 0 || o.mean < 0 {
+		return fmt.Errorf("-max-batch and -mean-gap must not be negative (got %d and %v)", o.maxBatch, o.mean)
+	}
 	spec, ok := simgpu.DeviceByName(o.device)
 	if !ok {
 		return fmt.Errorf("unknown device %q (have %v)", o.device, simgpu.CatalogNames())

@@ -94,10 +94,11 @@ func TestServeCLIBadFlags(t *testing.T) {
 	}
 }
 
-// TestServeCLIRefusesEmptyLoad: a load with no clients or no requests, or an
-// engine without rows, is refused before anything is built, instead of
-// panicking (-clients -1), reporting "served 0 requests" as success, or
-// silently serving at the training default batch (-batch 0).
+// TestServeCLIRefusesEmptyLoad: a load with no clients or no requests, an
+// engine without rows, a negative -max-batch or a negative -mean-gap is
+// refused before anything is built, instead of panicking (-clients -1),
+// reporting "served 0 requests" as success, or silently serving at the
+// training default batch (-batch 0) or the engine batch (-max-batch -3).
 func TestServeCLIRefusesEmptyLoad(t *testing.T) {
 	for _, c := range []struct{ clients, requests, batch int }{
 		{-1, 16, 8}, {0, 16, 8}, {4, 0, 8}, {4, -3, 8}, {4, 16, 0}, {4, 16, -2},
@@ -110,6 +111,23 @@ func TestServeCLIRefusesEmptyLoad(t *testing.T) {
 		}
 		if buf.Len() != 0 {
 			t.Errorf("-clients %d -requests %d -batch %d printed before refusing:\n%s", c.clients, c.requests, c.batch, buf.String())
+		}
+	}
+	for _, c := range []struct {
+		flag string
+		set  func(o *options)
+	}{
+		{"-max-batch", func(o *options) { o.maxBatch = -3 }},
+		{"-mean-gap", func(o *options) { o.mean = -time.Millisecond }},
+	} {
+		var buf bytes.Buffer
+		o := baseOpts()
+		c.set(&o)
+		if err := run(&buf, o); err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s: err = %v, want a %s error", c.flag, err, c.flag)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s printed before refusing:\n%s", c.flag, buf.String())
 		}
 	}
 }

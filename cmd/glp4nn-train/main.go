@@ -197,9 +197,8 @@ func run(out io.Writer, o runOptions) (float64, error) {
 	if o.Batch == 0 {
 		o.Batch = w.DefaultBatch
 	}
-	o.Devices = max(o.Devices, 1)
-	if o.Iters < 1 {
-		return 0, fmt.Errorf("-iters must be at least 1, got %d", o.Iters)
+	if o.Iters < 1 || o.Devices < 1 {
+		return 0, fmt.Errorf("-iters and -devices must be at least 1, got %d and %d", o.Iters, o.Devices)
 	}
 	fp := o.Fault
 	probs := []float64{fp.Launch, fp.Sync, fp.Memcpy, fp.CreateStream, fp.Hang, fp.DeviceLoss}
@@ -208,8 +207,11 @@ func run(out io.Writer, o runOptions) (float64, error) {
 			return 0, fmt.Errorf("-fault-%s must be a probability in [0,1], got %v", name, v)
 		}
 	}
-	if o.Batch < 0 || fp.MaxFaults < 0 || o.BucketKB < 0 {
-		return 0, fmt.Errorf("-batch, -max-faults and -bucket-kb must not be negative (got %d, %d and %d)", o.Batch, fp.MaxFaults, o.BucketKB)
+	counts := []int64{int64(o.Batch), fp.MaxFaults, int64(o.BucketKB), int64(o.CheckpointEvery), fp.PermanentAfter, fp.DeviceLossAfter}
+	for i, name := range []string{"batch", "max-faults", "bucket-kb", "checkpoint-every", "fault-permanent-after", "fault-devloss-after"} {
+		if counts[i] < 0 {
+			return 0, fmt.Errorf("-%s must not be negative, got %d", name, counts[i])
+		}
 	}
 	ckptPath := filepath.Join(o.CheckpointDir, checkpointFile) // meaningful with -checkpoint-dir only
 	if o.Resume && o.CheckpointDir == "" {

@@ -20,7 +20,7 @@ import (
 // the serial baseline and the GLP4NN runtime.
 func TestDAGFlagLossIdentical(t *testing.T) {
 	for _, glp := range []bool{false, true} {
-		base := runOptions{Net: "GoogLeNet", Batch: 2, Iters: 3, Device: "P100", GLP: glp, Compute: true, Seed: 1}
+		base := runOptions{Net: "GoogLeNet", Batch: 2, Iters: 3, Device: "P100", Devices: 1, GLP: glp, Compute: true, Seed: 1}
 		serial, err := run(io.Discard, base)
 		if err != nil {
 			t.Fatal(err)
@@ -44,7 +44,7 @@ func TestDAGFlagLossIdentical(t *testing.T) {
 // concurrent-session dispatch count.
 func TestDAGFlagReportsDispatches(t *testing.T) {
 	var sb strings.Builder
-	o := runOptions{Net: "GoogLeNet", Batch: 2, Iters: 3, Device: "P100", GLP: true, DAG: true, Compute: true, Seed: 1}
+	o := runOptions{Net: "GoogLeNet", Batch: 2, Iters: 3, Device: "P100", Devices: 1, GLP: true, DAG: true, Compute: true, Seed: 1}
 	if _, err := run(&sb, o); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestDAGFlagReportsDispatches(t *testing.T) {
 // both the serial baseline and the GLP4NN runtime.
 func TestFuseFlagLossIdentical(t *testing.T) {
 	for _, glp := range []bool{false, true} {
-		base := runOptions{Net: "GoogLeNet", Batch: 2, Iters: 3, Device: "P100", GLP: glp, Compute: true, Seed: 1}
+		base := runOptions{Net: "GoogLeNet", Batch: 2, Iters: 3, Device: "P100", Devices: 1, GLP: glp, Compute: true, Seed: 1}
 		serial, err := run(io.Discard, base)
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +88,7 @@ func TestFuseFlagLossIdentical(t *testing.T) {
 // TestFuseFlagReportsSites: -fuse prints the fused-site count.
 func TestFuseFlagReportsSites(t *testing.T) {
 	var sb strings.Builder
-	o := runOptions{Net: "CIFAR10", Batch: 4, Iters: 2, Device: "P100", Fuse: true, Compute: true, Seed: 1}
+	o := runOptions{Net: "CIFAR10", Batch: 4, Iters: 2, Device: "P100", Devices: 1, Fuse: true, Compute: true, Seed: 1}
 	if _, err := run(&sb, o); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFuseFlagReportsSites(t *testing.T) {
 func TestPrefetchFlagLossIdentical(t *testing.T) {
 	for _, net := range []string{"CIFAR10", "Siamese", "CaffeNet", "GoogLeNet"} {
 		for _, glp := range []bool{false, true} {
-			base := runOptions{Net: net, Batch: 2, Iters: 2, Device: "P100", GLP: glp, Compute: true, Seed: 1}
+			base := runOptions{Net: net, Batch: 2, Iters: 2, Device: "P100", Devices: 1, GLP: glp, Compute: true, Seed: 1}
 			serial, err := run(io.Discard, base)
 			if err != nil {
 				t.Fatal(err)
@@ -128,7 +128,7 @@ func TestPrefetchFlagLossIdentical(t *testing.T) {
 // (which includes copy-stream overlap time).
 func TestPrefetchFlagReportsPipeline(t *testing.T) {
 	var sb strings.Builder
-	o := runOptions{Net: "CIFAR10", Batch: 4, Iters: 3, Device: "P100", GLP: true, Prefetch: true, Compute: true, Seed: 1}
+	o := runOptions{Net: "CIFAR10", Batch: 4, Iters: 3, Device: "P100", Devices: 1, GLP: true, Prefetch: true, Compute: true, Seed: 1}
 	if _, err := run(&sb, o); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPrefetchFlagReportsPipeline(t *testing.T) {
 // fault schedule still converges to the fault-free loss — the copy stream's
 // retry/quarantine path and the runtime's self-healing keep bits intact.
 func TestPrefetchFlagUnderFaults(t *testing.T) {
-	base := runOptions{Net: "CIFAR10", Batch: 4, Iters: 3, Device: "P100", GLP: true, Prefetch: true, Compute: true, Seed: 1}
+	base := runOptions{Net: "CIFAR10", Batch: 4, Iters: 3, Device: "P100", Devices: 1, GLP: true, Prefetch: true, Compute: true, Seed: 1}
 	clean, err := run(io.Discard, base)
 	if err != nil {
 		t.Fatal(err)
@@ -285,9 +285,11 @@ func TestItersBelowOneRefused(t *testing.T) {
 }
 
 // TestHostileFlagsRefused: a fault probability outside the [0,1] its help
-// text promises, or a negative -max-faults / -bucket-kb / -batch (the latter
-// two used to fall back to their defaults and report success), is refused on
-// both run paths before a device is built.
+// text promises, a negative count (-max-faults, -bucket-kb, -batch,
+// -checkpoint-every, -fault-permanent-after, -fault-devloss-after; several
+// used to fall back to a default and report success) or fewer than one
+// device (which used to train on one) is refused on both run paths before a
+// device is built.
 func TestHostileFlagsRefused(t *testing.T) {
 	for _, c := range []struct {
 		flag string
@@ -302,6 +304,11 @@ func TestHostileFlagsRefused(t *testing.T) {
 		{"-max-faults", func(o *runOptions) { o.Fault.MaxFaults = -1 }},
 		{"-bucket-kb", func(o *runOptions) { o.BucketKB = -1 }},
 		{"-batch", func(o *runOptions) { o.Batch = -5 }},
+		{"-devices", func(o *runOptions) { o.Devices = 0 }},
+		{"-devices", func(o *runOptions) { o.Devices = -2 }},
+		{"-checkpoint-every", func(o *runOptions) { o.CheckpointEvery = -3 }},
+		{"-fault-permanent-after", func(o *runOptions) { o.Fault.PermanentAfter = -4 }},
+		{"-fault-devloss-after", func(o *runOptions) { o.Fault.DeviceLossAfter = -1 }},
 	} {
 		for _, devices := range []int{1, 2} {
 			o := runOptions{Net: "CIFAR10", Batch: 4, Iters: 2, Device: "P100", GLP: true, Devices: devices, Seed: 1}
@@ -371,7 +378,7 @@ func TestTraceFlagHoldsFinalIteration(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "trace.json")
-	o := runOptions{Net: "CIFAR10", Batch: 4, Iters: 3, Device: "P100", Compute: true, Seed: 1, Trace: path}
+	o := runOptions{Net: "CIFAR10", Batch: 4, Iters: 3, Device: "P100", Devices: 1, Compute: true, Seed: 1, Trace: path}
 	if _, err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
 	}

@@ -66,6 +66,14 @@ type ConvLayer struct {
 	onesP    []float32     // length p, for bias broadcast
 	tags     []string      // per-image kernel tag "name/n<i>", built once in Setup
 
+	// packW is the pass's GEMM A operand — W forward, Wᵀ backward — packed
+	// once before the per-image loop when the pass computes, its floats
+	// leased and released with the scratch above. is1x1 marks a 1×1,
+	// stride-1, unpadded conv, whose column matrix is the image: its GEMMs
+	// read the bottom blob and it leases no column buffer (Caffe's is_1x1_).
+	packW tensor.PackedA
+	is1x1 bool
+
 	// Fusion flags set by Net.EnableFusion (see fusion.go): fuseBias folds
 	// the gemmk bias pass into the forward GEMM's epilogue; fusedReLU, when
 	// non-nil, is the downstream activation's top blob, co-written with
@@ -108,6 +116,8 @@ func (l *ConvLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 		return fmt.Errorf("conv %s: empty output %dx%d", l.name, l.geom.OutH(), l.geom.OutW())
 	}
 	l.co = l.cfg.NumOutput
+	g := l.geom
+	l.is1x1 = g.KernelH == 1 && g.KernelW == 1 && g.StrideH == 1 && g.StrideW == 1 && g.PadH == 0 && g.PadW == 0
 	l.k = l.geom.ColRows()
 	l.p = l.geom.ColCols()
 
@@ -139,7 +149,9 @@ func (l *ConvLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 // shared arena; releaseScratch returns them. Callers must only release
 // after a barrier has retired every kernel closure that references them.
 func (l *ConvLayer) leaseScratch(width int, backward bool) {
-	l.colBufs = tensor.LeaseInto(l.colBufs, width, l.k*l.p)
+	if !l.is1x1 {
+		l.colBufs = tensor.LeaseInto(l.colBufs, width, l.k*l.p)
+	}
 	if !backward {
 		return
 	}
@@ -155,6 +167,30 @@ func (l *ConvLayer) releaseScratch() {
 	tensor.PutBufs(l.dcolBufs)
 	tensor.PutBufs(l.partW)
 	tensor.PutBufs(l.partB)
+	l.packW.Release()
+}
+
+// packedW packs op(W) (Wᵀ when transA) for the pass, or returns nil on a
+// timing-only pass, whose closures never run.
+func (l *ConvLayer) packedW(ctx *Context, transA bool) *tensor.PackedA {
+	if !ctx.Compute {
+		return nil
+	}
+	m, k := l.co, l.k
+	if transA {
+		m, k = k, m
+	}
+	l.packW.Pack(transA, m, k, 1, l.weight.Data.Data())
+	return &l.packW
+}
+
+// column returns chain j's im2col destination and the column matrix the
+// GEMMs read: for the 1×1 shortcut no destination, and the image itself.
+func (l *ConvLayer) column(j int, img []float32) (dst, col []float32) {
+	if l.is1x1 {
+		return nil, img
+	}
+	return l.colBufs[j].Data, l.colBufs[j].Data
 }
 
 // Forward implements Layer: per-image im2col → sgemm → gemmk chains.
@@ -175,6 +211,7 @@ func (l *ConvLayer) Forward(ctx *Context, bottom, top []*Blob) error {
 func (l *ConvLayer) forwardDispatch(ctx *Context, bottom, top []*Blob, width int) error {
 	n := bottom[0].Num()
 	w := l.weight.Data.Data()
+	pw := l.packedW(ctx, false)
 	par := ctx.RowPar()
 	var bias []float32
 	if l.fuseBias && l.bias != nil {
@@ -183,11 +220,11 @@ func (l *ConvLayer) forwardDispatch(ctx *Context, bottom, top []*Blob, width int
 	fused := bias != nil || l.fusedReLU != nil
 	for i := 0; i < n; i++ {
 		chain := i
-		buf := l.colBufs[i%width].Data
 		img := bottom[0].SampleData(i)
+		dst, buf := l.column(i%width, img)
 		out := top[0].SampleData(i)
 		tag := l.tags[i]
-		if err := ctx.Dispatch(kernels.Im2col(tag, img, l.geom, buf), chain); err != nil {
+		if err := ctx.Dispatch(kernels.Im2col(tag, img, l.geom, dst), chain); err != nil {
 			return err
 		}
 		if fused {
@@ -195,12 +232,12 @@ func (l *ConvLayer) forwardDispatch(ctx *Context, bottom, top []*Blob, width int
 			// separate gemmk/relu_fwd kernels never launch. Bitwise
 			// identical outputs — see fusion.go.
 			epi, ops := l.fusionEpilogue(bias, i)
-			if err := ctx.Dispatch(kernels.SgemmEpi(tag, par, false, false, l.co, l.p, l.k, 1, w, buf, 0, out, epi, ops), chain); err != nil {
+			if err := ctx.Dispatch(kernels.SgemmPacked(tag, par, pw, false, false, l.co, l.p, l.k, 1, w, buf, 0, out, epi, ops), chain); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := ctx.Dispatch(kernels.SgemmP(tag, par, false, false, l.co, l.p, l.k, 1, w, buf, 0, out), chain); err != nil {
+		if err := ctx.Dispatch(kernels.SgemmPacked(tag, par, pw, false, false, l.co, l.p, l.k, 1, w, buf, 0, out, nil, 0), chain); err != nil {
 			return err
 		}
 		if l.bias != nil {
@@ -241,16 +278,20 @@ func (l *ConvLayer) backwardDispatch(ctx *Context, top []*Blob, propagate []bool
 	}
 	n := bottom[0].Num()
 	w := l.weight.Data.Data()
+	var pwT *tensor.PackedA
+	if propagate[0] {
+		pwT = l.packedW(ctx, true)
+	}
 	par := ctx.RowPar()
 	for i := 0; i < n; i++ {
 		chain := i
 		j := i % width
-		buf := l.colBufs[j].Data
 		img := bottom[0].SampleData(i)
+		dst, buf := l.column(j, img)
 		dtop := top[0].SampleDiff(i)
 		tag := l.tags[i]
 
-		if err := ctx.Dispatch(kernels.Im2col(tag, img, l.geom, buf), chain); err != nil {
+		if err := ctx.Dispatch(kernels.Im2col(tag, img, l.geom, dst), chain); err != nil {
 			return err
 		}
 		// dW_j += dTop(Co×P) · colᵀ(P×K)
@@ -266,7 +307,7 @@ func (l *ConvLayer) backwardDispatch(ctx *Context, top []*Blob, propagate []bool
 		}
 		if propagate[0] {
 			dcol := l.dcolBufs[j].Data
-			if err := ctx.Dispatch(kernels.SgemmP(tag, par, true, false, l.k, l.p, l.co, 1, w, dtop, 0, dcol), chain); err != nil {
+			if err := ctx.Dispatch(kernels.SgemmPacked(tag, par, pwT, true, false, l.k, l.p, l.co, 1, w, dtop, 0, dcol, nil, 0), chain); err != nil {
 				return err
 			}
 			dimg := bottom[0].SampleDiff(i)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/simgpu"
+	"repro/internal/tensor"
 )
 
 // streamLauncher is HostLauncher that also writes down the kernel stream.
@@ -90,6 +91,29 @@ func TestTimingOnlyStepTouchesNoTensor(t *testing.T) {
 				t.Fatalf("%s[%d] = %v after timing-only then real step, a fresh net's real step gives %v",
 					p.Name, i, v, want[i])
 			}
+		}
+	}
+}
+
+// TestTimingOnlyConvPacksNothing: a timing-only conv pass never reads W —
+// its closures never run, so it packs no weights, forward or backward. The
+// weight tensor is swapped for an empty one, which any packing would
+// refuse with a panic.
+func TestTimingOnlyConvPacksNothing(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		l := NewConv("conv", Conv(16, k, 1, k/2))
+		bottom, top := NewBlob("x", 2, 8, 6, 6), NewBlob("y", 1)
+		ctx := NewContext(HostLauncher{}, 1)
+		if err := l.Setup(ctx, []*Blob{bottom}, []*Blob{top}); err != nil {
+			t.Fatal(err)
+		}
+		l.weight.Data = tensor.New(0)
+		ctx.Compute = false
+		if err := l.Forward(ctx, []*Blob{bottom}, []*Blob{top}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Backward(ctx, []*Blob{top}, []bool{true}, []*Blob{bottom}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

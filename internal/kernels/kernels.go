@@ -72,7 +72,9 @@ func Elementwise(name, tag string, n int, bytesPerElem, flopsPerElem float64, fn
 }
 
 // Im2col builds Caffe's im2col_gpu kernel for one image: one thread per
-// column element, grid sized by channels × output pixels.
+// column element, grid sized by channels × output pixels. A nil col launches
+// it with no host closure: a 1×1, stride-1, unpadded convolution's column
+// matrix is the image itself, which its GEMMs read in place.
 func Im2col(tag string, img []float32, g tensor.ConvGeom, col []float32) *simgpu.Kernel {
 	n := g.Channels * g.OutH() * g.OutW() // Caffe's num_kernels
 	blocks := (n + NumThreads - 1) / NumThreads
@@ -81,7 +83,7 @@ func Im2col(tag string, img []float32, g tensor.ConvGeom, col []float32) *simgpu
 	}
 	reads := float64(g.Channels * g.Height * g.Width * 4)
 	writes := float64(g.ColRows() * g.ColCols() * 4)
-	return &simgpu.Kernel{
+	kn := &simgpu.Kernel{
 		Name: "im2col_gpu",
 		Tag:  tag,
 		Config: simgpu.LaunchConfig{
@@ -93,8 +95,11 @@ func Im2col(tag string, img []float32, g tensor.ConvGeom, col []float32) *simgpu
 			FLOPs: float64(n) * 8, // index arithmetic, negligible
 			Bytes: (reads + writes) / memEff,
 		},
-		Fn: func() { tensor.Im2col(img, g, col) },
 	}
+	if col != nil {
+		kn.Fn = func() { tensor.Im2col(img, g, col) }
+	}
+	return kn
 }
 
 // Col2im builds the adjoint scatter kernel used by convolution backward
@@ -146,6 +151,15 @@ func SgemmP(tag string, par tensor.RowParallel, transA, transB bool, m, n, k int
 // fused kernel charges no extra DRAM bytes because the separate pass's
 // output round trip is exactly what fusion eliminates.
 func SgemmEpi(tag string, par tensor.RowParallel, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi tensor.GemmEpilogue, epiOps float64) *simgpu.Kernel {
+	return SgemmPacked(tag, par, nil, transA, transB, m, n, k, alpha, a, b, beta, c, epi, epiOps)
+}
+
+// SgemmPacked is SgemmEpi whose host closure reads op(A) from pa, packed once
+// for the launches that share it (a conv layer's W across its batch), instead
+// of packing it per call; a nil pa is SgemmEpi. The simulated kernel — name,
+// launch geometry, cost — does not depend on pa, and neither do the bits
+// (tensor.GemmParallelPacked).
+func SgemmPacked(tag string, par tensor.RowParallel, pa *tensor.PackedA, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi tensor.GemmEpilogue, epiOps float64) *simgpu.Kernel {
 	gx := (n + 63) / 64
 	gy := (m + 63) / 64
 	if gx < 1 {
@@ -174,7 +188,7 @@ func SgemmEpi(tag string, par tensor.RowParallel, transA, transB bool, m, n, k i
 			FLOPs: flops / gemmEff,
 			Bytes: traffic / memEff,
 		},
-		Fn: func() { tensor.GemmParallelFused(par, transA, transB, m, n, k, alpha, a, b, beta, c, epi) },
+		Fn: func() { tensor.GemmParallelPacked(par, pa, transA, transB, m, n, k, alpha, a, b, beta, c, epi) },
 	}
 }
 

@@ -98,11 +98,11 @@ func TestGemmFusedSteadyStateAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("GemmFused allocates %.1f objects per call in steady state, want 0", allocs)
 	}
-	GemmParallelFused(par, false, false, m, n, k, 1, a, b, 0, c, reluEpi) // warm
+	GemmParallelPacked(par, nil, false, false, m, n, k, 1, a, b, 0, c, reluEpi) // warm
 	if allocs := testing.AllocsPerRun(10, func() {
-		GemmParallelFused(par, false, false, m, n, k, 1, a, b, 0, c, reluEpi)
+		GemmParallelPacked(par, nil, false, false, m, n, k, 1, a, b, 0, c, reluEpi)
 	}); allocs != 0 {
-		t.Errorf("GemmParallelFused allocates %.1f objects per call in steady state, want 0", allocs)
+		t.Errorf("GemmParallelPacked allocates %.1f objects per call in steady state, want 0", allocs)
 	}
 }
 
@@ -135,5 +135,28 @@ func TestBufArenaSteadyStateAllocs(t *testing.T) {
 		b.Put()
 	}); allocs != 0 {
 		t.Errorf("Buf arena allocates %.1f objects per warm cycle, want 0", allocs)
+	}
+}
+
+// TestGemmPackedSteadyStateAllocs pins the packed-A path at zero: a warm
+// Pack / Release cycle reuses its arena slab and flag slice, and a product
+// reading the packing allocates nothing, serial and band-parallel alike.
+func TestGemmPackedSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed by race instrumentation")
+	}
+	rng := rand.New(rand.NewSource(6))
+	m, n, k := 130, 49, 300
+	a, b, c := randSlice(rng, m*k), randSlice(rng, k*n), make([]float32, m*n)
+	var pa PackedA
+	cycle := func() {
+		pa.Pack(true, m, k, 1, a)
+		GemmParallelPacked(nil, &pa, true, false, m, n, k, 1, a, b, 0, c, reluEpi)
+		GemmParallelPacked(serialBands{3}, &pa, true, false, m, n, k, 1, a, b, 0, c, reluEpi)
+		pa.Release()
+	}
+	cycle() // warm
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("Pack + two packed products + Release allocate %.1f objects in steady state, want 0", allocs)
 	}
 }

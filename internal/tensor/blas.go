@@ -41,11 +41,7 @@ type GemmEpilogue func(row, col int, seg []float32)
 // not of the accumulation, so C still gets its beta pass followed by one
 // epilogue application per element — identical to the unfused sequence.
 func GemmFused(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi GemmEpilogue) {
-	checkGemmDims(transA, transB, m, n, k, a, b, c)
-	if m == 0 || n == 0 {
-		return
-	}
-	gemmRows(ActiveISA(), transA, transB, 0, m, m, n, k, alpha, a, b, beta, c, epi)
+	GemmParallelPacked(nil, nil, transA, transB, m, n, k, alpha, a, b, beta, c, epi)
 }
 
 // gemmRows is the whole product for rows [i0,i1) of C — everything, or one
@@ -53,7 +49,8 @@ func GemmFused(transA, transB bool, m, n, k int, alpha float32, a, b []float32, 
 // the beta pass plus the epilogue. Otherwise beta == 0 is not a pass over C
 // at all: the blocked kernel starts its first k panel from +0 in registers
 // (stale NaN/Inf in C is still never read), and any other beta scales first.
-func gemmRows(lv ISA, transA, transB bool, i0, i1, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi GemmEpilogue) {
+// A non-nil pa is op(A) packed once (gemmBlocked).
+func gemmRows(lv ISA, pa *PackedA, transA, transB bool, i0, i1, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi GemmEpilogue) {
 	if k == 0 || alpha == 0 {
 		gemmScaleBeta(beta, c[i0*n:i1*n])
 		applyEpilogueRows(epi, i0, i1, n, c)
@@ -62,7 +59,7 @@ func gemmRows(lv ISA, transA, transB bool, i0, i1, m, n, k int, alpha float32, a
 	if beta != 0 {
 		gemmScaleBeta(beta, c[i0*n:i1*n])
 	}
-	gemmBlocked(lv, transA, transB, i0, i1, m, n, k, alpha, a, b, c, beta == 0, epi)
+	gemmBlocked(lv, pa, transA, transB, i0, i1, m, n, k, alpha, a, b, c, beta == 0, epi)
 }
 
 // applyEpilogueRows runs epi over whole rows [i0,i1) of the m×n C — the

@@ -160,3 +160,38 @@ func BenchmarkGemmSkinnyFC(b *testing.B) {
 		}, 0)
 	})
 }
+
+// BenchmarkGemmPackedA is GoogLeNet's per-image conv GEMMs on 7×7 maps
+// (N = 49), where packing W dominates: each image's product packing op(A)
+// itself (perCall), against reading one packing made before the loop
+// (packedOnce) — what a conv layer pays per image before and after packing
+// W once per pass. Forward is W·col (inception 5b's 384×1728 and 4e's
+// 160×832); dcol is Wᵀ·dTop.
+func BenchmarkGemmPackedA(b *testing.B) {
+	for _, s := range []struct {
+		name    string
+		transA  bool
+		m, n, k int
+	}{
+		{"fwd_384x49x1728", false, 384, 49, 1728},
+		{"fwd_160x49x832", false, 160, 49, 832},
+		{"dcol_1728x49x384", true, 1728, 49, 384},
+	} {
+		s := s
+		b.Run(s.name+"/perCall", func(b *testing.B) {
+			benchGemm(b, s.m, s.n, s.k, func(a, bb, c []float32) {
+				Gemm(s.transA, false, s.m, s.n, s.k, 1, a, bb, 0, c)
+			}, 0)
+		})
+		b.Run(s.name+"/packedOnce", func(b *testing.B) {
+			var pa PackedA
+			defer pa.Release()
+			benchGemm(b, s.m, s.n, s.k, func(a, bb, c []float32) {
+				if pa.buf == nil {
+					pa.Pack(s.transA, s.m, s.k, 1, a)
+				}
+				GemmParallelPacked(nil, &pa, s.transA, false, s.m, s.n, s.k, 1, a, bb, 0, c, nil)
+			}, 0)
+		})
+	}
+}

@@ -78,12 +78,16 @@ var gemmPatterns = []gemmPattern{
 	}},
 }
 
+// gemmScale is one (α, β) a case sweep multiplies with.
+type gemmScale struct{ alpha, beta float32 }
+
 // forEachGemmCase drives run over every pattern × shape × transpose combo
 // and checks its C against gemmNaive's bits (after post, when the path under
-// test fuses an epilogue). Every operand is cut from the end of guarded
+// test fuses an epilogue), at α = 1 and the pattern's β, or at each of
+// scales when it is non-nil. Every operand is cut from the end of guarded
 // storage, so a kernel that touches one float past a slice faults — the
 // last row of a B read in place is the case that would.
-func forEachGemmCase(t *testing.T, ms, ns, ks []int, post GemmEpilogue,
+func forEachGemmCase(t *testing.T, ms, ns, ks []int, scales []gemmScale, post GemmEpilogue,
 	run func(ta, tb bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(91))
@@ -115,20 +119,26 @@ func forEachGemmCase(t *testing.T, ms, ns, ks []int, post GemmEpilogue,
 				for _, k := range ks {
 					a, b, c0 := randSlice(rng, m*k), randSlice(rng, k*n), randSlice(rng, m*n)
 					p.apply(rng, m, n, k, a, b, c0)
+					sc := scales
+					if sc == nil {
+						sc = []gemmScale{{1, p.beta}}
+					}
 					for _, ta := range []bool{false, true} {
 						for _, tb := range []bool{false, true} {
-							sa, sb := store(ga, a, m, k, ta), store(gb, b, k, n, tb)
-							got := store(gc, c0, m, n, false)
-							want := append([]float32(nil), c0...)
-							run(ta, tb, m, n, k, 1, sa, sb, p.beta, got)
-							gemmNaive(ta, tb, m, n, k, 1, sa, sb, p.beta, want)
-							for i := 0; post != nil && i < m; i++ {
-								post(i, 0, want[i*n:i*n+n])
-							}
-							if i, ok := bitsEqual(got, want); !ok {
-								t.Fatalf("isa=%s %s ta=%v tb=%v m=%d n=%d k=%d: C[%d] = %x want %x",
-									ActiveISA(), p.name, ta, tb, m, n, k, i,
-									math.Float32bits(got[i]), math.Float32bits(want[i]))
+							for _, s := range sc {
+								sa, sb := store(ga, a, m, k, ta), store(gb, b, k, n, tb)
+								got := store(gc, c0, m, n, false)
+								want := append([]float32(nil), c0...)
+								run(ta, tb, m, n, k, s.alpha, sa, sb, s.beta, got)
+								gemmNaive(ta, tb, m, n, k, s.alpha, sa, sb, s.beta, want)
+								for i := 0; post != nil && i < m; i++ {
+									post(i, 0, want[i*n:i*n+n])
+								}
+								if i, ok := bitsEqual(got, want); !ok {
+									t.Fatalf("isa=%s %s ta=%v tb=%v m=%d n=%d k=%d alpha=%v beta=%v: C[%d] = %x want %x",
+										ActiveISA(), p.name, ta, tb, m, n, k, s.alpha, s.beta, i,
+										math.Float32bits(got[i]), math.Float32bits(want[i]))
+								}
 							}
 						}
 					}

@@ -131,7 +131,7 @@ func TestGemmBitIdenticalAcrossISALevels(t *testing.T) {
 		// The strip classes one by one — dense, sparse at three densities,
 		// whole-zero rows and strips, signed zeros, Inf/NaN under a skip,
 		// β = 0 over stale C — at tile-edge shapes (cases_test.go).
-		forEachGemmCase(t, caseMs, caseNs, caseKs, nil, Gemm)
+		forEachGemmCase(t, caseMs, caseNs, caseKs, nil, nil, Gemm)
 	}
 }
 
@@ -253,7 +253,7 @@ func TestGemmParallelFusedMatchesSerial(t *testing.T) {
 	GemmFused(false, false, m, n, k, 1, a, b, 0, want, reluEpi)
 	for _, width := range []int{1, 2, 3, 4} {
 		got := append([]float32(nil), c0...)
-		GemmParallelFused(serialBands{width}, false, false, m, n, k, 1, a, b, 0, got, reluEpi)
+		GemmParallelPacked(serialBands{width}, nil, false, false, m, n, k, 1, a, b, 0, got, reluEpi)
 		if i, ok := bitsEqual(got, want); !ok {
 			t.Fatalf("width=%d: C[%d] differs", width, i)
 		}

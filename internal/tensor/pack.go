@@ -74,7 +74,11 @@ var gemmPool = sync.Pool{New: func() any {
 // hot. The epilogue must be elementwise (each output element transformed
 // independently), which makes the fused result bitwise identical to running
 // the same transform as a separate full pass, by construction.
-func gemmBlocked(lv ISA, transA, transB bool, i0, i1, m, n, k int, alpha float32, a, b, c []float32, zeroC bool, epi GemmEpilogue) {
+//
+// A non-nil pa is op(A) packed once (PackedA): each panel is indexed out of
+// it instead of packed — the same floats in the same layout, so the loop
+// nest below is the only one either way.
+func gemmBlocked(lv ISA, pa *PackedA, transA, transB bool, i0, i1, m, n, k int, alpha float32, a, b, c []float32, zeroC bool, epi GemmEpilogue) {
 	mr := lv.mr()
 	bufs := gemmPool.Get().(*gemmBufs)
 	ap, bp := bufs.ap, bufs.bp
@@ -106,10 +110,15 @@ func gemmBlocked(lv ISA, transA, transB bool, i0, i1, m, n, k int, alpha float32
 			}
 			for ic := i0; ic < i1; ic += gemmMC {
 				mc := min(gemmMC, i1-ic)
-				sparse := packA(transA, a, ap, ic, pc, mc, kc, m, k, alpha, mr)
-				gemmMicro(lv, mr, ap, sparse, bq, ldb, c, ic, jc, mc, kc, nb, n, zero)
+				aq, sparse := ap, uint32(0)
+				if pa != nil {
+					aq, sparse = pa.panel(ic, pc, mc, kc)
+				} else {
+					sparse = packA(transA, a, ap, ic, pc, mc, kc, m, k, alpha, mr)
+				}
+				gemmMicro(lv, mr, aq, sparse, bq, ldb, c, ic, jc, mc, kc, nb, n, zero)
 				if nb < nc {
-					gemmMicro(lv, mr, ap, sparse, bp, 8, c, ic, jc+nb, mc, kc, nc-nb, n, zero)
+					gemmMicro(lv, mr, aq, sparse, bp, 8, c, ic, jc+nb, mc, kc, nc-nb, n, zero)
 				}
 				if epi != nil && lastK {
 					for i := ic; i < ic+mc; i++ {
@@ -212,6 +221,68 @@ func packA(transA bool, a, ap []float32, ic, pc, mc, kc, m, k int, alpha float32
 		off += kc
 	}
 	return sparse
+}
+
+// PackedA is alpha·op(A) packed once for the products that share it (a conv
+// layer's W across its batch) in packA's layout: per k block, ascending, the
+// MR-row strips in order, then the remainder rows — row r of block pc starts
+// at m·pc + r·kc — with one zero flag per strip, and the ISA rung (so the MR)
+// it was packed for, which a product reading it runs on. Floats, order and
+// kernel choice are per-call packing's, so the bits are too. The floats are
+// leased from the arena by Pack and returned by Release.
+type PackedA struct {
+	lv     ISA
+	transA bool
+	m, k   int
+	alpha  float32
+	buf    *Buf
+	zeros  []bool // [block·(m/MR) + strip]: the strip holds a zero α·a
+}
+
+// Pack packs alpha·op(A) — op(A) is m×k, stored k×m when transA — for the
+// active ISA rung, releasing any earlier packing first.
+func (p *PackedA) Pack(transA bool, m, k int, alpha float32, a []float32) {
+	if len(a) < m*k {
+		panic("tensor: PackedA.Pack A too small")
+	}
+	p.Release()
+	*p = PackedA{lv: ActiveISA(), transA: transA, m: m, k: k, alpha: alpha, buf: GetBuf(m * k), zeros: p.zeros[:0]}
+	mr := p.lv.mr()
+	for pc := 0; pc < k; pc += gemmKC {
+		kc := min(gemmKC, k-pc)
+		blk := p.buf.Data[m*pc : m*(pc+kc)]
+		for ic := 0; ic < m; ic += gemmMC {
+			mc := min(gemmMC, m-ic)
+			sparse := packA(transA, a, blk[ic*kc:], ic, pc, mc, kc, m, k, alpha, mr)
+			for s := 0; s < mc/mr; s++ {
+				p.zeros = append(p.zeros, sparse&(1<<s) != 0)
+			}
+		}
+	}
+}
+
+// Release returns the packed floats to the arena. Only after every product
+// reading them has finished — in the dnn layers, after the pass's barrier.
+func (p *PackedA) Release() {
+	if p.buf != nil {
+		p.buf.Put()
+		p.buf = nil
+	}
+}
+
+// panel returns rows [ic, ic+mc) of k block pc and their strips' zero mask:
+// what packA writes and returns for that panel. ic is a multiple of MR (band
+// edges are), so the panel's strips are whole strips of the packing.
+func (p *PackedA) panel(ic, pc, mc, kc int) ([]float32, uint32) {
+	mr := p.lv.mr()
+	zeros := p.zeros[pc/gemmKC*(p.m/mr)+ic/mr:]
+	var sparse uint32
+	for s := 0; s < mc/mr; s++ {
+		if zeros[s] {
+			sparse |= 1 << s
+		}
+	}
+	return p.buf.Data[p.m*pc+ic*kc : p.m*pc+(ic+mc)*kc], sparse
 }
 
 // gemmMicro runs the packed A panel against the nc columns of the B view
@@ -463,21 +534,23 @@ const gemmMinBandRows = 32
 // under the convergence-invariance contract. A nil p, a single worker, or a
 // small M falls back to the serial kernel.
 func GemmParallel(p RowParallel, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	GemmParallelFused(p, transA, transB, m, n, k, alpha, a, b, beta, c, nil)
+	GemmParallelPacked(p, nil, transA, transB, m, n, k, alpha, a, b, beta, c, nil)
 }
 
-// bandState carries one GemmParallelFused call's parameters to its band
+// bandState carries one GemmParallelPacked call's parameters to its band
 // closure. Instances are pooled and each carries its fn (a closure over the
 // instance) built once at first allocation, so a steady-state parallel call
 // creates no funcval and captures nothing on the heap.
 type bandState struct {
+	pa             *PackedA
 	transA, transB bool
 	m, n, k        int
 	alpha, beta    float32
 	a, b, c        []float32
 	epi            GemmEpilogue
 	lv             ISA
-	quo, rem       int
+	bands          int
+	quo, rem       int // whole MR strips per band, and how many bands take one more
 	fn             func(int)
 }
 
@@ -488,42 +561,60 @@ var bandPool = sync.Pool{New: func() any {
 }}
 
 // run computes one row band: disjoint rows, same blocked kernel, same panel
-// geometry and ascending-k order as the serial path.
+// geometry and ascending-k order as the serial path. Band edges fall on
+// whole MR strips (the last band takes the remainder rows), so a band's
+// panels are whole strips of a PackedA.
 func (st *bandState) run(band int) {
-	i0 := band*st.quo + min(band, st.rem)
-	i1 := i0 + st.quo
+	mr := st.lv.mr()
+	s0 := band*st.quo + min(band, st.rem)
+	i0, i1 := s0*mr, (s0+st.quo)*mr
 	if band < st.rem {
-		i1++
+		i1 += mr
 	}
-	gemmRows(st.lv, st.transA, st.transB, i0, i1, st.m, st.n, st.k, st.alpha, st.a, st.b, st.beta, st.c, st.epi)
+	if band == st.bands-1 {
+		i1 = st.m
+	}
+	gemmRows(st.lv, st.pa, st.transA, st.transB, i0, i1, st.m, st.n, st.k, st.alpha, st.a, st.b, st.beta, st.c, st.epi)
 }
 
-// GemmParallelFused is GemmParallel with an optional fused epilogue: each
-// band applies epi to its own (disjoint) completed rows, so the fused
-// result is bitwise identical to GemmFused at any band count.
-func GemmParallelFused(p RowParallel, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi GemmEpilogue) {
+// GemmParallelPacked is GemmParallel with an optional fused epilogue and an
+// optional packed A. Each band applies epi to its own (disjoint) completed
+// rows. A non-nil pa must hold pa.Pack(transA, m, k, alpha, a): the product
+// reads op(A) from it instead of packing per call, on the rung it was packed
+// for. Either way the result is bitwise identical to GemmFused at any band
+// count.
+func GemmParallelPacked(p RowParallel, pa *PackedA, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi GemmEpilogue) {
+	checkGemmDims(transA, transB, m, n, k, a, b, c)
+	lv := ActiveISA() // read once: every band runs the same kernel
+	if pa != nil {
+		if pa.buf == nil || pa.transA != transA || pa.m != m || pa.k != k || pa.alpha != alpha {
+			panic("tensor: packed A released, or packed for another transA, shape or alpha")
+		}
+		lv = pa.lv
+	}
+	if m == 0 || n == 0 {
+		return
+	}
 	bands := 0
 	if p != nil {
 		bands = min(p.Workers(), m/gemmMinBandRows)
 	}
 	if bands <= 1 {
-		GemmFused(transA, transB, m, n, k, alpha, a, b, beta, c, epi)
-		return
-	}
-	checkGemmDims(transA, transB, m, n, k, a, b, c)
-	if n == 0 {
+		gemmRows(lv, pa, transA, transB, 0, m, m, n, k, alpha, a, b, beta, c, epi)
 		return
 	}
 	st := bandPool.Get().(*bandState)
+	st.pa = pa
 	st.transA, st.transB = transA, transB
 	st.m, st.n, st.k = m, n, k
 	st.alpha, st.beta = alpha, beta
 	st.a, st.b, st.c = a, b, c
 	st.epi = epi
-	st.lv = ActiveISA() // read once: every band runs the same kernel
-	st.quo, st.rem = m/bands, m%bands
+	st.lv = lv
+	st.bands = bands
+	st.quo, st.rem = m/lv.mr()/bands, m/lv.mr()%bands
 	err := p.Run(bands, st.fn)
-	st.a, st.b, st.c, st.epi = nil, nil, nil, nil // no liveness past the call
+	st.pa, st.a, st.b, st.c, st.epi = nil, nil, nil, nil, nil // no liveness past the call
 	bandPool.Put(st)
 	if err != nil {
 		// A band panic is a programming error (bad dims slipped past the

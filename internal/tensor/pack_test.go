@@ -84,7 +84,7 @@ func TestGemmBitIdenticalToNaive(t *testing.T) {
 	}
 	// The strip-class sweep (cases_test.go) through a fused epilogue; bare
 	// Gemm runs it at every rung in TestGemmBitIdenticalAcrossISALevels.
-	forEachGemmCase(t, caseMs, caseNs, caseKs, reluEpi,
+	forEachGemmCase(t, caseMs, caseNs, caseKs, nil, reluEpi,
 		func(ta, tb bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 			GemmFused(ta, tb, m, n, k, alpha, a, b, beta, c, reluEpi)
 		})
@@ -173,7 +173,7 @@ func TestGemmParallelBitIdenticalAtEveryWidth(t *testing.T) {
 		}
 		// The strip-class sweep through bands: 65 rows split two ways, 130
 		// up to four, every band at most one A panel tall (B read in place).
-		forEachGemmCase(t, []int{65, 130}, []int{7, 75}, caseKs, nil,
+		forEachGemmCase(t, []int{65, 130}, []int{7, 75}, caseKs, nil, nil,
 			func(ta, tb bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 				GemmParallel(serialBands{width}, ta, tb, m, n, k, alpha, a, b, beta, c)
 			})
@@ -181,8 +181,9 @@ func TestGemmParallelBitIdenticalAtEveryWidth(t *testing.T) {
 }
 
 // TestGemmParallelOnHostpool runs the row-band mode on a real worker pool
-// (goroutines, shared sync.Pool arena) and checks bit-identity; under
-// `go test -race` this also proves the bands are race-free.
+// (goroutines, shared sync.Pool arena), packing per call and reading one
+// packed A, and checks bit-identity; under `go test -race` this also proves
+// the bands are race-free.
 func TestGemmParallelOnHostpool(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, workers := range []int{1, 2, 4} {
@@ -197,6 +198,15 @@ func TestGemmParallelOnHostpool(t *testing.T) {
 		gemmNaive(false, false, m, n, k, 1, a, b, 0, want)
 		if i, ok := bitsEqual(got, want); !ok {
 			t.Fatalf("workers=%d: C[%d] differs", workers, i)
+		}
+		// One packing read by every band at once, as a conv layer's W is.
+		var pa PackedA
+		pa.Pack(false, m, k, 1, a)
+		clear(got)
+		GemmParallelPacked(pool, &pa, false, false, m, n, k, 1, a, b, 0, got, nil)
+		pa.Release()
+		if i, ok := bitsEqual(got, want); !ok {
+			t.Fatalf("workers=%d, packed A: C[%d] differs", workers, i)
 		}
 	}
 }
