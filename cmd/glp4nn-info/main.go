@@ -86,8 +86,12 @@ func main() {
 		return
 	}
 
-	fmt.Printf("host micro-kernel ISA: detected %s, active %s (runnable: %v; GLP4NN_ISA forces down)\n\n",
+	fmt.Printf("host micro-kernel ISA: detected %s, active %s (runnable: %v; GLP4NN_ISA forces down)\n",
 		tensor.DetectedISA(), tensor.ActiveISA(), tensor.AvailableISAs())
+	if note := isaEnvIgnored(os.Getenv("GLP4NN_ISA")); note != "" {
+		fmt.Println(note)
+	}
+	fmt.Println()
 
 	for _, id := range []string{"table1", "table3", "table4"} {
 		e, err := bench.Get(id)
@@ -107,6 +111,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// isaEnvIgnored returns the line saying why a GLP4NN_ISA value had no
+// effect at init — an unknown level, or one above the detected ceiling (the
+// variable only forces the ladder down) — or "" when it is unset, "auto",
+// or in effect.
+func isaEnvIgnored(env string) string {
+	if env == "" || env == "auto" {
+		return ""
+	}
+	want, err := tensor.ParseISA(env)
+	if err != nil {
+		return fmt.Sprintf("GLP4NN_ISA ignored: %v", err)
+	}
+	if want > tensor.DetectedISA() {
+		return fmt.Sprintf("GLP4NN_ISA ignored: %s is above the detected ceiling %s", want, tensor.DetectedISA())
+	}
+	return ""
 }
 
 // printFusion builds each registered workload at a tiny batch and reports

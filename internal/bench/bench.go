@@ -40,8 +40,8 @@ type Config struct {
 	ConvergenceIters int
 }
 
-// withDefaults fills the zero value with paper defaults; a negative count is
-// refused, not replaced.
+// withDefaults fills the zero value with paper defaults; a negative count or
+// an unknown device or network name is refused, not replaced or skipped.
 func (c Config) withDefaults() (Config, error) {
 	if c.Iterations < 0 || c.ConvergenceIters < 0 {
 		return c, fmt.Errorf("bench: Iterations and ConvergenceIters must not be negative (got %d and %d)", c.Iterations, c.ConvergenceIters)
@@ -51,6 +51,14 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if len(c.Networks) == 0 {
 		c.Networks = append([]string(nil), models.Names...)
+	}
+	if _, err := deviceSpecs(c); err != nil {
+		return c, err
+	}
+	for _, name := range c.Networks {
+		if _, err := models.Get(name); err != nil {
+			return c, err
+		}
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 3

@@ -239,20 +239,25 @@ func TestHelpers(t *testing.T) {
 	}
 }
 
-// TestNegativeCountsRefused: a negative Iterations or ConvergenceIters is
-// refused by every experiment that reads them (it used to run with the
-// defaults and succeed), before any work; zero still means the default.
+// TestNegativeCountsRefused: a negative Iterations or ConvergenceIters, or
+// an unknown device or network name, is refused by every experiment that
+// reads the config (it used to run with the defaults — or, for a name, run
+// the experiments that never look it up — and succeed), before any work;
+// zero still means the default.
 func TestNegativeCountsRefused(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cfg  Config
+		want string // in the refusal
 	}{
-		{"Iterations", Config{Quick: true, Iterations: -3}},
-		{"ConvergenceIters", Config{Quick: true, ConvergenceIters: -2}},
-		{"both", Config{Quick: true, Iterations: -1, ConvergenceIters: -1}},
+		{"Iterations", Config{Quick: true, Iterations: -3}, "negative"},
+		{"ConvergenceIters", Config{Quick: true, ConvergenceIters: -2}, "negative"},
+		{"both", Config{Quick: true, Iterations: -1, ConvergenceIters: -1}, "negative"},
+		{"Devices", Config{Quick: true, Devices: []string{"P100", "Nope"}}, `unknown device "Nope"`},
+		{"Networks", Config{Quick: true, Networks: []string{"Nope"}}, `unknown workload "Nope"`},
 	} {
-		if _, err := c.cfg.withDefaults(); err == nil || !strings.Contains(err.Error(), "negative") {
-			t.Errorf("%s: withDefaults error = %v, want a negative-count refusal", c.name, err)
+		if _, err := c.cfg.withDefaults(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: withDefaults error = %v, want a refusal containing %q", c.name, err, c.want)
 		}
 		for _, id := range []string{"fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "fig10", "table6", "fig11"} {
 			e, err := Get(id)

@@ -218,7 +218,7 @@ func (c *Context) Barrier() error {
 }
 
 // RowPar returns the context's pool as a row-parallel GEMM runner, or nil
-// when the context is serial. Layers pass it to kernels.SgemmP so large-M
+// when the context is serial. Layers pass it to kernels.Sgemm so large-M
 // GEMM closures shard disjoint row bands across the pool; the pool's Run
 // never blocks on a full pool (the caller participates), so nesting inside
 // an offloaded chain closure is safe.

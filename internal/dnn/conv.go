@@ -227,20 +227,18 @@ func (l *ConvLayer) forwardDispatch(ctx *Context, bottom, top []*Blob, width int
 		if err := ctx.Dispatch(kernels.Im2col(tag, img, l.geom, dst), chain); err != nil {
 			return err
 		}
+		// Bias (and ReLU co-write) ride a fused GEMM's epilogue; the
+		// separate gemmk/relu_fwd kernels never launch. Bitwise identical
+		// outputs — see fusion.go.
+		var epi tensor.GemmEpilogue
+		var ops float64
 		if fused {
-			// Bias (and ReLU co-write) ride the GEMM's fused epilogue; the
-			// separate gemmk/relu_fwd kernels never launch. Bitwise
-			// identical outputs — see fusion.go.
-			epi, ops := l.fusionEpilogue(bias, i)
-			if err := ctx.Dispatch(kernels.SgemmPacked(tag, par, pw, false, false, l.co, l.p, l.k, 1, w, buf, 0, out, epi, ops), chain); err != nil {
-				return err
-			}
-			continue
+			epi, ops = l.fusionEpilogue(bias, i)
 		}
-		if err := ctx.Dispatch(kernels.SgemmPacked(tag, par, pw, false, false, l.co, l.p, l.k, 1, w, buf, 0, out, nil, 0), chain); err != nil {
+		if err := ctx.Dispatch(kernels.Sgemm(tag, par, pw, false, false, l.co, l.p, l.k, 1, w, buf, 0, out, epi, ops), chain); err != nil {
 			return err
 		}
-		if l.bias != nil {
+		if !fused && l.bias != nil {
 			if err := ctx.Dispatch(kernels.BiasGemm(tag, l.co, l.p, l.bias.Data.Data(), l.onesP, out), chain); err != nil {
 				return err
 			}
@@ -295,7 +293,7 @@ func (l *ConvLayer) backwardDispatch(ctx *Context, top []*Blob, propagate []bool
 			return err
 		}
 		// dW_j += dTop(Co×P) · colᵀ(P×K)
-		if err := ctx.Dispatch(kernels.SgemmP(tag, par, false, true, l.co, l.k, l.p, 1, dtop, buf, 1, l.partW[j].Data), chain); err != nil {
+		if err := ctx.Dispatch(kernels.Sgemm(tag, par, nil, false, true, l.co, l.k, l.p, 1, dtop, buf, 1, l.partW[j].Data, nil, 0), chain); err != nil {
 			return err
 		}
 		if l.bias != nil {
@@ -307,7 +305,7 @@ func (l *ConvLayer) backwardDispatch(ctx *Context, top []*Blob, propagate []bool
 		}
 		if propagate[0] {
 			dcol := l.dcolBufs[j].Data
-			if err := ctx.Dispatch(kernels.SgemmPacked(tag, par, pwT, true, false, l.k, l.p, l.co, 1, w, dtop, 0, dcol, nil, 0), chain); err != nil {
+			if err := ctx.Dispatch(kernels.Sgemm(tag, par, pwT, true, false, l.k, l.p, l.co, 1, w, dtop, 0, dcol, nil, 0), chain); err != nil {
 				return err
 			}
 			dimg := bottom[0].SampleDiff(i)

@@ -61,15 +61,15 @@ func perCallConvPass(ctx *Context, l *ConvLayer, bottom, top *Blob, backward boo
 		case backward:
 			dtop := top.SampleDiff(i)
 			ks = append(ks,
-				kernels.SgemmP(tag, par, false, true, l.co, l.k, l.p, 1, dtop, cols[j], 1, partW[j]),
+				kernels.Sgemm(tag, par, nil, false, true, l.co, l.k, l.p, 1, dtop, cols[j], 1, partW[j], nil, 0),
 				kernels.BiasBackward(tag, l.co, l.p, dtop, l.onesP, partB[j]),
-				kernels.SgemmP(tag, par, true, false, l.k, l.p, l.co, 1, w, dtop, 0, dcols[j]),
+				kernels.Sgemm(tag, par, nil, true, false, l.k, l.p, l.co, 1, w, dtop, 0, dcols[j], nil, 0),
 				kernels.Col2im(tag, dcols[j], l.geom, bottom.SampleDiff(i)))
 		case bias != nil || l.fusedReLU != nil:
 			epi, ops := l.fusionEpilogue(bias, i)
-			ks = append(ks, kernels.SgemmEpi(tag, par, false, false, l.co, l.p, l.k, 1, w, cols[j], 0, top.SampleData(i), epi, ops))
+			ks = append(ks, kernels.Sgemm(tag, par, nil, false, false, l.co, l.p, l.k, 1, w, cols[j], 0, top.SampleData(i), epi, ops))
 		default:
-			ks = append(ks, kernels.SgemmP(tag, par, false, false, l.co, l.p, l.k, 1, w, cols[j], 0, top.SampleData(i)),
+			ks = append(ks, kernels.Sgemm(tag, par, nil, false, false, l.co, l.p, l.k, 1, w, cols[j], 0, top.SampleData(i), nil, 0),
 				kernels.BiasGemm(tag, l.co, l.p, l.bias.Data.Data(), l.onesP, top.SampleData(i)))
 		}
 		for _, k := range ks {

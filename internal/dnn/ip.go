@@ -85,26 +85,24 @@ func (l *IPLayer) Forward(ctx *Context, bottom, top []*Blob) error {
 	w := l.weight.Data.Data()
 	// y = x(N×In) · Wᵀ(In×Out). FC layers run one whole-batch GEMM on a
 	// single chain, so row-band parallelism is what puts the pool to work.
-	if l.fuseBias && l.bias != nil {
+	fused := l.fuseBias && l.bias != nil
+	var epi tensor.GemmEpilogue
+	if fused {
 		bias := l.bias.Data.Data()
 		// The separate pass is ones(N×1)·bias(1×Out) with av = 1·1 never
 		// zero, so the fused add is unconditional: y[i,j] += 1·bias[j],
 		// and 1·b is bitwise b. See fusion.go for the full contract.
-		epi := func(row, col int, seg []float32) {
+		epi = func(row, col int, seg []float32) {
 			bseg := bias[col : col+len(seg)]
 			for j, bv := range bseg {
 				seg[j] += bv
 			}
 		}
-		if err := ctx.Dispatch(kernels.SgemmEpi(l.name, ctx.RowPar(), false, true, n, l.out, l.in, 1, x, w, 0, y, epi, 1), 0); err != nil {
-			return err
-		}
-		return ctx.Barrier()
 	}
-	if err := ctx.Dispatch(kernels.SgemmP(l.name, ctx.RowPar(), false, true, n, l.out, l.in, 1, x, w, 0, y), 0); err != nil {
+	if err := ctx.Dispatch(kernels.Sgemm(l.name, ctx.RowPar(), nil, false, true, n, l.out, l.in, 1, x, w, 0, y, epi, 1), 0); err != nil {
 		return err
 	}
-	if l.bias != nil {
+	if !fused && l.bias != nil {
 		// y += ones(N×1)·bias(1×Out)
 		if err := ctx.Dispatch(kernels.BiasGemm(l.name, n, l.out, l.onesN, l.bias.Data.Data(), y), 0); err != nil {
 			return err
@@ -120,7 +118,7 @@ func (l *IPLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom [
 	dy := top[0].Diff.Data()
 	// dW += dyᵀ(Out×N)·x(N×In)
 	dw := l.weight.Diff.Data()
-	if err := ctx.Dispatch(kernels.SgemmP(l.name, ctx.RowPar(), true, false, l.out, l.in, n, 1, dy, x, 1, dw), 0); err != nil {
+	if err := ctx.Dispatch(kernels.Sgemm(l.name, ctx.RowPar(), nil, true, false, l.out, l.in, n, 1, dy, x, 1, dw, nil, 0), 0); err != nil {
 		return err
 	}
 	if l.bias != nil {
@@ -139,7 +137,7 @@ func (l *IPLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom [
 		// dx += dy(N×Out)·W(Out×In)
 		dx := bottom[0].Diff.Data()
 		w := l.weight.Data.Data()
-		if err := ctx.Dispatch(kernels.SgemmP(l.name, ctx.RowPar(), false, false, n, l.in, l.out, 1, dy, w, 1, dx), 0); err != nil {
+		if err := ctx.Dispatch(kernels.Sgemm(l.name, ctx.RowPar(), nil, false, false, n, l.in, l.out, 1, dy, w, 1, dx, nil, 0), 0); err != nil {
 			return err
 		}
 	}

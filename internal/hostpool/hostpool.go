@@ -73,7 +73,7 @@ func (p *Pool) tryAcquire() bool {
 // is free at spawn time (non-blocking acquire), so Run is safe to call from
 // inside a pool task — a fully loaded pool degrades to serial execution on
 // the caller instead of deadlocking. Tasks must touch disjoint state (the
-// row-band contract of tensor.GemmParallel); Run returns after every task
+// row-band contract of tensor.GemmParallelPacked); Run returns after every task
 // has completed.
 //
 // A panicking task is recovered — on helper goroutines and on the caller

@@ -177,7 +177,7 @@ func TestRunCoversEveryTask(t *testing.T) {
 
 // TestRunNestedInsidePoolTask: Run called from inside a chain task on a
 // fully loaded pool must not deadlock — the caller participates and helpers
-// only join via non-blocking acquire. This is the shape SgemmP creates when
+// only join via non-blocking acquire. This is the shape kernels.Sgemm creates when
 // a row-parallel GEMM runs inside an offloaded chain closure.
 func TestRunNestedInsidePoolTask(t *testing.T) {
 	p := New(2)

@@ -129,37 +129,25 @@ func Col2im(tag string, col []float32, g tensor.ConvGeom, img []float32) *simgpu
 }
 
 // Sgemm builds a tiled GEMM kernel computing C = alpha·op(A)op(B) + beta·C
-// with the 64×64-tile launch geometry of cuBLAS.
-func Sgemm(tag string, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) *simgpu.Kernel {
-	return SgemmP(tag, nil, transA, transB, m, n, k, alpha, a, b, beta, c)
-}
-
-// SgemmP is Sgemm with an optional row-parallel runner for the host math:
-// with a non-nil par, the closure shards disjoint row bands of C across the
-// runner's workers (bit-identical to the serial kernel at any width — see
-// tensor.GemmParallel). The simulated kernel and its launch geometry are
-// unchanged; only the host-side wall-clock of the closure improves.
-func SgemmP(tag string, par tensor.RowParallel, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) *simgpu.Kernel {
-	return SgemmEpi(tag, par, transA, transB, m, n, k, alpha, a, b, beta, c, nil, 0)
-}
-
-// SgemmEpi is SgemmP with a fused per-row epilogue (bias add, activation)
-// applied while each C tile is still cache hot — the fusion the dnn conv/ip
-// layers use to collapse their separate bias/ReLU output passes into the
-// GEMM (see tensor.GemmEpilogue for the elementwise bit-identity contract).
-// epiOps is the epilogue's per-element FLOP count for the cost model; the
-// fused kernel charges no extra DRAM bytes because the separate pass's
-// output round trip is exactly what fusion eliminates.
-func SgemmEpi(tag string, par tensor.RowParallel, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi tensor.GemmEpilogue, epiOps float64) *simgpu.Kernel {
-	return SgemmPacked(tag, par, nil, transA, transB, m, n, k, alpha, a, b, beta, c, epi, epiOps)
-}
-
-// SgemmPacked is SgemmEpi whose host closure reads op(A) from pa, packed once
-// for the launches that share it (a conv layer's W across its batch), instead
-// of packing it per call; a nil pa is SgemmEpi. The simulated kernel — name,
-// launch geometry, cost — does not depend on pa, and neither do the bits
-// (tensor.GemmParallelPacked).
-func SgemmPacked(tag string, par tensor.RowParallel, pa *tensor.PackedA, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi tensor.GemmEpilogue, epiOps float64) *simgpu.Kernel {
+// with the 64×64-tile launch geometry of cuBLAS. Its host closure is
+// tensor.GemmParallelPacked, bit-identical to the serial kernel whatever the
+// optional arguments:
+//
+//   - a non-nil par shards disjoint row bands of C across the runner's
+//     workers;
+//   - a non-nil pa is op(A) packed once for the launches that share it (a
+//     conv layer's W across its batch), read instead of packing per call;
+//   - a non-nil epi is a fused per-row epilogue (bias add, activation)
+//     applied while each C tile is still cache hot — the fusion the dnn
+//     conv/ip layers use to collapse their separate bias/ReLU output passes
+//     into the GEMM (see tensor.GemmEpilogue for the elementwise
+//     bit-identity contract). epiOps is its per-element FLOP count for the
+//     cost model; the fused kernel charges no extra DRAM bytes because the
+//     separate pass's output round trip is exactly what fusion eliminates.
+//
+// Only epi changes the simulated kernel (its name and FLOPs); par and pa
+// change the closure's wall clock and nothing else.
+func Sgemm(tag string, par tensor.RowParallel, pa *tensor.PackedA, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi tensor.GemmEpilogue, epiOps float64) *simgpu.Kernel {
 	gx := (n + 63) / 64
 	gy := (m + 63) / 64
 	if gx < 1 {

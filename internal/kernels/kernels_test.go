@@ -67,7 +67,7 @@ func TestSgemmGridAndCost(t *testing.T) {
 	a := make([]float32, 96*363)
 	b := make([]float32, 363*3025)
 	c := make([]float32, 96*3025)
-	k := Sgemm("conv1/n0", false, false, 96, 3025, 363, 1, a, b, 0, c)
+	k := Sgemm("conv1/n0", nil, nil, false, false, 96, 3025, 363, 1, a, b, 0, c, nil, 0)
 	// 64×64 tiles: gx = ceil(3025/64) = 48, gy = ceil(96/64) = 2.
 	if k.Config.Grid.X != 48 || k.Config.Grid.Y != 2 {
 		t.Fatalf("grid = %v, want [48,2,1]", k.Config.Grid)
@@ -80,7 +80,7 @@ func TestSgemmGridAndCost(t *testing.T) {
 		t.Fatalf("flops = %v, want %v (raw/eff)", k.Cost.FLOPs, rawFlops/gemmEff)
 	}
 	// Degenerate dims clamp to one tile.
-	k0 := Sgemm("t", false, false, 0, 0, 0, 1, nil, nil, 0, nil)
+	k0 := Sgemm("t", nil, nil, false, false, 0, 0, 0, 1, nil, nil, 0, nil, nil, 0)
 	if k0.Config.Grid.X != 1 || k0.Config.Grid.Y != 1 {
 		t.Fatalf("degenerate grid = %v", k0.Config.Grid)
 	}
@@ -90,7 +90,7 @@ func TestSgemmClosureComputes(t *testing.T) {
 	a := []float32{1, 2, 3, 4} // 2×2
 	b := []float32{5, 6, 7, 8}
 	c := make([]float32, 4)
-	k := Sgemm("t", false, false, 2, 2, 2, 1, a, b, 0, c)
+	k := Sgemm("t", nil, nil, false, false, 2, 2, 2, 1, a, b, 0, c, nil, 0)
 	k.Fn()
 	want := []float32{19, 22, 43, 50}
 	for i := range want {
@@ -174,7 +174,7 @@ func TestKernelsValidateOnCatalogDevices(t *testing.T) {
 	ks := []*simgpu.Kernel{
 		Im2col("t", img, g, col),
 		Col2im("t", col, g, img),
-		Sgemm("t", false, false, 32, 256, 800, 1, make([]float32, 32*800), make([]float32, 800*256), 0, make([]float32, 32*256)),
+		Sgemm("t", nil, nil, false, false, 32, 256, 800, 1, make([]float32, 32*800), make([]float32, 800*256), 0, make([]float32, 32*256), nil, 0),
 		BiasGemm("t", 32, 256, make([]float32, 32), make([]float32, 256), make([]float32, 32*256)),
 		Elementwise("relu_fwd", "t", 8192, 8, 1, nil),
 		SGDUpdate("t", 25600, nil),

@@ -92,11 +92,11 @@ func TestGemmFusedSteadyStateAllocs(t *testing.T) {
 	b := randSlice(rng, k*n)
 	c := make([]float32, m*n)
 	par := serialBands{4}
-	GemmFused(false, false, m, n, k, 1, a, b, 0, c, reluEpi) // warm
+	GemmParallelPacked(nil, nil, false, false, m, n, k, 1, a, b, 0, c, reluEpi) // warm
 	if allocs := testing.AllocsPerRun(10, func() {
-		GemmFused(false, false, m, n, k, 1, a, b, 0, c, reluEpi)
+		GemmParallelPacked(nil, nil, false, false, m, n, k, 1, a, b, 0, c, reluEpi)
 	}); allocs != 0 {
-		t.Errorf("GemmFused allocates %.1f objects per call in steady state, want 0", allocs)
+		t.Errorf("serial fused GemmParallelPacked allocates %.1f objects per call in steady state, want 0", allocs)
 	}
 	GemmParallelPacked(par, nil, false, false, m, n, k, 1, a, b, 0, c, reluEpi) // warm
 	if allocs := testing.AllocsPerRun(10, func() {

@@ -7,15 +7,15 @@ import "fmt"
 // op(B) is K×N, C is M×N. transA/transB select op = transpose.
 //
 // The implementation is the cache-blocked, packed-panel kernel in pack.go,
-// dispatched over the runtime ISA ladder (isa.go: pure-Go, SSE2 4×8, AVX2
-// 8×8). Its determinism contract: every C element accumulates its k terms
-// in strictly ascending order, exactly as the retained naive kernel
+// dispatched over the runtime ISA ladder (isa.go: pure-Go rows, SSE2 4×8,
+// AVX2 8×8). Its determinism contract: every C element accumulates its k
+// terms in strictly ascending order, exactly as the retained naive kernel
 // (gemmNaive) does, so results are bit-identical to the historical
 // implementation for all transpose combinations, all alpha/beta values,
 // and every ISA level. Steady-state calls perform zero heap allocations:
 // packing buffers come from a sync.Pool-backed arena.
 func Gemm(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	GemmFused(transA, transB, m, n, k, alpha, a, b, beta, c, nil)
+	GemmParallelPacked(nil, nil, transA, transB, m, n, k, alpha, a, b, beta, c, nil)
 }
 
 // GemmEpilogue is an elementwise transform fused into a GEMM: it is invoked
@@ -33,23 +33,19 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta 
 // values to other storage (e.g. a fused ReLU writing the activation top)
 // but must not read other C elements, and must not allocate — they run
 // inside the zero-allocation kernel, possibly on pool workers.
+//
+// The epilogue runs even when the multiply itself is screened out (k == 0
+// or alpha == 0): the transform is a property of the output pass, not of
+// the accumulation, so C still gets its beta pass followed by one epilogue
+// application per element — identical to the unfused sequence.
 type GemmEpilogue func(row, col int, seg []float32)
 
-// GemmFused is Gemm with an optional fused epilogue. A nil epi is exactly
-// Gemm. The epilogue runs even when the multiply itself is screened out
-// (k == 0 or alpha == 0): the transform is a property of the output pass,
-// not of the accumulation, so C still gets its beta pass followed by one
-// epilogue application per element — identical to the unfused sequence.
-func GemmFused(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi GemmEpilogue) {
-	GemmParallelPacked(nil, nil, transA, transB, m, n, k, alpha, a, b, beta, c, epi)
-}
-
 // gemmRows is the whole product for rows [i0,i1) of C — everything, or one
-// band of GemmParallel. A product with no terms (k == 0 or alpha == 0) is
-// the beta pass plus the epilogue. Otherwise beta == 0 is not a pass over C
-// at all: the blocked kernel starts its first k panel from +0 in registers
-// (stale NaN/Inf in C is still never read), and any other beta scales first.
-// A non-nil pa is op(A) packed once (gemmBlocked).
+// row band of GemmParallelPacked. A product with no terms (k == 0 or
+// alpha == 0) is the beta pass plus the epilogue. Otherwise beta == 0 is not
+// a pass over C at all: the blocked kernel starts its first k panel from +0
+// in registers (stale NaN/Inf in C is still never read), and any other beta
+// scales first. A non-nil pa is op(A) packed once (gemmBlocked).
 func gemmRows(lv ISA, pa *PackedA, transA, transB bool, i0, i1, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi GemmEpilogue) {
 	if k == 0 || alpha == 0 {
 		gemmScaleBeta(beta, c[i0*n:i1*n])

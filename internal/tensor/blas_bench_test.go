@@ -195,3 +195,40 @@ func BenchmarkGemmPackedA(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGemmRungs is the ladder's verdict: every Table 5 shape plus the
+// skinny CaffeNet fc6 product, op(B) as stored and transposed, with A dense
+// and half zeros, on the naive loop and on each runnable ISA rung — a rung
+// earns its place only by beating the one below it. Sub-benchmarks read
+// {shape}/{N,transB}/zeros{0,50}/{naive,purego,sse2,avx2}.
+func BenchmarkGemmRungs(b *testing.B) {
+	shapes := append(gemmShapes[:len(gemmShapes):len(gemmShapes)], struct {
+		name    string
+		m, n, k int
+	}{"CaffeNet_fc6_2x4096x9216", 2, 4096, 9216})
+	for _, s := range shapes {
+		for _, tb := range []bool{false, true} {
+			for _, zeroPct := range []int{0, 50} {
+				s, tb, zeroPct := s, tb, zeroPct
+				op := "N"
+				if tb {
+					op = "transB"
+				}
+				prefix := fmt.Sprintf("%s/%s/zeros%d/", s.name, op, zeroPct)
+				b.Run(prefix+"naive", func(b *testing.B) {
+					benchGemm(b, s.m, s.n, s.k, func(a, bb, c []float32) {
+						gemmNaive(false, tb, s.m, s.n, s.k, 1, a, bb, 0, c)
+					}, zeroPct)
+				})
+				for _, lv := range AvailableISAs() {
+					b.Run(prefix+lv.String(), func(b *testing.B) {
+						forceISA(b, lv)
+						benchGemm(b, s.m, s.n, s.k, func(a, bb, c []float32) {
+							Gemm(false, tb, s.m, s.n, s.k, 1, a, bb, 0, c)
+						}, zeroPct)
+					})
+				}
+			}
+		}
+	}
+}

@@ -18,8 +18,8 @@ import (
 type ISA int32
 
 const (
-	// ISAPureGo is the portable micro-kernel: 4-row strips of 4-wide Go
-	// register tiles. The only level available off amd64 or under the
+	// ISAPureGo is the portable micro-kernel: one row at a time in 8-wide
+	// Go register tiles. The only level available off amd64 or under the
 	// `purego` build tag.
 	ISAPureGo ISA = iota
 	// ISASSE2 is the SSE2 4×8 XMM register-tile micro-kernel — part of the
@@ -47,13 +47,26 @@ func (l ISA) String() string {
 }
 
 // mr returns the level's register-blocked row count (the MR of the pack
-// layout and micro-kernel tile). gemmMC must stay divisible by every value
-// returned here.
+// layout and micro-kernel tile; 1 at the pure-Go rung, whose kernel takes one
+// row). gemmMC must stay divisible by every value returned here.
 func (l ISA) mr() int {
-	if l == ISAAVX2 {
+	switch l {
+	case ISAAVX2:
 		return gemmMR8
+	case ISASSE2:
+		return gemmMR4
 	}
-	return gemmMR4
+	return 1
+}
+
+// strips returns the number of whole MR-row strips in n rows: none at the
+// pure-Go rung, whose rows are packed and multiplied one at a time and carry
+// no zero flags.
+func (l ISA) strips(n int) int {
+	if l == ISAPureGo {
+		return 0
+	}
+	return n / l.mr()
 }
 
 // detectedISALevel is fixed at init by the build-specific detectISA (CPUID

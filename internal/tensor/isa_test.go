@@ -136,9 +136,9 @@ func TestGemmBitIdenticalAcrossISALevels(t *testing.T) {
 }
 
 // FuzzGemmISAParity lets the fuzzer hunt for a shape/coefficient/input
-// corner where any two rungs of the ladder disagree on a single bit. The
-// lowest runnable level (purego) is the reference; every higher level must
-// match it exactly, NaNs and zero rows included.
+// corner where any rung of the ladder disagrees with the naive kernel on a
+// single bit, NaNs and zero rows included. gemmNaive is the reference, so
+// every build — a single-rung `-tags purego` one too — has one.
 func FuzzGemmISAParity(f *testing.F) {
 	f.Add(int64(1), uint8(7), uint8(9), uint8(5), false, false, float32(1), float32(0), uint8(12))
 	f.Add(int64(2), uint8(8), uint8(8), uint8(16), true, false, float32(-0.5), float32(1), uint8(12))
@@ -150,32 +150,24 @@ func FuzzGemmISAParity(f *testing.F) {
 		if math.IsNaN(float64(alpha)) || math.IsNaN(float64(beta)) {
 			return // poisons everything equally; useless failure messages
 		}
-		avail := AvailableISAs()
-		if len(avail) < 2 {
-			t.Skip("single-level host: nothing to compare")
-		}
 		m, n, k := int(m8)+1, int(n8)+1, int(k8)+1
 		rng := rand.New(rand.NewSource(seed))
 		a, b, c0 := hostileInputs(rng, m, n, k, int(zeroPct)%101)
+		want := append([]float32(nil), c0...)
+		gemmNaive(ta, tb, m, n, k, alpha, a, b, beta, want)
 
 		prev := ActiveISA()
 		defer func() { _ = SetISA(prev) }()
-
-		var ref []float32
-		for _, lv := range avail {
+		for _, lv := range AvailableISAs() {
 			if err := SetISA(lv); err != nil {
 				t.Fatal(err)
 			}
 			got := append([]float32(nil), c0...)
 			Gemm(ta, tb, m, n, k, alpha, a, b, beta, got)
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if i, ok := bitsEqual(got, ref); !ok {
-				t.Fatalf("isa=%s diverges from %s: ta=%v tb=%v m=%d n=%d k=%d alpha=%v beta=%v: C[%d] = %x want %x",
-					lv, avail[0], ta, tb, m, n, k, alpha, beta, i,
-					math.Float32bits(got[i]), math.Float32bits(ref[i]))
+			if i, ok := bitsEqual(got, want); !ok {
+				t.Fatalf("isa=%s diverges from gemmNaive: ta=%v tb=%v m=%d n=%d k=%d alpha=%v beta=%v: C[%d] = %x want %x",
+					lv, ta, tb, m, n, k, alpha, beta, i,
+					math.Float32bits(got[i]), math.Float32bits(want[i]))
 			}
 		}
 	})
@@ -192,9 +184,9 @@ var reluEpi GemmEpilogue = func(row, col int, seg []float32) {
 }
 
 // TestGemmFusedMatchesSeparatePass pins the epilogue contract at every ISA
-// level: GemmFused(…, epi) must equal Gemm followed by the same transform as
-// a separate full pass, bit for bit — including the k==0 and alpha==0
-// screens, where the epilogue must still run.
+// level: GemmParallelPacked(…, epi) must equal Gemm followed by the same
+// transform as a separate full pass, bit for bit — including the k==0 and
+// alpha==0 screens, where the epilogue must still run.
 func TestGemmFusedMatchesSeparatePass(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	type cse struct {
@@ -224,7 +216,7 @@ func TestGemmFusedMatchesSeparatePass(t *testing.T) {
 				c0 := randSlice(rng, cs.m*cs.n)
 				fused := append([]float32(nil), c0...)
 				want := append([]float32(nil), c0...)
-				GemmFused(false, false, cs.m, cs.n, cs.k, cs.alpha, a, b, cs.beta, fused, epi)
+				GemmParallelPacked(nil, nil, false, false, cs.m, cs.n, cs.k, cs.alpha, a, b, cs.beta, fused, epi)
 				Gemm(false, false, cs.m, cs.n, cs.k, cs.alpha, a, b, cs.beta, want)
 				for i := 0; i < cs.m; i++ {
 					epi(i, 0, want[i*cs.n:i*cs.n+cs.n])
@@ -250,7 +242,7 @@ func TestGemmParallelFusedMatchesSerial(t *testing.T) {
 	sprinkleZeros(rng, a, 12)
 	c0 := randSlice(rng, m*n)
 	want := append([]float32(nil), c0...)
-	GemmFused(false, false, m, n, k, 1, a, b, 0, want, reluEpi)
+	GemmParallelPacked(nil, nil, false, false, m, n, k, 1, a, b, 0, want, reluEpi)
 	for _, width := range []int{1, 2, 3, 4} {
 		got := append([]float32(nil), c0...)
 		GemmParallelPacked(serialBands{width}, nil, false, false, m, n, k, 1, a, b, 0, got, reluEpi)

@@ -6,7 +6,8 @@ import "sync"
 // processed in cache-sized panels — B in KC×NC panels that stay resident in
 // L2, A in MC×KC panels repacked into register-block order — with a
 // register-blocked micro-kernel at the bottom, selected by the runtime ISA
-// ladder (isa.go): pure-Go 4×4 tiles, SSE2 4×8, or the AVX2 strip kernels.
+// ladder (isa.go): the pure-Go row kernel, SSE2 4×8, or the AVX2 strip
+// kernels.
 // Two properties are load bearing and must survive any future tuning:
 //
 //  1. Determinism. Every C element accumulates its k terms in strictly
@@ -14,7 +15,7 @@ import "sync"
 //     micro-kernel walks l within a block in ascending order, accumulating
 //     straight into C. A zero α·a contributes nothing to its row (the naive
 //     kernel's `av == 0` skip: Inf or NaN opposite it in B never reaches C,
-//     a −0 in C keeps its sign) — the Go and SSE2 tiles test every packed
+//     a −0 in C keeps its sign) — the Go row and SSE2 tile test every packed
 //     value, the AVX2 rung drops the zero terms of a row before its kernel
 //     runs and sends only strips without one to the dense tile. Together
 //     this makes the blocked kernel bit-identical to gemmNaive for every
@@ -32,21 +33,21 @@ import "sync"
 // Block sizes: KC×NC×4B = 512 KB keeps the B panel in L2; MC×KC×4B = 64 KB
 // streams the A panel through L1; MR rows of C (≤ NC×4B each) live in
 // registers/L1 inside the micro-kernel, so each packed B row is loaded once
-// per MR rows of output instead of once per row. MR is per-ISA (4 for
-// pure-Go/SSE2, 8 for AVX2); gemmMC is divisible by both so full panels
-// split into whole strips.
+// per MR rows of output instead of once per row. MR is per-ISA (1 for
+// pure-Go, which has no strips, 4 for SSE2, 8 for AVX2); gemmMC is divisible
+// by each so full panels split into whole strips.
 const (
 	gemmMC  = 64  // rows of A packed per panel
 	gemmKC  = 256 // k extent of one panel pass
 	gemmNC  = 512 // columns of B packed per panel
-	gemmMR4 = 4   // register-blocked rows: pure-Go and SSE2 micro-kernels
+	gemmMR4 = 4   // register-blocked rows: SSE2 micro-kernel
 	gemmMR8 = 8   // register-blocked rows: AVX2 micro-kernel
 )
 
 // gemmBufs is one arena cell: the A and B packing panels for a single
-// in-flight Gemm (or one row band of GemmParallel). Capacity is fixed at the
-// maximum panel size (independent of MR — the strip layout reorders the
-// same mc×kc elements), so steady-state Get/Put never reallocates.
+// in-flight Gemm (or one row band of GemmParallelPacked). Capacity is fixed
+// at the maximum panel size (independent of MR — the strip layout reorders
+// the same mc×kc elements), so steady-state Get/Put never reallocates.
 type gemmBufs struct {
 	ap []float32 // packed op(A) panel, MC×KC, alpha folded in
 	bp []float32 // packed op(B) panel, KC×NC row-major
@@ -63,10 +64,10 @@ var gemmPool = sync.Pool{New: func() any {
 // into the packed A panel, dispatching the lv micro-kernel. m is the full
 // logical M of op(A) (the lead dimension of a transposed A), so a row band
 // sees exactly the same memory layout as the full product — the basis of
-// GemmParallel's bitwise determinism at any band count. The caller has
-// already applied a beta other than 0 and screened out the k==0 / alpha==0 /
-// empty cases; with zeroC (beta == 0) the first k panel starts every
-// accumulator from +0 instead of reading C, which is what a cleared C
+// GemmParallelPacked's bitwise determinism at any band count. The caller
+// has already applied a beta other than 0 and screened out the k==0 /
+// alpha==0 / empty cases; with zeroC (beta == 0) the first k panel starts
+// every accumulator from +0 instead of reading C, which is what a cleared C
 // would give, in one pass over C instead of two.
 //
 // A non-nil epi runs once per completed C row segment, immediately after
@@ -79,7 +80,6 @@ var gemmPool = sync.Pool{New: func() any {
 // it instead of packed — the same floats in the same layout, so the loop
 // nest below is the only one either way.
 func gemmBlocked(lv ISA, pa *PackedA, transA, transB bool, i0, i1, m, n, k int, alpha float32, a, b, c []float32, zeroC bool, epi GemmEpilogue) {
-	mr := lv.mr()
 	bufs := gemmPool.Get().(*gemmBufs)
 	ap, bp := bufs.ap, bufs.bp
 	// Packing B pays when several A panels reuse the copy. A row-major B
@@ -114,11 +114,11 @@ func gemmBlocked(lv ISA, pa *PackedA, transA, transB bool, i0, i1, m, n, k int, 
 				if pa != nil {
 					aq, sparse = pa.panel(ic, pc, mc, kc)
 				} else {
-					sparse = packA(transA, a, ap, ic, pc, mc, kc, m, k, alpha, mr)
+					sparse = packA(lv, transA, a, ap, ic, pc, mc, kc, m, k, alpha)
 				}
-				gemmMicro(lv, mr, aq, sparse, bq, ldb, c, ic, jc, mc, kc, nb, n, zero)
+				gemmMicro(lv, aq, sparse, bq, ldb, c, ic, jc, mc, kc, nb, n, zero)
 				if nb < nc {
-					gemmMicro(lv, mr, aq, sparse, bp, 8, c, ic, jc+nb, mc, kc, nc-nb, n, zero)
+					gemmMicro(lv, aq, sparse, bp, 8, c, ic, jc+nb, mc, kc, nc-nb, n, zero)
 				}
 				if epi != nil && lastK {
 					for i := ic; i < ic+mc; i++ {
@@ -168,14 +168,16 @@ func packB(transB bool, b, bp []float32, pc, jc, kc, nc, n, k, ldb int) {
 
 // packA packs the mc×kc panel of op(A) starting at row ic, column pc, with
 // alpha folded in (av = alpha·a matches the naive kernel's per-term
-// multiply bit for bit). Layout: full mr-row strips interleaved by l
-// ([l*mr+r] within a strip), then any remainder rows appended one
-// contiguous kc-length row each. Bit s of the result is set when strip s
-// holds a zero av (±0; a NaN is not one) — counted without a branch, since
-// the zeros of a backward operand fall in no predictable pattern.
-func packA(transA bool, a, ap []float32, ic, pc, mc, kc, m, k int, alpha float32, mr int) (sparse uint32) {
+// multiply bit for bit), for the lv rung. Layout: the rung's whole MR-row
+// strips interleaved by l ([l*MR+r] within a strip), then the remainder rows
+// appended one contiguous kc-length row each — at the pure-Go rung, which
+// has no strips, every row. Bit s of the result is set when strip s holds a
+// zero av (±0; a NaN is not one) — counted without a branch, since the
+// zeros of a backward operand fall in no predictable pattern.
+func packA(lv ISA, transA bool, a, ap []float32, ic, pc, mc, kc, m, k int, alpha float32) (sparse uint32) {
+	mr := lv.mr()
 	off := 0
-	strips := mc / mr
+	strips := lv.strips(mc)
 	for s := 0; s < strips; s++ {
 		r := ic + s*mr
 		dst := ap[off : off+mr*kc]
@@ -208,15 +210,16 @@ func packA(transA bool, a, ap []float32, ic, pc, mc, kc, m, k int, alpha float32
 		}
 		off += mr * kc
 	}
-	at := func(i, l int) float32 {
-		if transA {
-			return a[l*m+i] // stored K×M
-		}
-		return a[i*k+l]
-	}
 	for r := ic + strips*mr; r < ic+mc; r++ {
-		for l := 0; l < kc; l++ {
-			ap[off+l] = alpha * at(r, pc+l)
+		dst := ap[off : off+kc]
+		if !transA {
+			for l, v := range a[r*k+pc : r*k+pc+kc] {
+				dst[l] = alpha * v
+			}
+		} else {
+			for l := range dst {
+				dst[l] = alpha * a[(pc+l)*m+r] // stored K×M
+			}
 		}
 		off += kc
 	}
@@ -247,14 +250,13 @@ func (p *PackedA) Pack(transA bool, m, k int, alpha float32, a []float32) {
 	}
 	p.Release()
 	*p = PackedA{lv: ActiveISA(), transA: transA, m: m, k: k, alpha: alpha, buf: GetBuf(m * k), zeros: p.zeros[:0]}
-	mr := p.lv.mr()
 	for pc := 0; pc < k; pc += gemmKC {
 		kc := min(gemmKC, k-pc)
 		blk := p.buf.Data[m*pc : m*(pc+kc)]
 		for ic := 0; ic < m; ic += gemmMC {
 			mc := min(gemmMC, m-ic)
-			sparse := packA(transA, a, blk[ic*kc:], ic, pc, mc, kc, m, k, alpha, mr)
-			for s := 0; s < mc/mr; s++ {
+			sparse := packA(p.lv, transA, a, blk[ic*kc:], ic, pc, mc, kc, m, k, alpha)
+			for s := 0; s < p.lv.strips(mc); s++ {
 				p.zeros = append(p.zeros, sparse&(1<<s) != 0)
 			}
 		}
@@ -274,11 +276,10 @@ func (p *PackedA) Release() {
 // what packA writes and returns for that panel. ic is a multiple of MR (band
 // edges are), so the panel's strips are whole strips of the packing.
 func (p *PackedA) panel(ic, pc, mc, kc int) ([]float32, uint32) {
-	mr := p.lv.mr()
-	zeros := p.zeros[pc/gemmKC*(p.m/mr)+ic/mr:]
+	first := pc/gemmKC*p.lv.strips(p.m) + ic/p.lv.mr()
 	var sparse uint32
-	for s := 0; s < mc/mr; s++ {
-		if zeros[s] {
+	for s := 0; s < p.lv.strips(mc); s++ {
+		if p.zeros[first+s] {
 			sparse |= 1 << s
 		}
 	}
@@ -287,37 +288,34 @@ func (p *PackedA) panel(ic, pc, mc, kc int) ([]float32, uint32) {
 
 // gemmMicro runs the packed A panel against the nc columns of the B view
 // (bq, ldb) — a packed panel, or op(B) where it lies — for the C block at
-// (ic, jc): mr-row register-blocked strips through the level's register-tile
-// kernel, then single remainder rows. Every kernel keeps its C elements in
-// registers across the whole k block (one load and one store per element
-// per panel pass instead of one round trip per k term — the difference
-// between the naive kernel's store-port bound and this one's FPU bound,
-// and with zero not even the load), accumulates l in ascending order and
-// lets a zero av contribute nothing to its row, so every element's value is
-// bit-identical to the naive kernel's at every ISA level.
+// (ic, jc): the rung's MR-row strips through its register-tile kernel, then
+// single rows. Every kernel keeps its C elements in registers across the
+// whole k block (one load and one store per element per panel pass instead
+// of one round trip per k term — the difference between the naive kernel's
+// store-port bound and this one's FPU bound, and with zero not even the
+// load), accumulates l in ascending order and lets a zero av contribute
+// nothing to its row, so every element's value is bit-identical to the naive
+// kernel's at every ISA level.
 //
 // On the AVX2 rung the kernel is chosen per strip from what packA saw: a
 // strip without a zero runs the branch-free dense tile; any other row — a
 // strip that holds a zero, or a remainder row — is compacted to its non-zero
 // terms first, so its cost follows its non-zeros and no kernel branches on
-// data.
-func gemmMicro(lv ISA, mr int, ap []float32, sparse uint32, bq []float32, ldb int, c []float32, ic, jc, mc, kc, nc, n int, zero bool) {
+// data. Below it every single row — all of them at the pure-Go rung — runs
+// micro1.
+func gemmMicro(lv ISA, ap []float32, sparse uint32, bq []float32, ldb int, c []float32, ic, jc, mc, kc, nc, n int, zero bool) {
 	if nc == 0 {
 		return
 	}
+	mr := lv.mr()
 	off := 0
-	strips := mc / mr
+	strips := lv.strips(mc)
 	for s := 0; s < strips; s++ {
 		r := ic + s*mr
 		strip := ap[off : off+mr*kc]
 		switch {
 		case mr == gemmMR4:
-			micro4(lv >= ISASSE2, strip, bq, ldb,
-				c[r*n+jc:r*n+jc+nc],
-				c[(r+1)*n+jc:(r+1)*n+jc+nc],
-				c[(r+2)*n+jc:(r+2)*n+jc+nc],
-				c[(r+3)*n+jc:(r+3)*n+jc+nc],
-				kc, zero)
+			micro4(strip, bq, ldb, c, r, jc, kc, nc, n, zero)
 		case sparse&(1<<s) == 0:
 			denseStrip(strip, bq, ldb, c, r, jc, kc, nc, n, zero)
 		default:
@@ -390,126 +388,76 @@ func sparseRow(src []float32, stride, kc int, bq []float32, ldb int, ci []float3
 	}
 }
 
-// micro4 computes four C rows (c0..c3, nc columns each) against the B view
-// (bp, ldb): 4×8 SSE register tiles where useAsm (the SSE2-or-higher rungs
-// of the ladder), portable Go 4×4 register tiles plus a scalar column tail
-// otherwise. strip is the packed 4-row A strip ([l*4+row], alpha folded
-// in). With zero the accumulators start from +0 instead of C.
-func micro4(useAsm bool, strip, bp []float32, ldb int, c0, c1, c2, c3 []float32, kc int, zero bool) {
-	nc := len(c0)
+// micro4 computes four C rows from a packed 4-row strip ([l*4+row], alpha
+// folded in): 4×8 SSE register tiles, the column tail narrower than 8
+// through the same tile over a scratch copy of its C block, as denseStrip
+// does. With zero the accumulators start from +0 instead of C.
+func micro4(strip, bq []float32, ldb int, c []float32, r, jc, kc, nc, n int, zero bool) {
 	j := 0
-	if hasAsmMicro && useAsm {
-		for ; j+8 <= nc; j += 8 {
-			micro4x8(&strip[0], &bp[j], &c0[j], &c1[j], &c2[j], &c3[j], kc, 4*ldb, zero)
-		}
+	for ; j+8 <= nc; j += 8 {
+		o := r*n + jc + j
+		micro4x8(&strip[0], &bq[j], &c[o], &c[o+n], &c[o+2*n], &c[o+3*n], kc, 4*ldb, zero)
 	}
-	for ; j+4 <= nc; j += 4 {
-		// The 16 accumulators live in registers for the whole k block.
-		var s00, s01, s02, s03, s10, s11, s12, s13, s20, s21, s22, s23, s30, s31, s32, s33 float32
-		if !zero {
-			s00, s01, s02, s03 = c0[j], c0[j+1], c0[j+2], c0[j+3]
-			s10, s11, s12, s13 = c1[j], c1[j+1], c1[j+2], c1[j+3]
-			s20, s21, s22, s23 = c2[j], c2[j+1], c2[j+2], c2[j+3]
-			s30, s31, s32, s33 = c3[j], c3[j+1], c3[j+2], c3[j+3]
+	if j < nc {
+		var cs [4 * 8]float32
+		for rr := 0; rr < 4; rr++ {
+			copy(cs[rr*8:rr*8+8], c[(r+rr)*n+jc+j:(r+rr)*n+jc+nc])
 		}
-		for l := 0; l < kc; l++ {
-			bl := bp[l*ldb+j : l*ldb+j+4 : l*ldb+j+4]
-			b0, b1, b2, b3 := bl[0], bl[1], bl[2], bl[3]
-			al := strip[l*gemmMR4 : l*gemmMR4+gemmMR4 : l*gemmMR4+gemmMR4]
-			if a := al[0]; a != 0 {
-				s00 += a * b0
-				s01 += a * b1
-				s02 += a * b2
-				s03 += a * b3
-			}
-			if a := al[1]; a != 0 {
-				s10 += a * b0
-				s11 += a * b1
-				s12 += a * b2
-				s13 += a * b3
-			}
-			if a := al[2]; a != 0 {
-				s20 += a * b0
-				s21 += a * b1
-				s22 += a * b2
-				s23 += a * b3
-			}
-			if a := al[3]; a != 0 {
-				s30 += a * b0
-				s31 += a * b1
-				s32 += a * b2
-				s33 += a * b3
-			}
+		micro4x8(&strip[0], &bq[j], &cs[0], &cs[8], &cs[16], &cs[24], kc, 4*ldb, zero)
+		for rr := 0; rr < 4; rr++ {
+			copy(c[(r+rr)*n+jc+j:(r+rr)*n+jc+nc], cs[rr*8:])
 		}
-		c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-		c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
-		c2[j], c2[j+1], c2[j+2], c2[j+3] = s20, s21, s22, s23
-		c3[j], c3[j+1], c3[j+2], c3[j+3] = s30, s31, s32, s33
-	}
-	for ; j < nc; j++ {
-		var s0, s1, s2, s3 float32
-		if !zero {
-			s0, s1, s2, s3 = c0[j], c1[j], c2[j], c3[j]
-		}
-		for l := 0; l < kc; l++ {
-			b := bp[l*ldb+j]
-			al := strip[l*gemmMR4 : l*gemmMR4+gemmMR4 : l*gemmMR4+gemmMR4]
-			if a := al[0]; a != 0 {
-				s0 += a * b
-			}
-			if a := al[1]; a != 0 {
-				s1 += a * b
-			}
-			if a := al[2]; a != 0 {
-				s2 += a * b
-			}
-			if a := al[3]; a != 0 {
-				s3 += a * b
-			}
-		}
-		c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
 	}
 }
 
-// micro1 computes one C row against the B view (remainder rows of a panel
-// below the AVX2 rung): 1×4 register tiles with a scalar tail, same ordering
-// contract as the strip kernels.
+// micro1 computes one C row against the B view — every row at the pure-Go
+// rung, the remainder rows of a panel on SSE2 — 8 columns at a time, the
+// column tail narrower than 8 over a scratch copy (B rows are padded to
+// whole 8-column tiles).
 func micro1(arow, bp []float32, ldb int, ci []float32, kc int, zero bool) {
-	nc := len(ci)
-	j := 0
-	for ; j+4 <= nc; j += 4 {
-		var s0, s1, s2, s3 float32
-		if !zero {
-			s0, s1, s2, s3 = ci[j], ci[j+1], ci[j+2], ci[j+3]
+	arow = arow[:kc]
+	for j := 0; j < len(ci); j += 8 {
+		if j+8 <= len(ci) {
+			row8(arow, bp[j:], ldb, (*[8]float32)(ci[j:j+8]), zero)
+			continue
 		}
-		for l := 0; l < kc; l++ {
-			a := arow[l]
-			if a == 0 {
-				continue
-			}
-			bl := bp[l*ldb+j : l*ldb+j+4 : l*ldb+j+4]
-			s0 += a * bl[0]
-			s1 += a * bl[1]
-			s2 += a * bl[2]
-			s3 += a * bl[3]
-		}
-		ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
-	}
-	for ; j < nc; j++ {
-		var s float32
-		if !zero {
-			s = ci[j]
-		}
-		for l := 0; l < kc; l++ {
-			if a := arow[l]; a != 0 {
-				s += a * bp[l*ldb+j]
-			}
-		}
-		ci[j] = s
+		var cs [8]float32
+		copy(cs[:], ci[j:])
+		row8(arow, bp[j:], ldb, &cs, zero)
+		copy(ci[j:], cs[:])
 	}
 }
 
-// RowParallel is the execution resource GemmParallel shards row bands
+// row8 accumulates the non-zero terms arow[l]·b[l*ldb : l*ldb+8], l
+// ascending, into eight C columns held in registers for the whole k block —
+// from +0 with zero, else from c — and stores them back: the strip kernels'
+// ordering and zero-skip contract, one row at a time. It is a function of
+// its own so that its loop has the registers to itself: written inside
+// micro1's column loop, the loop index and two accumulators spill to the
+// stack, which cost 13–21 % on the pure-Go BenchmarkGemmRungs cells.
+func row8(arow, b []float32, ldb int, c *[8]float32, zero bool) {
+	var s0, s1, s2, s3, s4, s5, s6, s7 float32
+	if !zero {
+		s0, s1, s2, s3, s4, s5, s6, s7 = c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+	}
+	for l, a := range arow {
+		if a == 0 {
+			continue
+		}
+		bl := b[l*ldb : l*ldb+8 : l*ldb+8]
+		s0 += a * bl[0]
+		s1 += a * bl[1]
+		s2 += a * bl[2]
+		s3 += a * bl[3]
+		s4 += a * bl[4]
+		s5 += a * bl[5]
+		s6 += a * bl[6]
+		s7 += a * bl[7]
+	}
+	c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = s0, s1, s2, s3, s4, s5, s6, s7
+}
+
+// RowParallel is the execution resource GemmParallelPacked shards row bands
 // across. hostpool.Pool implements it; the indirection keeps the tensor
 // package free of an execution-engine dependency.
 type RowParallel interface {
@@ -525,17 +473,6 @@ type RowParallel interface {
 // gemmMinBandRows is the smallest row band worth a parallel task: below
 // this, packing overhead dominates and the serial path wins.
 const gemmMinBandRows = 32
-
-// GemmParallel is Gemm with the rows of C sharded into disjoint bands
-// executed via p. Every band computes its rows with the same blocked kernel,
-// the same panel geometry, and the same ascending-k accumulation the serial
-// path uses, and bands touch disjoint C rows — so the result is bit-identical
-// to Gemm at every band count, which is what makes the mode safe to enable
-// under the convergence-invariance contract. A nil p, a single worker, or a
-// small M falls back to the serial kernel.
-func GemmParallel(p RowParallel, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	GemmParallelPacked(p, nil, transA, transB, m, n, k, alpha, a, b, beta, c, nil)
-}
 
 // bandState carries one GemmParallelPacked call's parameters to its band
 // closure. Instances are pooled and each carries its fn (a closure over the
@@ -577,12 +514,16 @@ func (st *bandState) run(band int) {
 	gemmRows(st.lv, st.pa, st.transA, st.transB, i0, i1, st.m, st.n, st.k, st.alpha, st.a, st.b, st.beta, st.c, st.epi)
 }
 
-// GemmParallelPacked is GemmParallel with an optional fused epilogue and an
-// optional packed A. Each band applies epi to its own (disjoint) completed
-// rows. A non-nil pa must hold pa.Pack(transA, m, k, alpha, a): the product
-// reads op(A) from it instead of packing per call, on the rung it was packed
-// for. Either way the result is bitwise identical to GemmFused at any band
-// count.
+// GemmParallelPacked is Gemm with the rows of C sharded into disjoint bands
+// executed via p, an optional fused epilogue and an optional packed A. Every
+// band computes its rows with the same blocked kernel, the same panel
+// geometry, and the same ascending-k accumulation the serial path uses, and
+// bands touch disjoint C rows — so the result is bit-identical to Gemm at
+// every band count, which is what makes the mode safe to enable under the
+// convergence-invariance contract. A nil p, a single worker, or a small M
+// runs the serial kernel. Each band applies epi to its own completed rows.
+// A non-nil pa must hold pa.Pack(transA, m, k, alpha, a): the product reads
+// op(A) from it instead of packing per call, on the rung it was packed for.
 func GemmParallelPacked(p RowParallel, pa *PackedA, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi GemmEpilogue) {
 	checkGemmDims(transA, transB, m, n, k, a, b, c)
 	lv := ActiveISA() // read once: every band runs the same kernel

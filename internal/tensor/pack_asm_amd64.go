@@ -2,10 +2,6 @@
 
 package tensor
 
-// hasAsmMicro selects the SSE2 micro-kernel inside micro4. SSE2 is part of
-// the amd64 baseline, so no runtime feature detection is needed.
-const hasAsmMicro = true
-
 // micro4x8 is the SSE2 register-tile kernel: it accumulates a 4-row × 8-col
 // block of C held in 8 XMM registers across kc ascending k steps.
 //

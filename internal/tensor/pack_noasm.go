@@ -2,10 +2,8 @@
 
 package tensor
 
-// hasAsmMicro is false without an assembly micro-kernel; micro4 runs its
-// portable Go register-tile path instead, and the dispatch ladder tops out
-// at ISAPureGo (see isa_noasm.go), so none of the stubs below is reachable.
-const hasAsmMicro = false
+// Without assembly micro-kernels the dispatch ladder tops out at ISAPureGo
+// (see isa_noasm.go), so none of the stubs below is reachable.
 
 func micro4x8(strip, b, c0, c1, c2, c3 *float32, kc, ldbBytes int, zero bool) {
 	panic("tensor: micro4x8 called without assembly support")

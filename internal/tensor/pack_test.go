@@ -86,7 +86,7 @@ func TestGemmBitIdenticalToNaive(t *testing.T) {
 	// Gemm runs it at every rung in TestGemmBitIdenticalAcrossISALevels.
 	forEachGemmCase(t, caseMs, caseNs, caseKs, nil, reluEpi,
 		func(ta, tb bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-			GemmFused(ta, tb, m, n, k, alpha, a, b, beta, c, reluEpi)
+			GemmParallelPacked(nil, nil, ta, tb, m, n, k, alpha, a, b, beta, c, reluEpi)
 		})
 }
 
@@ -137,7 +137,7 @@ func FuzzGemmBitIdentical(f *testing.F) {
 }
 
 // serialBands runs tasks sequentially while advertising the given worker
-// count — it pins GemmParallel's banding math at an exact width without
+// count — it pins GemmParallelPacked's banding math at an exact width without
 // depending on scheduler behavior.
 type serialBands struct{ workers int }
 
@@ -164,7 +164,7 @@ func TestGemmParallelBitIdenticalAtEveryWidth(t *testing.T) {
 				c0 := randSlice(rng, m*n)
 				got := append([]float32(nil), c0...)
 				want := append([]float32(nil), c0...)
-				GemmParallel(serialBands{width}, ta, tb, m, n, k, 1, a, b, 1, got)
+				GemmParallelPacked(serialBands{width}, nil, ta, tb, m, n, k, 1, a, b, 1, got, nil)
 				gemmNaive(ta, tb, m, n, k, 1, a, b, 1, want)
 				if i, ok := bitsEqual(got, want); !ok {
 					t.Fatalf("width=%d ta=%v tb=%v m=%d n=%d k=%d: C[%d] differs", width, ta, tb, m, n, k, i)
@@ -175,7 +175,7 @@ func TestGemmParallelBitIdenticalAtEveryWidth(t *testing.T) {
 		// up to four, every band at most one A panel tall (B read in place).
 		forEachGemmCase(t, []int{65, 130}, []int{7, 75}, caseKs, nil, nil,
 			func(ta, tb bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-				GemmParallel(serialBands{width}, ta, tb, m, n, k, alpha, a, b, beta, c)
+				GemmParallelPacked(serialBands{width}, nil, ta, tb, m, n, k, alpha, a, b, beta, c, nil)
 			})
 	}
 }
@@ -194,7 +194,7 @@ func TestGemmParallelOnHostpool(t *testing.T) {
 		c0 := randSlice(rng, m*n)
 		got := append([]float32(nil), c0...)
 		want := append([]float32(nil), c0...)
-		GemmParallel(pool, false, false, m, n, k, 1, a, b, 0, got)
+		GemmParallelPacked(pool, nil, false, false, m, n, k, 1, a, b, 0, got, nil)
 		gemmNaive(false, false, m, n, k, 1, a, b, 0, want)
 		if i, ok := bitsEqual(got, want); !ok {
 			t.Fatalf("workers=%d: C[%d] differs", workers, i)
@@ -220,7 +220,7 @@ func TestGemmParallelSmallMFallsBack(t *testing.T) {
 	b := randSlice(rng, k*n)
 	got := make([]float32, m*n)
 	want := make([]float32, m*n)
-	GemmParallel(serialBands{8}, false, false, m, n, k, 1, a, b, 0, got)
+	GemmParallelPacked(serialBands{8}, nil, false, false, m, n, k, 1, a, b, 0, got, nil)
 	Gemm(false, false, m, n, k, 1, a, b, 0, want)
 	if i, ok := bitsEqual(got, want); !ok {
 		t.Fatalf("fallback differs at %d", i)

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// reverseBands runs GemmParallel's bands sequentially, last band first,
+// reverseBands runs GemmParallelPacked's bands sequentially, last band first,
 // while advertising the given worker count: a band that leaned on an earlier
 // band's work (a shared panel, a packed strip written late) would show.
 type reverseBands struct{ workers int }
