@@ -45,13 +45,15 @@ race:
 	done
 
 # The steady-state allocation contract (Gemm, Im2col/Col2im, the scratch
-# arena, a real-math conv Forward + Backward at one closure and one kernel
-# per launch, a prefetched input batch end to end, the simulator's event
-# engine per launch and the runtime's planned launch) must run without
-# -race: race instrumentation skews the allocation accounting, so the tests
-# skip themselves under the race build.
+# arena, the host pool's Run and chain lanes, a real-math conv Forward +
+# Backward at zero, a prefetched input batch end to end, the simulator's
+# event engine per launch, the runtime's planned launch, and a warm
+# Solver.Step of every paper net timing-only on both launchers plus a
+# real-math CIFAR10 step) must run without -race: race instrumentation skews
+# the allocation accounting, so the tests skip themselves under the race
+# build.
 alloc:
-	$(GO) test -run 'SteadyStateAllocs' ./internal/tensor ./internal/dnn ./internal/data ./internal/simgpu ./internal/core
+	$(GO) test -run 'SteadyStateAllocs' ./internal/tensor ./internal/hostpool ./internal/dnn ./internal/data ./internal/simgpu ./internal/core ./internal/models
 
 # The pure-Go fallback (no asm micro-kernels, the only path off amd64) must
 # stay green: vet and the focused kernel/engine suites with the asm files

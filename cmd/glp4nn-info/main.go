@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -78,10 +79,9 @@ func main() {
 			Block:          simgpu.D1(*threads),
 			SharedMemBytes: *smem,
 		}
-		fmt.Printf("occupancy for grid=%d block=%d smem=%dB:\n", *blocks, *threads, *smem)
-		for _, spec := range simgpu.DeviceCatalog {
-			fmt.Printf("  %-8s %2d blocks/SM resident, theoretical occupancy %.2f\n",
-				spec.Name, cfg.MaxBlocksResidentPerSM(spec), cfg.TheoreticalOccupancy(spec))
+		if !printOccupancy(os.Stdout, cfg) {
+			fmt.Fprintln(os.Stderr, "no device accepts this launch configuration")
+			os.Exit(1)
 		}
 		return
 	}
@@ -111,6 +111,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// printOccupancy prints the occupancy of a launch configuration on each
+// catalog device — or, where the device refuses the launch, its launch
+// validation's reason — and reports whether any device accepts it.
+func printOccupancy(w io.Writer, cfg simgpu.LaunchConfig) bool {
+	fmt.Fprintf(w, "occupancy for grid=%d block=%d smem=%dB:\n", cfg.Blocks(), cfg.ThreadsPerBlock(), cfg.SharedMemBytes)
+	probe := simgpu.Kernel{Name: "occupancy", Config: cfg}
+	accepted := false
+	for _, spec := range simgpu.DeviceCatalog {
+		if err := probe.Validate(spec); err != nil {
+			fmt.Fprintf(w, "  %-8s refused: %v\n", spec.Name, err)
+			continue
+		}
+		accepted = true
+		fmt.Fprintf(w, "  %-8s %2d blocks/SM resident, theoretical occupancy %.2f\n",
+			spec.Name, cfg.MaxBlocksResidentPerSM(spec), cfg.TheoreticalOccupancy(spec))
+	}
+	return accepted
 }
 
 // isaEnvIgnored returns the line saying why a GLP4NN_ISA value had no

@@ -194,6 +194,20 @@ func (a *Analyzer) Plans() []*Plan {
 	return out
 }
 
+// widest returns the stream count of the widest non-serial cached plan, at
+// least 1.
+func (a *Analyzer) widest() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	w := 1
+	for _, p := range a.cache {
+		if !p.Serial && p.Streams > w {
+			w = p.Streams
+		}
+	}
+	return w
+}
+
 // Analyze solves the analytical model for one layer profile and caches the
 // plan. The model follows Section 3.2:
 //

@@ -352,7 +352,7 @@ func TestCloseDetachesListener(t *testing.T) {
 		simgpu.FaultPlan{Seed: 5, Hang: 1}.Injector()))
 	hang := func(l dnn.Launcher) {
 		t.Helper()
-		if err := l.Launch(fnKernel("slow", nil), -1); err != nil {
+		if err := l.Launch(testKernel("slow", ""), -1); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Sync(); err != nil {

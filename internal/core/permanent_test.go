@@ -24,7 +24,7 @@ func TestPermanentLaunchFaultAbortsLadder(t *testing.T) {
 	rt := fw.Runtime(dev)
 
 	runs := 0
-	err := rt.Launch(fnKernel("k", func() { runs++ }), -1)
+	err := dispatch(rt, "k", func() { runs++ })
 	if err == nil {
 		t.Fatal("launch succeeded under an always-faulting permanent site")
 	}
@@ -129,7 +129,7 @@ func TestDeviceLossAbortsEveryLadderImmediately(t *testing.T) {
 		name string
 		call func() error
 	}{
-		{"launch", func() error { return rt.Launch(fnKernel("k", func() { runs++ }), -1) }},
+		{"launch", func() error { return dispatch(rt, "k", func() { runs++ }) }},
 		{"sync", rt.Sync},
 		{"memcpy", func() error { return rt.UploadBytes(1 << 20) }},
 	}

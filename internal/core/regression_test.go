@@ -18,10 +18,12 @@ func testKernel(name, tag string) *simgpu.Kernel {
 	}
 }
 
-// TestLaunchDoesNotMutateKernel: Runtime.Launch must prefix the scheduler key
-// onto a *copy* of the kernel. Historically it wrote the prefixed tag back
-// into the caller's kernel, so a kernel launched twice accumulated a double
-// prefix ("key|key|tag") and concurrent chains raced on the shared field.
+// TestLaunchDoesNotMutateKernel: Runtime.Launch records a kernel under its
+// tag prefixed with the scheduler key without writing to it. Historically it
+// wrote the prefixed tag back into the caller's kernel, so a kernel launched
+// twice accumulated a double prefix ("key|key|tag") and concurrent chains
+// raced on the shared field. A descriptor's prebuilt key tag is used only
+// under the key it was resolved for.
 func TestLaunchDoesNotMutateKernel(t *testing.T) {
 	dev := simgpu.NewDevice(simgpu.TeslaP100)
 	fw := New()
@@ -41,6 +43,18 @@ func TestLaunchDoesNotMutateKernel(t *testing.T) {
 	if err := r.Launch(k, 1); err != nil {
 		t.Fatal(err)
 	}
+	// A key tag resolved under this key is recorded as is; one resolved
+	// under another key is not.
+	for _, kt := range []string{"conv/fwd|s0", "conv/bwd|s0"} {
+		pre := testKernel("sgemm", "s0")
+		pre.KeyTag = kt
+		if err := r.Launch(pre, 0); err != nil {
+			t.Fatal(err)
+		}
+		if pre.Tag != "s0" || pre.KeyTag != kt {
+			t.Fatalf("caller's descriptor mutated: %+v", pre)
+		}
+	}
 	if _, err := dev.Synchronize(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +62,8 @@ func TestLaunchDoesNotMutateKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
+	if len(recs) != 4 {
+		t.Fatalf("got %d records, want 4", len(recs))
 	}
 	for _, rec := range recs {
 		if rec.Tag != "conv/fwd|s0" {
@@ -300,11 +314,12 @@ func TestLaunchTagsConcurrent(t *testing.T) {
 }
 
 // TestLaunchSteadyStateAllocs is the runtime's allocation ceiling (part of
-// `make alloc`): once a key is planned, Runtime.Launch — the session's plan
-// and stream choice, the key|tag launch tag resolved once per (key, tag)
-// pair, and the stack copy of the kernel that carries it — allocates nothing
-// beyond the device's own share, which simgpu.TestEngineSteadyStateAllocs
-// holds at zero. Each launch used to allocate the joined tag and the copy.
+// `make alloc`): once a key is planned, Runtime.Launch of a prebuilt
+// descriptor — the session's plan and stream choice, and the key|tag launch
+// tag the descriptor carries resolved — allocates nothing beyond the
+// device's own share, which simgpu.TestEngineSteadyStateAllocs holds at
+// zero. The descriptors are built as the dnn layers build theirs, with the
+// key tag of the key they launch under.
 func TestLaunchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is meaningless under the race detector")
@@ -316,7 +331,9 @@ func TestLaunchSteadyStateAllocs(t *testing.T) {
 	r := fw.Runtime(dev)
 	var ks []*simgpu.Kernel
 	for i := 0; i < 16; i++ {
-		ks = append(ks, testKernel("sgemm", "conv/n"+strings.Repeat("i", i)))
+		k := testKernel("sgemm", "conv/n"+strings.Repeat("i", i))
+		k.KeyTag = "conv/fwd|" + k.Tag
+		ks = append(ks, k)
 	}
 	launch := func() {
 		for i, k := range ks {

@@ -47,9 +47,6 @@ type Runtime struct {
 	// against DefaultMaxReprofiles.
 	reprofiling map[string]bool
 	reprofiles  map[string]int
-	// tags maps a [layer key, kernel tag] pair to its launch tag key|tag,
-	// built on the pair's first launch and read without a lock after.
-	tags sync.Map
 
 	// Completion-listener state: observe flags layer keys whose kernels
 	// overstayed wdLimit (Sync drains the set and degrades those layers) and,
@@ -335,11 +332,12 @@ func (r *Runtime) Launch(k *simgpu.Kernel, chain int) error {
 	return s.Launch(k, chain)
 }
 
-// launchRetry launches k on s with bounded retry and exponential backoff
-// for transient errors, charging the backoff to the host timeline.
-func (r *Runtime) launchRetry(k *simgpu.Kernel, s *simgpu.Stream) error {
+// launchRetry launches k on s, recorded under tag, with bounded retry and
+// exponential backoff for transient errors, charging the backoff to the
+// host timeline.
+func (r *Runtime) launchRetry(k *simgpu.Kernel, tag string, s *simgpu.Stream) error {
 	return retry(r.dev, launchAttempts, r.ledger, &r.ledger.s.LaunchRetries, func() error {
-		return r.dev.Launch(k, s)
+		return r.dev.LaunchTagged(k, tag, s)
 	})
 }
 
@@ -479,23 +477,23 @@ func (s *LayerSession) BeginLayer(key string) {
 // width, and therefore trained bits, are untouched); a grant of 1 routes
 // everything to the default stream, exactly like a serial-demoted plan.
 //
-// The scheduler key is prefixed onto the kernel tag through a stack copy of
-// the kernel: the caller's kernel is never mutated, so a re-launched kernel
-// cannot accumulate prefixes and concurrent chain dispatch cannot race on
-// shared kernel state.
+// The kernel is recorded under its tag qualified by the scheduler key,
+// key|tag, which a prebuilt descriptor carries resolved (KeyTag): the
+// caller's kernel is launched by reference and never written, so a shared
+// descriptor cannot accumulate prefixes and concurrent chain dispatch cannot
+// race on it.
 //
 // Self-healing: a transient launch failure is retried with backoff (safe —
-// a failed launch rejects the kernel before any of its math runs, so the
+// the caller runs a kernel's math only after its launch succeeded, so the
 // eventual successful attempt executes it exactly once). If a pool stream
 // keeps refusing the kernel, the stream is quarantined and this launch
 // degrades to the always-valid default stream; only a default-stream
 // failure that survives every retry is surfaced to the caller.
 func (s *LayerSession) Launch(k *simgpu.Kernel, chain int) error {
 	r, plan := s.r, s.plan
+	tag := k.Tag
 	if s.key != "" {
-		kk := *k
-		kk.Tag = r.tagged(s.key, k.Tag)
-		k = &kk
+		tag = keyTag(s.key, k)
 	}
 	var stream *simgpu.Stream
 	if chain >= 0 && plan != nil && plan.Streams > 1 && !plan.Serial {
@@ -508,7 +506,7 @@ func (s *LayerSession) Launch(k *simgpu.Kernel, chain int) error {
 			r.ledger.addDispatch(s.dag)
 		}
 	}
-	err := r.launchRetry(k, stream)
+	err := r.launchRetry(k, tag, stream)
 	if err == nil || !IsTransient(err) {
 		return err
 	}
@@ -519,7 +517,7 @@ func (s *LayerSession) Launch(k *simgpu.Kernel, chain int) error {
 			r.ledger.add(&r.ledger.s.StreamQuarantines, 1)
 		}
 		r.ledger.add(&r.ledger.s.Degradations, 1)
-		if err = r.launchRetry(k, nil); err == nil || !IsTransient(err) {
+		if err = r.launchRetry(k, tag, nil); err == nil || !IsTransient(err) {
 			return err
 		}
 	}
@@ -527,16 +525,17 @@ func (s *LayerSession) Launch(k *simgpu.Kernel, chain int) error {
 	return err
 }
 
-// tagged returns key|tag (key alone for an untagged kernel).
-func (r *Runtime) tagged(key, tag string) string {
-	if tag == "" {
+// keyTag returns k's tag under key, key|tag (key alone for an untagged
+// kernel): the descriptor's own KeyTag when it was resolved under key, else
+// joined here, which costs a hand-built kernel one string per launch.
+func keyTag(key string, k *simgpu.Kernel) string {
+	if k.Tag == "" {
 		return key
 	}
-	if v, ok := r.tags.Load([2]string{key, tag}); ok {
-		return v.(string)
+	if kt := k.KeyTag; len(kt) == len(key)+1+len(k.Tag) && kt[:len(key)] == key {
+		return kt
 	}
-	v, _ := r.tags.LoadOrStore([2]string{key, tag}, key+"|"+tag)
-	return v.(string)
+	return key + "|" + k.Tag
 }
 
 // Sync implements dnn.Launcher: the device-wide barrier (concurrent
@@ -587,13 +586,7 @@ func (r *Runtime) DAGReady(keys []string) bool {
 // round, so wavefront width breathes with whatever the chain streams,
 // copy stream, and serving batches currently hold in flight.
 func (r *Runtime) LayerConcurrencyCap() int {
-	widest := 1
-	for _, p := range r.analyzer.Plans() {
-		if !p.Serial && p.Streams > widest {
-			widest = p.Streams
-		}
-	}
-	c := r.budget.Available() / widest
+	c := r.budget.Available() / r.analyzer.widest()
 	if c < 1 {
 		c = 1
 	}

@@ -16,11 +16,11 @@ type fnInjector func(op simgpu.Op, name string) simgpu.Fault
 
 func (f fnInjector) Decide(op simgpu.Op, name string) simgpu.Fault { return f(op, name) }
 
-// fnKernel is testKernel plus a host closure.
-func fnKernel(name string, fn func()) *simgpu.Kernel {
-	k := testKernel(name, "")
-	k.Fn = fn
-	return k
+// dispatch launches a test kernel through a dnn context over rt on the
+// default stream, fn as its host math: Context.Dispatch is where a kernel's
+// closure runs, after its launch succeeded.
+func dispatch(rt *Runtime, name string, fn func()) error {
+	return dnn.NewContext(rt, 1).Dispatch(testKernel(name, ""), fn, -1)
 }
 
 func TestIsTransient(t *testing.T) {
@@ -53,7 +53,7 @@ func TestLaunchRetryRecovers(t *testing.T) {
 	rt := fw.Runtime(dev)
 
 	runs := 0
-	if err := rt.Launch(fnKernel("k", func() { runs++ }), -1); err != nil {
+	if err := dispatch(rt, "k", func() { runs++ }); err != nil {
 		t.Fatalf("launch did not recover: %v", err)
 	}
 	if runs != 1 {
@@ -76,7 +76,7 @@ func TestLaunchFailureSurfacesTerminalError(t *testing.T) {
 	defer fw.Close()
 	rt := fw.Runtime(dev)
 
-	bad := fnKernel("bad", nil)
+	bad := testKernel("bad", "")
 	bad.Config.Block = simgpu.D1(1 << 20) // far beyond any device's threads/block limit
 	if err := rt.Launch(bad, -1); err == nil {
 		t.Fatal("invalid launch succeeded")
@@ -155,7 +155,7 @@ func TestSyncRetryRecovers(t *testing.T) {
 	rt := fw.Runtime(dev)
 
 	runs := 0
-	if err := rt.Launch(fnKernel("k", func() { runs++ }), -1); err != nil {
+	if err := dispatch(rt, "k", func() { runs++ }); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Sync(); err != nil {
@@ -281,7 +281,7 @@ func TestWatchdogDisabled(t *testing.T) {
 	rt := fw.Runtime(dev)
 	rt.wdLimit = 0
 
-	if err := rt.Launch(fnKernel("slow", nil), -1); err != nil {
+	if err := rt.Launch(testKernel("slow", ""), -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Sync(); err != nil {
@@ -319,7 +319,7 @@ func TestQuarantineReplacesStream(t *testing.T) {
 		t.Fatal("quarantined the default stream")
 	}
 	// Launching on the replacement works.
-	if err := dev.Launch(fnKernel("k", nil), pool.Stream(1)); err != nil {
+	if err := dev.Launch(testKernel("k", ""), pool.Stream(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dev.Synchronize(); err != nil {

@@ -14,6 +14,7 @@ type ReLULayer struct {
 	// fusedInput (set by Net.EnableFusion, see fusion.go) marks this
 	// layer's forward as fused into its producer's GEMM epilogue.
 	fusedInput bool
+	unaryOps
 }
 
 // NewReLU constructs a ReLU layer.
@@ -27,6 +28,9 @@ func (l *ReLULayer) Setup(ctx *Context, bottom, top []*Blob) error {
 		return fmt.Errorf("relu %s: want 1 bottom and 1 top", l.name)
 	}
 	top[0].Reshape(bottom[0].Shape()...)
+	n := bottom[0].Count()
+	l.fwd = desc{kernels.Elementwise("relu_fwd", fwdKey(l.name), l.name, n, 8, 1), l.forwardHost}
+	l.bwd = desc{kernels.Elementwise("relu_bwd", bwdKey(l.name), l.name, n, 12, 1), l.backwardHost}
 	return nil
 }
 
@@ -41,53 +45,44 @@ func (l *ReLULayer) Forward(ctx *Context, bottom, top []*Blob) error {
 		// the exact pre-activation values, so Backward is unchanged.
 		return nil
 	}
-	src := bottom[0].Data.Data()
-	dst := top[0].Data.Data()
-	k := kernels.Elementwise("relu_fwd", l.name, len(src), 8, 1, func() {
-		for i, v := range src {
-			if v > 0 {
-				dst[i] = v
-			} else {
-				dst[i] = 0
-			}
+	return l.forward(ctx, bottom, top)
+}
+
+func (l *ReLULayer) forwardHost() {
+	dst := l.y.Data.Data()
+	for i, v := range l.x.Data.Data() {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
 		}
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
 	}
-	return ctx.Barrier()
 }
 
 // Backward implements Layer.
 func (l *ReLULayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob) error {
-	if !propagate[0] {
-		return nil
-	}
-	src := bottom[0].Data.Data()
-	dtop := top[0].Diff.Data()
-	dbot := bottom[0].Diff.Data()
-	k := kernels.Elementwise("relu_bwd", l.name, len(src), 12, 1, func() {
-		for i, v := range src {
-			if v > 0 {
-				dbot[i] += dtop[i]
-			}
+	return l.backward(ctx, top, propagate, bottom)
+}
+
+func (l *ReLULayer) backwardHost() {
+	dtop, dbot := l.y.Diff.Data(), l.x.Diff.Data()
+	for i, v := range l.x.Data.Data() {
+		if v > 0 {
+			dbot[i] += dtop[i]
 		}
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
 	}
-	return ctx.Barrier()
 }
 
 // SigmoidLayer is the logistic activation (used by tests and available for
 // LeNet-style nets).
 type SigmoidLayer struct {
 	baseLayer
+	unaryOps
 }
 
 // NewSigmoid constructs a sigmoid layer.
 func NewSigmoid(name string) *SigmoidLayer {
-	return &SigmoidLayer{baseLayer{name: name, typ: "Sigmoid"}}
+	return &SigmoidLayer{baseLayer: baseLayer{name: name, typ: "Sigmoid"}}
 }
 
 // Setup implements Layer.
@@ -96,39 +91,32 @@ func (l *SigmoidLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 		return fmt.Errorf("sigmoid %s: want 1 bottom and 1 top", l.name)
 	}
 	top[0].Reshape(bottom[0].Shape()...)
+	n := bottom[0].Count()
+	l.fwd = desc{kernels.Elementwise("sigmoid_fwd", fwdKey(l.name), l.name, n, 8, 4), l.forwardHost}
+	l.bwd = desc{kernels.Elementwise("sigmoid_bwd", bwdKey(l.name), l.name, n, 12, 3), l.backwardHost}
 	return nil
 }
 
 // Forward implements Layer.
 func (l *SigmoidLayer) Forward(ctx *Context, bottom, top []*Blob) error {
-	src := bottom[0].Data.Data()
-	dst := top[0].Data.Data()
-	k := kernels.Elementwise("sigmoid_fwd", l.name, len(src), 8, 4, func() {
-		for i, v := range src {
-			dst[i] = 1 / (1 + exp32(-v))
-		}
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
+	return l.forward(ctx, bottom, top)
+}
+
+func (l *SigmoidLayer) forwardHost() {
+	dst := l.y.Data.Data()
+	for i, v := range l.x.Data.Data() {
+		dst[i] = 1 / (1 + exp32(-v))
 	}
-	return ctx.Barrier()
 }
 
 // Backward implements Layer.
 func (l *SigmoidLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob) error {
-	if !propagate[0] {
-		return nil
+	return l.backward(ctx, top, propagate, bottom)
+}
+
+func (l *SigmoidLayer) backwardHost() {
+	dtop, dbot := l.y.Diff.Data(), l.x.Diff.Data()
+	for i, v := range l.y.Data.Data() {
+		dbot[i] += dtop[i] * v * (1 - v)
 	}
-	y := top[0].Data.Data()
-	dtop := top[0].Diff.Data()
-	dbot := bottom[0].Diff.Data()
-	k := kernels.Elementwise("sigmoid_bwd", l.name, len(y), 12, 3, func() {
-		for i, v := range y {
-			dbot[i] += dtop[i] * v * (1 - v)
-		}
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
-	}
-	return ctx.Barrier()
 }

@@ -6,8 +6,10 @@
 // runs serially (naive Caffe) or through GLP4NN's stream pool.
 //
 // All numerical work is real float32 host computation; the GPU device is
-// simulated for timing only (see internal/simgpu). Kernel closures execute
-// eagerly in launch order, so results are deterministic for a fixed seed.
+// simulated for timing only (see internal/simgpu). Each kernel is a
+// descriptor built once by its layer and launched by reference; its host
+// closure runs in Context.Dispatch right after the launch, in launch order,
+// so results are deterministic for a fixed seed.
 package dnn
 
 import (
@@ -27,6 +29,11 @@ type Blob struct {
 
 	LrMult    float32
 	DecayMult float32
+
+	// unset marks a parameter whose values were never filled or loaded: a
+	// timing-only build skips the fillers (see fillParam), and LoadWeights
+	// clears the mark. Real math on such a blob would silently train zeros.
+	unset bool
 }
 
 // NewBlob allocates a zeroed blob.

@@ -32,6 +32,8 @@ type Launcher interface {
 	// profiling and concurrency plans on it; simple launchers ignore it.
 	BeginLayer(key string)
 	// Launch dispatches one kernel on behalf of the given dependency chain.
+	// k is a shared descriptor: a launcher reads it and never writes it,
+	// and runs no host math (Context.Dispatch does, after Launch returns).
 	Launch(k *simgpu.Kernel, chain int) error
 	// Sync is the inter-layer barrier: after it returns, every kernel
 	// launched so far is complete (in virtual time).
@@ -58,20 +60,16 @@ type InputStager interface {
 	StageInput(n int64) error
 }
 
-// HostLauncher runs kernel closures directly with no device: the pure-math
-// path used by unit tests and non-simulated training.
+// HostLauncher is the launcher with no device: the pure-math path used by
+// unit tests and non-simulated training. Its launches are free; the kernels'
+// host closures run in Context.Dispatch as on every launcher.
 type HostLauncher struct{}
 
 // BeginLayer implements Launcher.
 func (HostLauncher) BeginLayer(string) {}
 
 // Launch implements Launcher.
-func (HostLauncher) Launch(k *simgpu.Kernel, _ int) error {
-	if k.Fn != nil {
-		k.Fn()
-	}
-	return nil
-}
+func (HostLauncher) Launch(*simgpu.Kernel, int) error { return nil }
 
 // Sync implements Launcher.
 func (HostLauncher) Sync() error { return nil }
@@ -115,25 +113,28 @@ func (l SerialLauncher) Width() int { return 1 }
 //
 // With Pool set, Dispatch runs kernel host math chain-parallel: the closure
 // of a chain-c kernel executes asynchronously on hostpool lane c % Width(),
-// while the (closure-stripped) kernel is still launched inline so the
-// simulated timeline is unchanged. Lanes mirror the layers' per-chain
-// scratch indexing (chain % width), so chains that share buffers share a
-// lane and stay serialized; everything a lane runs executes in submission
-// order, which keeps training bit-identical to serial host execution at the
-// same width. Chain −1 keeps default-stream semantics on the host too: it
-// waits for all in-flight lane work, then runs inline.
+// after the kernel was launched inline, so the simulated timeline is
+// unchanged. Lanes mirror the layers' per-chain scratch indexing (chain %
+// width), so chains that share buffers share a lane and stay serialized;
+// everything a lane runs executes in submission order, which keeps training
+// bit-identical to serial host execution at the same width. Chain −1 keeps
+// default-stream semantics on the host too: it waits for all in-flight lane
+// work, then runs inline.
 type Context struct {
 	L       Launcher
 	Phase   Phase
 	RNG     *rand.Rand
 	Compute bool
 	// Pool, when non-nil, is the host-side parallel execution engine used
-	// for chain closures. Nil means serial host execution (closures run
-	// inside Launch), the pre-existing behavior.
+	// for chain closures. Nil means serial host execution: each closure runs
+	// inline right after its launch.
 	Pool *hostpool.Pool
 
-	chains *hostpool.ChainSet // lazily sized to the current layer width
-	rngSrc *countingSource    // RNG's source when built here; enables RNGState/RestoreRNG
+	chains *hostpool.ChainSet   // the current layer width's chain set
+	sets   []*hostpool.ChainSet // chain sets of setsOf by width, built on first use
+	setsOf *hostpool.Pool
+	subs   []*Context      // the operator DAG scheduler's per-op contexts, kept so their chain sets are reused
+	rngSrc *countingSource // RNG's source when built here; enables RNGState/RestoreRNG
 }
 
 // NewContext builds a training-phase context over a launcher with real
@@ -156,28 +157,35 @@ func NewParallelContext(l Launcher, seed int64, pool *hostpool.Pool) *Context {
 	return c
 }
 
-// Dispatch submits a kernel, honoring the Compute flag. With a Pool
-// configured and a launcher width above 1, the host closure of a chain
-// kernel is offloaded to the chain's lane instead of running inline.
-func (c *Context) Dispatch(k *simgpu.Kernel, chain int) error {
-	if !c.Compute {
-		k.Fn = nil
+// Dispatch launches k on behalf of chain, then runs its host closure fn.
+// It is the one place a kernel's math runs, and it runs it only after the
+// launch succeeded, so a failed launch runs nothing and a retried one runs
+// it exactly once: inline on a serial context, on the chain's lane with a
+// Pool and a launcher width above 1, and not at all on a timing-only
+// context. k is read, never written: a descriptor is built once and shared
+// by every pass and every context that steps its net.
+func (c *Context) Dispatch(k *simgpu.Kernel, fn func(), chain int) error {
+	if err := c.L.Launch(k, chain); err != nil {
+		return err
 	}
-	if c.Pool == nil || k.Fn == nil {
-		return c.L.Launch(k, chain)
+	if !c.Compute || fn == nil {
+		return nil
 	}
-	if chain < 0 {
+	if c.Pool != nil && chain < 0 {
 		// Default-stream semantics on the host: synchronization-sensitive
 		// work (parameter updates, gradient folds) runs inline after every
 		// in-flight chain closure has finished.
 		if err := c.drainChains(); err != nil {
 			return err
 		}
-		return c.L.Launch(k, chain)
 	}
-	width := c.Width()
+	width := 1
+	if c.Pool != nil && chain >= 0 {
+		width = c.Width()
+	}
 	if width <= 1 {
-		return c.L.Launch(k, chain)
+		fn()
+		return nil
 	}
 	if c.chains == nil || c.chains.Lanes() != width {
 		// Width changed (new plan for this layer): the previous set's lanes
@@ -186,15 +194,43 @@ func (c *Context) Dispatch(k *simgpu.Kernel, chain int) error {
 		if err := c.drainChains(); err != nil {
 			return err
 		}
-		c.chains = c.Pool.NewChainSet(width)
-	}
-	fn := k.Fn
-	k.Fn = nil
-	if err := c.L.Launch(k, chain); err != nil {
-		return err
+		if c.setsOf != c.Pool {
+			c.sets, c.setsOf = nil, c.Pool
+		}
+		for len(c.sets) <= width {
+			c.sets = append(c.sets, nil)
+		}
+		if c.sets[width] == nil {
+			c.sets[width] = c.Pool.NewChainSet(width)
+		}
+		c.chains = c.sets[width]
 	}
 	c.chains.Submit(chain, fn)
 	return nil
+}
+
+// desc is one prebuilt launch site: a kernel descriptor, built once (by a
+// layer's Setup), and the host closure Dispatch runs after launching it.
+// The closure reads its pass's operands from its layer's fields when it
+// runs, never from what it captured when it was built: one net is stepped
+// by several contexts, Freeze reroutes a layer's bottoms and Compact
+// replaces gradient tensors, all after Setup.
+type desc struct {
+	k  simgpu.Kernel
+	fn func()
+}
+
+// launch dispatches a prebuilt launch site.
+func (c *Context) launch(d *desc, chain int) error { return c.Dispatch(&d.k, d.fn, chain) }
+
+// subContexts returns n private contexts, one per op of a program the DAG
+// scheduler runs on c; each op's node is the only user of its context while
+// the run lasts.
+func (c *Context) subContexts(n int) []*Context {
+	for len(c.subs) < n {
+		c.subs = append(c.subs, &Context{})
+	}
+	return c.subs[:n]
 }
 
 // drainChains waits for all offloaded chain closures.
@@ -218,7 +254,7 @@ func (c *Context) Barrier() error {
 }
 
 // RowPar returns the context's pool as a row-parallel GEMM runner, or nil
-// when the context is serial. Layers pass it to kernels.Sgemm so large-M
+// when the context is serial. Layers hand it to their GEMM closures so large-M
 // GEMM closures shard disjoint row bands across the pool; the pool's Run
 // never blocks on a full pool (the caller participates), so nesting inside
 // an offloaded chain closure is safe.

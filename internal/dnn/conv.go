@@ -80,6 +80,28 @@ type ConvLayer struct {
 	// max(0, x) by the same epilogue. Backward is untouched.
 	fuseBias  bool
 	fusedReLU *Blob
+
+	// Prebuilt launch sites, per image i (chain i), built in Setup: the
+	// forward im2col, GEMM — by fused epilogue ops, 0 plain, 1 bias or ReLU,
+	// 2 both — and separate bias pass; the backward im2col, dW GEMM, bias
+	// gradient, dcol GEMM and col2im. foldW/foldB fold chain j's partials
+	// and grow with the widest plan seen. epis are the per-image fused
+	// epilogues.
+	fwdIm2col, fwdBias                       []desc
+	fwdGemm                                  [3][]desc
+	bwdIm2col, bwdW, bwdB, bwdCol, bwdCol2im []desc
+	foldW, foldB                             []desc
+	epis                                     []tensor.GemmEpilogue
+
+	// The pass's operands, set before it dispatches and read by the
+	// closures when they run: the bottom and top, the launcher width (chain
+	// i uses scratch i % width), the row-parallel runner, the packed GEMM A
+	// operand, and the fused epilogue's bias and ReLU destination.
+	x, y             *Blob
+	width            int
+	par              tensor.RowParallel
+	pw               *tensor.PackedA
+	epiBias, epiReLU []float32
 }
 
 // NewConv constructs a convolution layer.
@@ -123,12 +145,12 @@ func (l *ConvLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 
 	rng := fillerRNG(l.cfg.Seed, l.name)
 	l.weight = NewBlob(l.name+".weight", l.co, b.Channels(), l.cfg.KernelH, l.cfg.KernelW)
-	l.cfg.WeightFiller.Fill(l.weight.Data, rng)
+	fillParam(ctx, l.weight, l.cfg.WeightFiller, rng)
 	l.param = []*Blob{l.weight}
 	if l.cfg.Bias {
 		l.bias = NewBlob(l.name+".bias", l.co)
 		l.bias.LrMult, l.bias.DecayMult = 2, 0
-		l.cfg.BiasFiller.Fill(l.bias.Data, rng)
+		fillParam(ctx, l.bias, l.cfg.BiasFiller, rng)
 		l.param = append(l.param, l.bias)
 	}
 
@@ -142,7 +164,76 @@ func (l *ConvLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 	for i := range l.tags {
 		l.tags[i] = fmt.Sprintf("%s/n%d", l.name, i)
 	}
+	l.describe()
 	return nil
+}
+
+// describe builds the per-image launch sites. A 1×1 shortcut conv's im2col
+// launches with no host work: its GEMMs read the image in place.
+func (l *ConvLayer) describe() {
+	n, fk, bk := len(l.tags), fwdKey(l.name), bwdKey(l.name)
+	sites := func() []desc { return make([]desc, n) }
+	l.fwdIm2col, l.fwdBias = sites(), sites()
+	l.fwdGemm = [3][]desc{sites(), sites(), sites()}
+	l.bwdIm2col, l.bwdW, l.bwdB, l.bwdCol, l.bwdCol2im = sites(), sites(), sites(), sites(), sites()
+	l.epis = make([]tensor.GemmEpilogue, n)
+	for i, tag := range l.tags {
+		var im2col func()
+		if !l.is1x1 {
+			im2col = func() { tensor.Im2col(l.x.SampleData(i), l.geom, l.column(i)) }
+		}
+		l.epis[i] = func(row, col int, seg []float32) { l.epilogue(i, row, col, seg) }
+		l.fwdIm2col[i] = desc{kernels.Im2col(fk, tag, l.geom), im2col}
+		plain, fused := func() { l.forwardGemm(i, nil) }, func() { l.forwardGemm(i, l.epis[i]) }
+		for ops := range l.fwdGemm {
+			fn := fused
+			if ops == 0 {
+				fn = plain
+			}
+			l.fwdGemm[ops][i] = desc{kernels.Sgemm(fk, tag, l.co, l.p, l.k, float64(ops)), fn}
+		}
+		l.fwdBias[i] = desc{kernels.BiasGemm(fk, tag, l.co, l.p), func() {
+			tensor.Gemm(false, false, l.co, l.p, 1, 1, l.bias.Data.Data(), l.onesP, 1, l.y.SampleData(i))
+		}}
+		l.bwdIm2col[i] = desc{kernels.Im2col(bk, tag, l.geom), im2col}
+		// dW_j += dTop(Co×P) · colᵀ(P×K)
+		l.bwdW[i] = desc{kernels.Sgemm(bk, tag, l.co, l.k, l.p, 0), func() {
+			tensor.GemmParallelPacked(l.par, nil, false, true, l.co, l.k, l.p, 1, l.y.SampleDiff(i), l.column(i), 1, l.partW[i%l.width].Data, nil)
+		}}
+		l.bwdB[i] = desc{kernels.BiasBackward(bk, tag, l.co, l.p), func() {
+			tensor.Gemv(false, l.co, l.p, 1, l.y.SampleDiff(i), l.onesP, 1, l.partB[i%l.width].Data)
+		}}
+		// dcol = Wᵀ(K×Co) · dTop(Co×P)
+		l.bwdCol[i] = desc{kernels.Sgemm(bk, tag, l.k, l.p, l.co, 0), func() {
+			tensor.GemmParallelPacked(l.par, l.pw, true, false, l.k, l.p, l.co, 1, l.weight.Data.Data(), l.y.SampleDiff(i), 0, l.dcolBufs[i%l.width].Data, nil)
+		}}
+		l.bwdCol2im[i] = desc{kernels.Col2im(bk, tag, l.geom), func() {
+			tensor.Col2im(l.dcolBufs[i%l.width].Data, l.geom, l.x.SampleDiff(i))
+		}}
+	}
+	l.foldW, l.foldB = nil, nil
+}
+
+// forwardGemm is image i's top = W(Co×K) · col(K×P), with epi fused.
+func (l *ConvLayer) forwardGemm(i int, epi tensor.GemmEpilogue) {
+	tensor.GemmParallelPacked(l.par, l.pw, false, false, l.co, l.p, l.k, 1, l.weight.Data.Data(), l.column(i), 0, l.y.SampleData(i), epi)
+}
+
+// growFolds extends the fold sites to width chains. Chain j's closures fold
+// its partials into the parameter gradients read when they run, so a
+// Compact that replaced them is followed.
+func (l *ConvLayer) growFolds(width int) {
+	for j := len(l.foldW); j < width; j++ {
+		bk := bwdKey(l.name)
+		l.foldW = append(l.foldW, desc{kernels.AxpyKernel("axpy_fold_w", bk, l.name, l.weight.Count()), func() {
+			tensor.Axpy(1, l.partW[j].Data, l.weight.Diff.Data())
+		}})
+		if l.bias != nil {
+			l.foldB = append(l.foldB, desc{kernels.AxpyKernel("axpy_fold_b", bk, l.name, l.co), func() {
+				tensor.Axpy(1, l.partB[j].Data, l.bias.Diff.Data())
+			}})
+		}
+	}
 }
 
 // leaseScratch leases the per-chain buffers for the launcher width from the
@@ -184,13 +275,18 @@ func (l *ConvLayer) packedW(ctx *Context, transA bool) *tensor.PackedA {
 	return &l.packW
 }
 
-// column returns chain j's im2col destination and the column matrix the
-// GEMMs read: for the 1×1 shortcut no destination, and the image itself.
-func (l *ConvLayer) column(j int, img []float32) (dst, col []float32) {
+// column returns the column matrix image i's GEMMs read: its chain's
+// im2col scratch, or for the 1×1 shortcut the image itself.
+func (l *ConvLayer) column(i int) []float32 {
 	if l.is1x1 {
-		return nil, img
+		return l.x.SampleData(i)
 	}
-	return l.colBufs[j].Data, l.colBufs[j].Data
+	return l.colBufs[i%l.width].Data
+}
+
+// bind makes the pass's operands the closures read.
+func (l *ConvLayer) bind(ctx *Context, bottom, top *Blob, width int) {
+	l.x, l.y, l.width, l.par = bottom, top, width, ctx.RowPar()
 }
 
 // Forward implements Layer: per-image im2col → sgemm → gemmk chains.
@@ -198,8 +294,9 @@ func (l *ConvLayer) column(j int, img []float32) (dst, col []float32) {
 // after the barrier has retired every closure that references it.
 func (l *ConvLayer) Forward(ctx *Context, bottom, top []*Blob) error {
 	width := ctx.Width()
+	l.bind(ctx, bottom[0], top[0], width)
 	l.leaseScratch(width, false)
-	err := l.forwardDispatch(ctx, bottom, top, width)
+	err := l.forwardDispatch(ctx)
 	berr := ctx.Barrier()
 	l.releaseScratch()
 	if err != nil {
@@ -208,38 +305,30 @@ func (l *ConvLayer) Forward(ctx *Context, bottom, top []*Blob) error {
 	return berr
 }
 
-func (l *ConvLayer) forwardDispatch(ctx *Context, bottom, top []*Blob, width int) error {
-	n := bottom[0].Num()
-	w := l.weight.Data.Data()
-	pw := l.packedW(ctx, false)
-	par := ctx.RowPar()
-	var bias []float32
+func (l *ConvLayer) forwardDispatch(ctx *Context) error {
+	l.pw = l.packedW(ctx, false)
+	// Bias (and ReLU co-write) ride a fused GEMM's epilogue; the separate
+	// gemmk/relu_fwd kernels never launch. Bitwise identical outputs — see
+	// fusion.go.
+	l.epiBias, l.epiReLU = nil, nil
+	ops := 0
 	if l.fuseBias && l.bias != nil {
-		bias = l.bias.Data.Data()
+		l.epiBias = l.bias.Data.Data()
+		ops++
 	}
-	fused := bias != nil || l.fusedReLU != nil
-	for i := 0; i < n; i++ {
-		chain := i
-		img := bottom[0].SampleData(i)
-		dst, buf := l.column(i%width, img)
-		out := top[0].SampleData(i)
-		tag := l.tags[i]
-		if err := ctx.Dispatch(kernels.Im2col(tag, img, l.geom, dst), chain); err != nil {
+	if l.fusedReLU != nil {
+		l.epiReLU = l.fusedReLU.Data.Data()
+		ops++
+	}
+	for i := range l.tags {
+		if err := ctx.launch(&l.fwdIm2col[i], i); err != nil {
 			return err
 		}
-		// Bias (and ReLU co-write) ride a fused GEMM's epilogue; the
-		// separate gemmk/relu_fwd kernels never launch. Bitwise identical
-		// outputs — see fusion.go.
-		var epi tensor.GemmEpilogue
-		var ops float64
-		if fused {
-			epi, ops = l.fusionEpilogue(bias, i)
-		}
-		if err := ctx.Dispatch(kernels.Sgemm(tag, par, pw, false, false, l.co, l.p, l.k, 1, w, buf, 0, out, epi, ops), chain); err != nil {
+		if err := ctx.launch(&l.fwdGemm[ops][i], i); err != nil {
 			return err
 		}
-		if !fused && l.bias != nil {
-			if err := ctx.Dispatch(kernels.BiasGemm(tag, l.co, l.p, l.bias.Data.Data(), l.onesP, out), chain); err != nil {
+		if ops == 0 && l.bias != nil {
+			if err := ctx.launch(&l.fwdBias[i], i); err != nil {
 				return err
 			}
 		}
@@ -253,8 +342,9 @@ func (l *ConvLayer) forwardDispatch(ctx *Context, bottom, top []*Blob, width int
 // (the default stream) after the batch barrier.
 func (l *ConvLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob) error {
 	width := ctx.Width()
+	l.bind(ctx, bottom[0], top[0], width)
 	l.leaseScratch(width, true)
-	err := l.backwardDispatch(ctx, top, propagate, bottom, width)
+	err := l.backwardDispatch(ctx, propagate[0], width)
 	berr := ctx.Barrier()
 	l.releaseScratch()
 	if err != nil {
@@ -263,7 +353,7 @@ func (l *ConvLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom
 	return berr
 }
 
-func (l *ConvLayer) backwardDispatch(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob, width int) error {
+func (l *ConvLayer) backwardDispatch(ctx *Context, propagate bool, width int) error {
 	if ctx.Compute {
 		// Arena slabs arrive with unspecified contents; the partials
 		// accumulate (beta=1), so they must start from zero every pass.
@@ -274,42 +364,27 @@ func (l *ConvLayer) backwardDispatch(ctx *Context, top []*Blob, propagate []bool
 			}
 		}
 	}
-	n := bottom[0].Num()
-	w := l.weight.Data.Data()
-	var pwT *tensor.PackedA
-	if propagate[0] {
-		pwT = l.packedW(ctx, true)
+	l.pw = nil
+	if propagate {
+		l.pw = l.packedW(ctx, true)
 	}
-	par := ctx.RowPar()
-	for i := 0; i < n; i++ {
-		chain := i
-		j := i % width
-		img := bottom[0].SampleData(i)
-		dst, buf := l.column(j, img)
-		dtop := top[0].SampleDiff(i)
-		tag := l.tags[i]
-
-		if err := ctx.Dispatch(kernels.Im2col(tag, img, l.geom, dst), chain); err != nil {
+	for i := range l.tags {
+		if err := ctx.launch(&l.bwdIm2col[i], i); err != nil {
 			return err
 		}
-		// dW_j += dTop(Co×P) · colᵀ(P×K)
-		if err := ctx.Dispatch(kernels.Sgemm(tag, par, nil, false, true, l.co, l.k, l.p, 1, dtop, buf, 1, l.partW[j].Data, nil, 0), chain); err != nil {
+		if err := ctx.launch(&l.bwdW[i], i); err != nil {
 			return err
 		}
 		if l.bias != nil {
-			db := l.partB[j].Data
-			co, p := l.co, l.p
-			if err := ctx.Dispatch(kernels.BiasBackward(tag, co, p, dtop, l.onesP, db), chain); err != nil {
+			if err := ctx.launch(&l.bwdB[i], i); err != nil {
 				return err
 			}
 		}
-		if propagate[0] {
-			dcol := l.dcolBufs[j].Data
-			if err := ctx.Dispatch(kernels.Sgemm(tag, par, pwT, true, false, l.k, l.p, l.co, 1, w, dtop, 0, dcol, nil, 0), chain); err != nil {
+		if propagate {
+			if err := ctx.launch(&l.bwdCol[i], i); err != nil {
 				return err
 			}
-			dimg := bottom[0].SampleDiff(i)
-			if err := ctx.Dispatch(kernels.Col2im(tag, dcol, l.geom, dimg), chain); err != nil {
+			if err := ctx.launch(&l.bwdCol2im[i], i); err != nil {
 				return err
 			}
 		}
@@ -318,27 +393,48 @@ func (l *ConvLayer) backwardDispatch(ctx *Context, top []*Blob, propagate []bool
 		return err
 	}
 	// Deterministic fold of the per-chain partials, on the default stream.
-	dw := l.weight.Diff.Data()
+	l.growFolds(width)
 	for j := 0; j < width; j++ {
-		part := l.partW[j].Data
-		if err := ctx.Dispatch(kernels.AxpyKernel("axpy_fold_w", l.name, len(part), func() {
-			tensor.Axpy(1, part, dw)
-		}), -1); err != nil {
+		if err := ctx.launch(&l.foldW[j], -1); err != nil {
 			return err
 		}
 	}
 	if l.bias != nil {
-		db := l.bias.Diff.Data()
 		for j := 0; j < width; j++ {
-			part := l.partB[j].Data
-			if err := ctx.Dispatch(kernels.AxpyKernel("axpy_fold_b", l.name, len(part), func() {
-				tensor.Axpy(1, part, db)
-			}), -1); err != nil {
+			if err := ctx.launch(&l.foldB[j], -1); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// epilogue is image i's fused output transform: the per-channel bias add
+// (replicating the separate gemmk pass's zero screening bit for bit)
+// followed by the ReLU co-write into the fused activation's top. It
+// allocates nothing and touches seg plus its own disjoint destination —
+// safe on pool workers (see tensor.GemmEpilogue).
+func (l *ConvLayer) epilogue(i, row, col int, seg []float32) {
+	if l.epiBias != nil {
+		// A zero bias channel is skipped exactly like the separate pass's
+		// av==0 screen: adding +0 would normalize -0 outputs.
+		if bv := l.epiBias[row]; bv != 0 {
+			for j := range seg {
+				seg[j] += bv
+			}
+		}
+	}
+	if l.epiReLU != nil {
+		at := (i*l.co+row)*l.p + col
+		dst := l.epiReLU[at : at+len(seg)]
+		for j, v := range seg {
+			if v > 0 {
+				dst[j] = v
+			} else {
+				dst[j] = 0
+			}
+		}
+	}
 }
 
 func zero(s []float32) {

@@ -19,8 +19,8 @@ type launchRecord struct {
 	chain     int
 }
 
-// recordLauncher runs closures inline at a fixed width and records every
-// launch in submission order.
+// recordLauncher has a fixed width and records every launch in submission
+// order.
 type recordLauncher struct {
 	width int
 	recs  []launchRecord
@@ -29,18 +29,16 @@ type recordLauncher struct {
 func (l *recordLauncher) BeginLayer(string) {}
 func (l *recordLauncher) Launch(k *simgpu.Kernel, chain int) error {
 	l.recs = append(l.recs, launchRecord{k.Name, k.Tag, k.Config, k.Cost, chain})
-	if k.Fn != nil {
-		k.Fn()
-	}
 	return nil
 }
 func (l *recordLauncher) Sync() error { return nil }
 func (l *recordLauncher) Width() int  { return l.width }
 
 // perCallConvPass is the conv pass as it ran before the layer packed its
-// weights once and read a 1×1 conv's image in place: im2col into per-chain
-// column buffers, and GEMMs that pack their A operand call by call. It is
-// the reference the layer's kernel stream and bits are held to.
+// weights once, read a 1×1 conv's image in place and built its launch sites
+// once: im2col into per-chain column buffers, GEMMs that pack their A
+// operand call by call, and a descriptor and a closure built per launch. It
+// is the reference the layer's kernel stream and bits are held to.
 func perCallConvPass(ctx *Context, l *ConvLayer, bottom, top *Blob, backward bool) error {
 	width, n := ctx.Width(), bottom.Num()
 	par, w := ctx.RowPar(), l.weight.Data.Data()
@@ -54,26 +52,39 @@ func perCallConvPass(ctx *Context, l *ConvLayer, bottom, top *Blob, backward boo
 	if l.fuseBias {
 		bias = l.bias.Data.Data()
 	}
+	key := fwdKey(l.name)
+	if backward {
+		key = bwdKey(l.name)
+	}
+	type site struct {
+		k  simgpu.Kernel
+		fn func()
+	}
 	for i := 0; i < n; i++ {
 		j, img, tag := i%width, bottom.SampleData(i), l.tags[i]
-		ks := []*simgpu.Kernel{kernels.Im2col(tag, img, l.geom, cols[j])}
+		col := cols[j]
+		ks := []site{{kernels.Im2col(key, tag, l.geom), func() { tensor.Im2col(img, l.geom, col) }}}
+		gemm := func(transA, transB bool, m, nn, k int, a, b []float32, beta float32, c []float32, epi tensor.GemmEpilogue, ops float64) site {
+			return site{kernels.Sgemm(key, tag, m, nn, k, ops), func() { tensor.GemmParallelPacked(par, nil, transA, transB, m, nn, k, 1, a, b, beta, c, epi) }}
+		}
 		switch {
 		case backward:
-			dtop := top.SampleDiff(i)
+			dtop, dimg, dcol, db := top.SampleDiff(i), bottom.SampleDiff(i), dcols[j], partB[j]
 			ks = append(ks,
-				kernels.Sgemm(tag, par, nil, false, true, l.co, l.k, l.p, 1, dtop, cols[j], 1, partW[j], nil, 0),
-				kernels.BiasBackward(tag, l.co, l.p, dtop, l.onesP, partB[j]),
-				kernels.Sgemm(tag, par, nil, true, false, l.k, l.p, l.co, 1, w, dtop, 0, dcols[j], nil, 0),
-				kernels.Col2im(tag, dcols[j], l.geom, bottom.SampleDiff(i)))
+				gemm(false, true, l.co, l.k, l.p, dtop, col, 1, partW[j], nil, 0),
+				site{kernels.BiasBackward(key, tag, l.co, l.p), func() { tensor.Gemv(false, l.co, l.p, 1, dtop, l.onesP, 1, db) }},
+				gemm(true, false, l.k, l.p, l.co, w, dtop, 0, dcol, nil, 0),
+				site{kernels.Col2im(key, tag, l.geom), func() { tensor.Col2im(dcol, l.geom, dimg) }})
 		case bias != nil || l.fusedReLU != nil:
-			epi, ops := l.fusionEpilogue(bias, i)
-			ks = append(ks, kernels.Sgemm(tag, par, nil, false, false, l.co, l.p, l.k, 1, w, cols[j], 0, top.SampleData(i), epi, ops))
+			epi, ops := perCallEpilogue(l, bias, i)
+			ks = append(ks, gemm(false, false, l.co, l.p, l.k, w, col, 0, top.SampleData(i), epi, ops))
 		default:
-			ks = append(ks, kernels.Sgemm(tag, par, nil, false, false, l.co, l.p, l.k, 1, w, cols[j], 0, top.SampleData(i), nil, 0),
-				kernels.BiasGemm(tag, l.co, l.p, l.bias.Data.Data(), l.onesP, top.SampleData(i)))
+			out := top.SampleData(i)
+			ks = append(ks, gemm(false, false, l.co, l.p, l.k, w, col, 0, out, nil, 0),
+				site{kernels.BiasGemm(key, tag, l.co, l.p), func() { tensor.Gemm(false, false, l.co, l.p, 1, 1, l.bias.Data.Data(), l.onesP, 1, out) }})
 		}
-		for _, k := range ks {
-			if err := ctx.Dispatch(k, i); err != nil {
+		for _, s := range ks {
+			if err := ctx.Dispatch(&s.k, s.fn, i); err != nil {
 				return err
 			}
 		}
@@ -88,12 +99,51 @@ func perCallConvPass(ctx *Context, l *ConvLayer, bottom, top *Blob, backward boo
 	}{{"axpy_fold_w", partW, l.weight.Diff.Data()}, {"axpy_fold_b", partB, l.bias.Diff.Data()}} {
 		for _, part := range fold.parts {
 			into := fold.into
-			if err := ctx.Dispatch(kernels.AxpyKernel(fold.name, l.name, len(part), func() { tensor.Axpy(1, part, into) }), -1); err != nil {
+			k := kernels.AxpyKernel(fold.name, key, l.name, len(part))
+			if err := ctx.Dispatch(&k, func() { tensor.Axpy(1, part, into) }, -1); err != nil {
 				return err
 			}
 		}
 	}
 	return ctx.Barrier()
+}
+
+// perCallEpilogue is the conv layer's fused epilogue as it was built per
+// launch: the per-channel bias add, screening zero channels like the
+// separate gemmk pass, then the ReLU co-write into the fused activation's
+// top; ops is its per-element FLOP count.
+func perCallEpilogue(l *ConvLayer, bias []float32, i int) (tensor.GemmEpilogue, float64) {
+	p := l.p
+	var reluOut []float32
+	if l.fusedReLU != nil {
+		reluOut = l.fusedReLU.SampleData(i)
+	}
+	ops := 0.0
+	if bias != nil {
+		ops++
+	}
+	if reluOut != nil {
+		ops++
+	}
+	return func(row, col int, seg []float32) {
+		if bias != nil {
+			if bv := bias[row]; bv != 0 {
+				for j := range seg {
+					seg[j] += bv
+				}
+			}
+		}
+		if reluOut != nil {
+			dst := reluOut[row*p+col : row*p+col+len(seg)]
+			for j, v := range seg {
+				if v > 0 {
+					dst[j] = v
+				} else {
+					dst[j] = 0
+				}
+			}
+		}
+	}, ops
 }
 
 // sprinkle zeroes about pct % of s, the sparsity of a ReLU output or a

@@ -287,8 +287,8 @@ func buildLayerDAG(specs []dagSpec, inputs map[string]bool, paramGroups [][]int)
 	d.fwdKeys = make([]string, n)
 	d.bwdKeys = make([]string, n)
 	for i := range specs {
-		d.fwdKeys[i] = specs[i].Name + "/fwd"
-		d.bwdKeys[i] = specs[i].Name + "/bwd"
+		d.fwdKeys[i] = fwdKey(specs[i].Name)
+		d.bwdKeys[i] = bwdKey(specs[i].Name)
 	}
 	d.computeStats()
 	return d, nil

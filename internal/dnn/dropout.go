@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/kernels"
 )
@@ -14,6 +15,10 @@ type DropoutLayer struct {
 	baseLayer
 	ratio float32
 	mask  []float32
+
+	unaryOps
+	phase Phase // the pass's context phase and RNG, read by the closures
+	rng   *rand.Rand
 }
 
 // NewDropout constructs a dropout layer with the given drop ratio.
@@ -30,63 +35,60 @@ func (l *DropoutLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 		return fmt.Errorf("dropout %s: ratio %v outside [0,1)", l.name, l.ratio)
 	}
 	top[0].Reshape(bottom[0].Shape()...)
-	l.mask = make([]float32, bottom[0].Count())
+	l.size(bottom[0].Count())
 	return nil
+}
+
+// size sizes the mask and the descriptors for n elements.
+func (l *DropoutLayer) size(n int) {
+	l.mask = make([]float32, n)
+	l.fwd = desc{kernels.Elementwise("dropout_fwd", fwdKey(l.name), l.name, n, 12, 2), l.forwardHost}
+	l.bwd = desc{kernels.Elementwise("dropout_bwd", bwdKey(l.name), l.name, n, 12, 1), l.backwardHost}
 }
 
 // Forward implements Layer.
 func (l *DropoutLayer) Forward(ctx *Context, bottom, top []*Blob) error {
-	src := bottom[0].Data.Data()
-	dst := top[0].Data.Data()
-	if len(l.mask) != len(src) {
+	if n := bottom[0].Count(); len(l.mask) != n {
 		// The bottom was reshaped after Setup (variable-batch serving);
 		// Setup's mask length would index out of range.
-		l.mask = make([]float32, len(src))
+		l.size(n)
+	}
+	l.phase, l.rng = ctx.Phase, ctx.RNG
+	return l.forward(ctx, bottom, top)
+}
+
+func (l *DropoutLayer) forwardHost() {
+	src, dst := l.x.Data.Data(), l.y.Data.Data()
+	if l.phase != Train {
+		copy(dst, src)
+		return
 	}
 	scale := 1 / (1 - l.ratio)
-	phase := ctx.Phase
-	rng := ctx.RNG
-	k := kernels.Elementwise("dropout_fwd", l.name, len(src), 12, 2, func() {
-		if phase == Train {
-			for i := range src {
-				if rng.Float32() < l.ratio {
-					l.mask[i] = 0
-				} else {
-					l.mask[i] = scale
-				}
-				dst[i] = src[i] * l.mask[i]
-			}
+	for i := range src {
+		if l.rng.Float32() < l.ratio {
+			l.mask[i] = 0
 		} else {
-			copy(dst, src)
+			l.mask[i] = scale
 		}
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
+		dst[i] = src[i] * l.mask[i]
 	}
-	return ctx.Barrier()
 }
 
 // Backward implements Layer.
 func (l *DropoutLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob) error {
-	if !propagate[0] {
-		return nil
-	}
-	dtop := top[0].Diff.Data()
-	dbot := bottom[0].Diff.Data()
-	phase := ctx.Phase
-	k := kernels.Elementwise("dropout_bwd", l.name, len(dtop), 12, 1, func() {
-		if phase == Train {
-			for i := range dtop {
-				dbot[i] += dtop[i] * l.mask[i]
-			}
-		} else {
-			for i := range dtop {
-				dbot[i] += dtop[i]
-			}
+	l.phase = ctx.Phase
+	return l.backward(ctx, top, propagate, bottom)
+}
+
+func (l *DropoutLayer) backwardHost() {
+	dtop, dbot := l.y.Diff.Data(), l.x.Diff.Data()
+	if l.phase == Train {
+		for i := range dtop {
+			dbot[i] += dtop[i] * l.mask[i]
 		}
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
+	} else {
+		for i := range dtop {
+			dbot[i] += dtop[i]
+		}
 	}
-	return ctx.Barrier()
 }

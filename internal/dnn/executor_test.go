@@ -43,9 +43,6 @@ func (l *probeLauncher) Launch(k *simgpu.Kernel, _ int) error {
 	case l.st.slowLayer:
 		time.Sleep(2 * time.Millisecond)
 	}
-	if k.Fn != nil {
-		k.Fn()
-	}
 	return nil
 }
 

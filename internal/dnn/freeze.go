@@ -35,6 +35,7 @@ type FrozenNet struct {
 	blobs   map[string]*Blob
 	outputs []string // terminal tops, sorted
 	dagOn   bool
+	ctx     Context // the Test-phase view of the caller's context, reused by Forward
 }
 
 // Freeze builds a forward-only executor from a built net: loss and
@@ -195,7 +196,8 @@ func (f *FrozenNet) StageInputs(ctx *Context) error {
 // net always executes Test-phase semantics — and the context RNG is never
 // drawn. Outputs are bitwise identical whichever branch the executor takes.
 func (f *FrozenNet) Forward(ctx *Context) error {
-	fctx := &Context{L: ctx.L, Phase: Test, RNG: ctx.RNG, Compute: ctx.Compute, Pool: ctx.Pool}
+	fctx := &f.ctx
+	fctx.L, fctx.Phase, fctx.RNG, fctx.Compute, fctx.Pool = ctx.L, Test, ctx.RNG, ctx.Compute, ctx.Pool
 	if err := f.prog.run(fctx, false, f.dagOn, nil); err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hostpool"
 	"repro/internal/tensor"
 )
 
@@ -307,5 +308,71 @@ func TestFrozenLoadedWeights(t *testing.T) {
 	}
 	if !tensor.Equal(net.Blob("scores").Data, twin.Blob("scores").Data) {
 		t.Fatal("tensor.Equal disagrees with bitwise capture")
+	}
+}
+
+// TestFrozenFollowsRewiring: layer launch sites are built once and shared
+// by the training net and its frozen twin, so their closures must read each
+// pass's operands, not what they saw when built. After a training step, a
+// frozen net — ip1 rerouted past the folded dropout, gradients compacted —
+// answers bitwise like the parent's Test-phase forward and launches the
+// parent's kernel stream launch by launch (name, tag, config, cost, chain),
+// less the dropout, loss and accuracy launches freezing strips; serially
+// and on a host pool. The parent's last forward ran on other inputs, so a
+// closure still reading the dropout's top would answer for those.
+func TestFrozenFollowsRewiring(t *testing.T) {
+	stripped := map[string]bool{"drop1": true, "loss": true, "acc": true}
+	for _, pool := range []*hostpool.Pool{nil, hostpool.New(2)} {
+		net := buildServeNet(t, 5, 411)
+		fillTinyInputs(t, net, 412)
+		if _, err := NewSolver(net, NewContext(&recordLauncher{width: 3}, 413), CIFAR10QuickSolver()).Step(); err != nil {
+			t.Fatal(err)
+		}
+
+		parent := &recordLauncher{width: 3}
+		ctx := NewContext(parent, 414)
+		ctx.Phase, ctx.Pool = Test, pool
+		if _, err := net.Forward(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want := captureBits(t, net.Blob("scores"))
+		var wantRecs []launchRecord
+		for _, r := range parent.recs {
+			if !stripped[r.tag] {
+				wantRecs = append(wantRecs, r)
+			}
+		}
+		fillTinyInputs(t, net, 416)
+		if _, err := net.Forward(ctx); err != nil {
+			t.Fatal(err)
+		}
+		fillTinyInputs(t, net, 412)
+
+		fz, err := Freeze(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fz.Compact()
+		net.Blob("scores").Data.Zero()
+		frozen := &recordLauncher{width: 3}
+		fctx := NewContext(frozen, 415)
+		fctx.Pool = pool
+		if err := fz.Forward(fctx); err != nil {
+			t.Fatal(err)
+		}
+		got := captureBits(t, net.Blob("scores"))
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("pool %v: scores[%d]: frozen %08x, parent %08x", pool != nil, i, got[i], want[i])
+			}
+		}
+		if len(frozen.recs) != len(wantRecs) {
+			t.Fatalf("pool %v: frozen net launched %d kernels, the parent %d beyond the stripped layers", pool != nil, len(frozen.recs), len(wantRecs))
+		}
+		for i := range wantRecs {
+			if frozen.recs[i] != wantRecs[i] {
+				t.Fatalf("pool %v: launch %d = %+v, the parent's %+v", pool != nil, i, frozen.recs[i], wantRecs[i])
+			}
+		}
 	}
 }

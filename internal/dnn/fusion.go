@@ -1,10 +1,6 @@
 package dnn
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "fmt"
 
 // This file is the operator-fusion pass: collapsing a GEMM layer's separate
 // output passes (the gemmk bias rank-one update, the relu_fwd elementwise
@@ -163,48 +159,4 @@ func (n *Net) topBlobOf(layer string) *Blob {
 		}
 	}
 	return nil
-}
-
-// fusionEpilogue builds conv's fused output transform for batch sample i:
-// the per-channel bias add (replicating the separate gemmk pass's zero
-// screening bit for bit) followed by the ReLU co-write into the fused
-// activation's top. The returned ops is the epilogue's per-element FLOP
-// count for the kernel cost model. The closure captures only slices and
-// ints, allocates nothing per call, and touches seg plus its own disjoint
-// destination — safe on pool workers (see tensor.GemmEpilogue).
-func (l *ConvLayer) fusionEpilogue(bias []float32, i int) (tensor.GemmEpilogue, float64) {
-	p := l.p
-	var reluOut []float32
-	if l.fusedReLU != nil {
-		reluOut = l.fusedReLU.SampleData(i)
-	}
-	ops := 0.0
-	if bias != nil {
-		ops++
-	}
-	if reluOut != nil {
-		ops++
-	}
-	epi := func(row, col int, seg []float32) {
-		if bias != nil {
-			// A zero bias channel is skipped exactly like the separate
-			// pass's av==0 screen: adding +0 would normalize -0 outputs.
-			if bv := bias[row]; bv != 0 {
-				for j := range seg {
-					seg[j] += bv
-				}
-			}
-		}
-		if reluOut != nil {
-			dst := reluOut[row*p+col : row*p+col+len(seg)]
-			for j, v := range seg {
-				if v > 0 {
-					dst[j] = v
-				} else {
-					dst[j] = 0
-				}
-			}
-		}
-	}
-	return epi, ops
 }

@@ -38,6 +38,14 @@ type IPLayer struct {
 	// fuseBias (set by Net.EnableFusion, see fusion.go) folds the
 	// ones·biasᵀ rank-one pass into the forward GEMM's epilogue.
 	fuseBias bool
+
+	// Prebuilt launch sites: the forward GEMM plain and with the fused bias
+	// epilogue, the separate bias pass, and the three backward kernels.
+	// Their closures read the pass's operands from the fields below.
+	fwd, fwdFused, fwdBias, bwdW, bwdB, bwdX desc
+	x, y                                     *Blob
+	par                                      tensor.RowParallel
+	epi                                      tensor.GemmEpilogue // the fused bias add, built once
 }
 
 // NewIP constructs an inner-product layer.
@@ -61,50 +69,74 @@ func (l *IPLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 	l.out = l.cfg.NumOutput
 	rng := fillerRNG(l.cfg.Seed, l.name)
 	l.weight = NewBlob(l.name+".weight", l.out, l.in)
-	l.cfg.WeightFiller.Fill(l.weight.Data, rng)
+	fillParam(ctx, l.weight, l.cfg.WeightFiller, rng)
 	l.param = []*Blob{l.weight}
 	if l.cfg.Bias {
 		l.bias = NewBlob(l.name+".bias", l.out)
 		l.bias.LrMult, l.bias.DecayMult = 2, 0
-		l.cfg.BiasFiller.Fill(l.bias.Data, rng)
+		fillParam(ctx, l.bias, l.cfg.BiasFiller, rng)
 		l.param = append(l.param, l.bias)
 	}
-	top[0].Reshape(b.Num(), l.out)
-	l.onesN = make([]float32, b.Num())
+	n := b.Num()
+	top[0].Reshape(n, l.out)
+	l.onesN = make([]float32, n)
 	for i := range l.onesN {
 		l.onesN[i] = 1
 	}
+	fk, bk := fwdKey(l.name), bwdKey(l.name)
+	l.epi = l.biasEpilogue
+	l.fwd = desc{kernels.Sgemm(fk, l.name, n, l.out, l.in, 0), func() { l.forwardGemm(nil) }}
+	l.fwdFused = desc{kernels.Sgemm(fk, l.name, n, l.out, l.in, 1), func() { l.forwardGemm(l.epi) }}
+	// y += ones(N×1)·bias(1×Out)
+	l.fwdBias = desc{kernels.BiasGemm(fk, l.name, n, l.out), func() {
+		tensor.Gemm(false, false, n, l.out, 1, 1, l.onesN, l.bias.Data.Data(), 1, l.y.Data.Data())
+	}}
+	// dW += dyᵀ(Out×N)·x(N×In)
+	l.bwdW = desc{kernels.Sgemm(bk, l.name, l.out, l.in, n, 0), func() {
+		tensor.GemmParallelPacked(l.par, nil, true, false, l.out, l.in, n, 1, l.y.Diff.Data(), l.x.Data.Data(), 1, l.weight.Diff.Data(), nil)
+	}}
+	// db += dyᵀ(Out×N)·ones(N); dy is stored N×Out, so this is the
+	// transposed GEMV.
+	l.bwdB = desc{kernels.BiasBackward(bk, l.name, n, l.out), func() {
+		tensor.Gemv(true, n, l.out, 1, l.y.Diff.Data(), l.onesN, 1, l.bias.Diff.Data())
+	}}
+	// dx += dy(N×Out)·W(Out×In)
+	l.bwdX = desc{kernels.Sgemm(bk, l.name, n, l.in, l.out, 0), func() {
+		tensor.GemmParallelPacked(l.par, nil, false, false, n, l.in, l.out, 1, l.y.Diff.Data(), l.weight.Data.Data(), 1, l.x.Diff.Data(), nil)
+	}}
 	return nil
+}
+
+// forwardGemm is y = x(N×In) · Wᵀ(In×Out), with epi fused. FC layers run
+// one whole-batch GEMM on a single chain, so row-band parallelism is what
+// puts the pool to work.
+func (l *IPLayer) forwardGemm(epi tensor.GemmEpilogue) {
+	tensor.GemmParallelPacked(l.par, nil, false, true, l.x.Num(), l.out, l.in, 1, l.x.Data.Data(), l.weight.Data.Data(), 0, l.y.Data.Data(), epi)
+}
+
+// biasEpilogue is the fused bias add. The separate pass is
+// ones(N×1)·bias(1×Out) with av = 1·1 never zero, so the fused add is
+// unconditional: y[i,j] += 1·bias[j], and 1·b is bitwise b. See fusion.go
+// for the full contract.
+func (l *IPLayer) biasEpilogue(row, col int, seg []float32) {
+	for j, bv := range l.bias.Data.Data()[col : col+len(seg)] {
+		seg[j] += bv
+	}
 }
 
 // Forward implements Layer.
 func (l *IPLayer) Forward(ctx *Context, bottom, top []*Blob) error {
-	n := bottom[0].Num()
-	x := bottom[0].Data.Data()
-	y := top[0].Data.Data()
-	w := l.weight.Data.Data()
-	// y = x(N×In) · Wᵀ(In×Out). FC layers run one whole-batch GEMM on a
-	// single chain, so row-band parallelism is what puts the pool to work.
+	l.x, l.y, l.par = bottom[0], top[0], ctx.RowPar()
 	fused := l.fuseBias && l.bias != nil
-	var epi tensor.GemmEpilogue
+	gemm := &l.fwd
 	if fused {
-		bias := l.bias.Data.Data()
-		// The separate pass is ones(N×1)·bias(1×Out) with av = 1·1 never
-		// zero, so the fused add is unconditional: y[i,j] += 1·bias[j],
-		// and 1·b is bitwise b. See fusion.go for the full contract.
-		epi = func(row, col int, seg []float32) {
-			bseg := bias[col : col+len(seg)]
-			for j, bv := range bseg {
-				seg[j] += bv
-			}
-		}
+		gemm = &l.fwdFused
 	}
-	if err := ctx.Dispatch(kernels.Sgemm(l.name, ctx.RowPar(), nil, false, true, n, l.out, l.in, 1, x, w, 0, y, epi, 1), 0); err != nil {
+	if err := ctx.launch(gemm, 0); err != nil {
 		return err
 	}
 	if !fused && l.bias != nil {
-		// y += ones(N×1)·bias(1×Out)
-		if err := ctx.Dispatch(kernels.BiasGemm(l.name, n, l.out, l.onesN, l.bias.Data.Data(), y), 0); err != nil {
+		if err := ctx.launch(&l.fwdBias, 0); err != nil {
 			return err
 		}
 	}
@@ -113,31 +145,17 @@ func (l *IPLayer) Forward(ctx *Context, bottom, top []*Blob) error {
 
 // Backward implements Layer.
 func (l *IPLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob) error {
-	n := bottom[0].Num()
-	x := bottom[0].Data.Data()
-	dy := top[0].Diff.Data()
-	// dW += dyᵀ(Out×N)·x(N×In)
-	dw := l.weight.Diff.Data()
-	if err := ctx.Dispatch(kernels.Sgemm(l.name, ctx.RowPar(), nil, true, false, l.out, l.in, n, 1, dy, x, 1, dw, nil, 0), 0); err != nil {
+	l.x, l.y, l.par = bottom[0], top[0], ctx.RowPar()
+	if err := ctx.launch(&l.bwdW, 0); err != nil {
 		return err
 	}
 	if l.bias != nil {
-		// db += dyᵀ(Out×N)·ones(N); dy is stored N×Out, so this is the
-		// transposed GEMV.
-		db := l.bias.Diff.Data()
-		out := l.out
-		k := kernels.Elementwise("gemv_bias_bwd", l.name, n*out, 4, 2, func() {
-			tensor.Gemv(true, n, out, 1, dy, l.onesN, 1, db)
-		})
-		if err := ctx.Dispatch(k, 0); err != nil {
+		if err := ctx.launch(&l.bwdB, 0); err != nil {
 			return err
 		}
 	}
 	if propagate[0] {
-		// dx += dy(N×Out)·W(Out×In)
-		dx := bottom[0].Diff.Data()
-		w := l.weight.Data.Data()
-		if err := ctx.Dispatch(kernels.Sgemm(l.name, ctx.RowPar(), nil, false, false, n, l.in, l.out, 1, dy, w, 1, dx, nil, 0), 0); err != nil {
+		if err := ctx.launch(&l.bwdX, 0); err != nil {
 			return err
 		}
 	}

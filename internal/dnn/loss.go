@@ -6,6 +6,42 @@ import (
 	"repro/internal/kernels"
 )
 
+// lossOps is the launch state of a loss-style layer (several bottoms, one
+// scalar top): its forward launch sites, one backward site per bottom, and
+// the pass's blobs, which the sites' closures read.
+type lossOps struct {
+	fwd []desc
+	bwd []desc // per bottom; nil entries never launch
+	x   []*Blob
+	y   *Blob
+}
+
+// forward launches every forward site over the pass's blobs and joins them.
+func (o *lossOps) forward(ctx *Context, bottom, top []*Blob) error {
+	o.x, o.y = bottom, top[0]
+	for i := range o.fwd {
+		if err := ctx.launch(&o.fwd[i], 0); err != nil {
+			return err
+		}
+	}
+	return ctx.Barrier()
+}
+
+// backward launches the backward site of every bottom that takes a
+// gradient, bottom bi on chain bi, and joins them.
+func (o *lossOps) backward(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob) error {
+	o.x, o.y = bottom, top[0]
+	for bi := range o.bwd {
+		if !propagate[bi] || o.bwd[bi].fn == nil {
+			continue
+		}
+		if err := ctx.launch(&o.bwd[bi], bi); err != nil {
+			return err
+		}
+	}
+	return ctx.Barrier()
+}
+
 // SoftmaxLossLayer fuses softmax and multinomial logistic loss, like Caffe's
 // SoftmaxWithLoss. Bottom 0 holds scores (N×C or N×C×1×1), bottom 1 holds
 // labels as float32 class indices (N). Top 0 is the scalar loss.
@@ -14,6 +50,7 @@ type SoftmaxLossLayer struct {
 	weight float32
 	prob   []float32
 	n, c   int
+	lossOps
 }
 
 // NewSoftmaxLoss constructs the layer with loss weight 1.
@@ -24,7 +61,9 @@ func NewSoftmaxLoss(name string) *SoftmaxLossLayer {
 // LossWeight implements LossLayer.
 func (l *SoftmaxLossLayer) LossWeight() float32 { return l.weight }
 
-// Setup implements Layer.
+// Setup implements Layer. Forward is one softmax kernel and one
+// loss-reduction kernel, both over the whole batch (loss layers are
+// negligible and are not batch-split in Caffe either).
 func (l *SoftmaxLossLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 	if len(bottom) != 2 || len(top) != 1 {
 		return fmt.Errorf("softmaxloss %s: want 2 bottoms (scores, labels) and 1 top", l.name)
@@ -36,60 +75,42 @@ func (l *SoftmaxLossLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 	}
 	top[0].Reshape(1)
 	l.prob = make([]float32, l.n*l.c)
+	fk := fwdKey(l.name)
+	l.fwd = []desc{
+		{kernels.Elementwise("softmax_fwd", fk, l.name, l.n*l.c, 12, 6), l.softmaxHost},
+		{kernels.Elementwise("softmax_loss_fwd", fk, l.name, l.n, 8, 4), l.lossHost},
+	}
+	l.bwd = []desc{{kernels.Elementwise("softmax_loss_bwd", bwdKey(l.name), l.name, l.n*l.c, 12, 2), l.backwardHost}, {}}
 	return nil
 }
 
-// Forward implements Layer: one softmax kernel and one loss-reduction
-// kernel, both over the whole batch (loss layers are negligible and are not
-// batch-split in Caffe either).
+// Forward implements Layer.
 func (l *SoftmaxLossLayer) Forward(ctx *Context, bottom, top []*Blob) error {
-	scores := bottom[0].Data.Data()
-	labels := bottom[1].Data.Data()
-	out := top[0].Data.Data()
-	kSoft := kernels.Elementwise("softmax_fwd", l.name, l.n*l.c, 12, 6, func() {
-		for i := 0; i < l.n; i++ {
-			row := scores[i*l.c : (i+1)*l.c]
-			p := l.prob[i*l.c : (i+1)*l.c]
-			m := row[0]
-			for _, v := range row {
-				if v > m {
-					m = v
-				}
-			}
-			sum := float32(0)
-			for j, v := range row {
-				e := exp32(v - m)
-				p[j] = e
-				sum += e
-			}
-			inv := 1 / sum
-			for j := range p {
-				p[j] *= inv
-			}
-		}
-	})
-	if err := ctx.Dispatch(kSoft, 0); err != nil {
-		return err
+	return l.forward(ctx, bottom, top)
+}
+
+func (l *SoftmaxLossLayer) softmaxHost() {
+	scores := l.x[0].Data.Data()
+	for i := 0; i < l.n; i++ {
+		softmaxRow(scores[i*l.c:(i+1)*l.c], l.prob[i*l.c:(i+1)*l.c])
 	}
-	kLoss := kernels.Elementwise("softmax_loss_fwd", l.name, l.n, 8, 4, func() {
-		loss := float32(0)
-		for i := 0; i < l.n; i++ {
-			y := int(labels[i])
-			if y < 0 || y >= l.c {
-				continue
-			}
-			p := l.prob[i*l.c+y]
-			if p < 1e-20 {
-				p = 1e-20
-			}
-			loss -= log32(p)
+}
+
+func (l *SoftmaxLossLayer) lossHost() {
+	labels := l.x[1].Data.Data()
+	loss := float32(0)
+	for i := 0; i < l.n; i++ {
+		y := int(labels[i])
+		if y < 0 || y >= l.c {
+			continue
 		}
-		out[0] = loss / float32(l.n)
-	})
-	if err := ctx.Dispatch(kLoss, 0); err != nil {
-		return err
+		p := l.prob[i*l.c+y]
+		if p < 1e-20 {
+			p = 1e-20
+		}
+		loss -= log32(p)
 	}
-	return ctx.Barrier()
+	l.y.Data.Data()[0] = loss / float32(l.n)
 }
 
 // Backward implements Layer: d score = (prob − onehot(label))·weight/N.
@@ -97,37 +118,36 @@ func (l *SoftmaxLossLayer) Backward(ctx *Context, top []*Blob, propagate []bool,
 	if !propagate[0] {
 		return nil
 	}
-	labels := bottom[1].Data.Data()
-	dscores := bottom[0].Diff.Data()
+	return l.backward(ctx, top, propagate, bottom)
+}
+
+func (l *SoftmaxLossLayer) backwardHost() {
+	labels, dscores := l.x[1].Data.Data(), l.x[0].Diff.Data()
 	scale := l.weight / float32(l.n)
-	k := kernels.Elementwise("softmax_loss_bwd", l.name, l.n*l.c, 12, 2, func() {
-		for i := 0; i < l.n; i++ {
-			y := int(labels[i])
-			base := i * l.c
-			for j := 0; j < l.c; j++ {
-				g := l.prob[base+j]
-				if j == y {
-					g -= 1
-				}
-				dscores[base+j] += g * scale
+	for i := 0; i < l.n; i++ {
+		y := int(labels[i])
+		base := i * l.c
+		for j := 0; j < l.c; j++ {
+			g := l.prob[base+j]
+			if j == y {
+				g -= 1
 			}
+			dscores[base+j] += g * scale
 		}
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
 	}
-	return ctx.Barrier()
 }
 
 // AccuracyLayer computes top-1 accuracy into its scalar top; it never
 // propagates gradients (Caffe uses it in test nets).
 type AccuracyLayer struct {
 	baseLayer
+	n, c int
+	lossOps
 }
 
 // NewAccuracy constructs an accuracy layer.
 func NewAccuracy(name string) *AccuracyLayer {
-	return &AccuracyLayer{baseLayer{name: name, typ: "Accuracy"}}
+	return &AccuracyLayer{baseLayer: baseLayer{name: name, typ: "Accuracy"}}
 }
 
 // Setup implements Layer.
@@ -136,36 +156,32 @@ func (l *AccuracyLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 		return fmt.Errorf("accuracy %s: want 2 bottoms and 1 top", l.name)
 	}
 	top[0].Reshape(1)
+	l.n, l.c = bottom[0].Num(), bottom[0].SampleSize()
+	l.fwd = []desc{{kernels.Elementwise("accuracy_fwd", fwdKey(l.name), l.name, l.n*l.c, 4, 1), l.forwardHost}}
 	return nil
 }
 
 // Forward implements Layer.
 func (l *AccuracyLayer) Forward(ctx *Context, bottom, top []*Blob) error {
-	scores := bottom[0].Data.Data()
-	labels := bottom[1].Data.Data()
-	n := bottom[0].Num()
-	c := bottom[0].SampleSize()
-	out := top[0].Data.Data()
-	k := kernels.Elementwise("accuracy_fwd", l.name, n*c, 4, 1, func() {
-		correct := 0
-		for i := 0; i < n; i++ {
-			row := scores[i*c : (i+1)*c]
-			arg := 0
-			for j, v := range row {
-				if v > row[arg] {
-					arg = j
-				}
-			}
-			if arg == int(labels[i]) {
-				correct++
+	return l.forward(ctx, bottom, top)
+}
+
+func (l *AccuracyLayer) forwardHost() {
+	scores, labels := l.x[0].Data.Data(), l.x[1].Data.Data()
+	correct := 0
+	for i := 0; i < l.n; i++ {
+		row := scores[i*l.c : (i+1)*l.c]
+		arg := 0
+		for j, v := range row {
+			if v > row[arg] {
+				arg = j
 			}
 		}
-		out[0] = float32(correct) / float32(n)
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
+		if arg == int(labels[i]) {
+			correct++
+		}
 	}
-	return ctx.Barrier()
+	l.y.Data.Data()[0] = float32(correct) / float32(l.n)
 }
 
 // Backward implements Layer (no-op).
@@ -178,6 +194,8 @@ type EuclideanLossLayer struct {
 	baseLayer
 	weight float32
 	diff   []float32
+	n      int
+	lossOps
 }
 
 // NewEuclideanLoss constructs the layer with loss weight 1.
@@ -197,54 +215,45 @@ func (l *EuclideanLossLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 		return fmt.Errorf("euclideanloss %s: size mismatch %d vs %d", l.name, bottom[0].Count(), bottom[1].Count())
 	}
 	top[0].Reshape(1)
-	l.diff = make([]float32, bottom[0].Count())
+	count := bottom[0].Count()
+	l.diff = make([]float32, count)
+	l.n = bottom[0].Num()
+	l.fwd = []desc{{kernels.Elementwise("euclidean_fwd", fwdKey(l.name), l.name, count, 12, 3), l.forwardHost}}
+	l.bwd = make([]desc, 2)
+	for bi := range l.bwd {
+		sign := float32(1 - 2*bi) // +1 for a, −1 for b
+		l.bwd[bi] = desc{kernels.Elementwise("euclidean_bwd", bwdKey(l.name), l.name, count, 12, 2), func() { l.backwardHost(bi, sign) }}
+	}
 	return nil
 }
 
 // Forward implements Layer.
 func (l *EuclideanLossLayer) Forward(ctx *Context, bottom, top []*Blob) error {
-	a := bottom[0].Data.Data()
-	b := bottom[1].Data.Data()
-	out := top[0].Data.Data()
-	n := bottom[0].Num()
-	k := kernels.Elementwise("euclidean_fwd", l.name, len(a), 12, 3, func() {
-		s := float32(0)
-		for i := range a {
-			d := a[i] - b[i]
-			l.diff[i] = d
-			s += d * d
-		}
-		out[0] = s / float32(2*n)
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
+	return l.forward(ctx, bottom, top)
+}
+
+func (l *EuclideanLossLayer) forwardHost() {
+	a, b := l.x[0].Data.Data(), l.x[1].Data.Data()
+	s := float32(0)
+	for i := range a {
+		d := a[i] - b[i]
+		l.diff[i] = d
+		s += d * d
 	}
-	return ctx.Barrier()
+	l.y.Data.Data()[0] = s / float32(2*l.n)
 }
 
 // Backward implements Layer.
 func (l *EuclideanLossLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob) error {
-	n := bottom[0].Num()
-	scale := l.weight / float32(n)
-	for bi := 0; bi < 2; bi++ {
-		if !propagate[bi] {
-			continue
-		}
-		sign := float32(1)
-		if bi == 1 {
-			sign = -1
-		}
-		dst := bottom[bi].Diff.Data()
-		k := kernels.Elementwise("euclidean_bwd", l.name, len(dst), 12, 2, func() {
-			for i := range dst {
-				dst[i] += sign * scale * l.diff[i]
-			}
-		})
-		if err := ctx.Dispatch(k, bi); err != nil {
-			return err
-		}
+	return l.backward(ctx, top, propagate, bottom)
+}
+
+func (l *EuclideanLossLayer) backwardHost(bi int, sign float32) {
+	scale := l.weight / float32(l.n)
+	dst := l.x[bi].Diff.Data()
+	for i := range dst {
+		dst[i] += sign * scale * l.diff[i]
 	}
-	return ctx.Barrier()
 }
 
 // ContrastiveLossLayer is the Siamese-network loss of Hadsell et al., as in
@@ -259,6 +268,7 @@ type ContrastiveLossLayer struct {
 	diff   []float32 // a−b per pair
 	dist   []float32 // ‖d‖ per pair
 	n, dim int
+	lossOps
 }
 
 // NewContrastiveLoss constructs the layer with the Caffe default margin 1.
@@ -288,75 +298,64 @@ func (l *ContrastiveLossLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 	top[0].Reshape(1)
 	l.diff = make([]float32, l.n*l.dim)
 	l.dist = make([]float32, l.n)
+	l.fwd = []desc{{kernels.Elementwise("contrastive_fwd", fwdKey(l.name), l.name, l.n*l.dim, 12, 4), l.forwardHost}}
+	l.bwd = make([]desc, 3) // the similarity labels take no gradient
+	for bi := 0; bi < 2; bi++ {
+		sign := float32(1 - 2*bi) // +1 for a, −1 for b
+		l.bwd[bi] = desc{kernels.Elementwise("contrastive_bwd", bwdKey(l.name), l.name, l.n*l.dim, 12, 4), func() { l.backwardHost(bi, sign) }}
+	}
 	return nil
 }
 
 // Forward implements Layer.
 func (l *ContrastiveLossLayer) Forward(ctx *Context, bottom, top []*Blob) error {
-	a := bottom[0].Data.Data()
-	b := bottom[1].Data.Data()
-	sim := bottom[2].Data.Data()
-	out := top[0].Data.Data()
-	k := kernels.Elementwise("contrastive_fwd", l.name, l.n*l.dim, 12, 4, func() {
-		loss := float32(0)
-		for i := 0; i < l.n; i++ {
-			d2 := float32(0)
-			for j := 0; j < l.dim; j++ {
-				d := a[i*l.dim+j] - b[i*l.dim+j]
-				l.diff[i*l.dim+j] = d
-				d2 += d * d
-			}
-			l.dist[i] = sqrt32(d2)
-			if sim[i] > 0.5 {
-				loss += d2
-			} else {
-				m := max32(0, l.margin-l.dist[i])
-				loss += m * m
-			}
+	return l.forward(ctx, bottom, top)
+}
+
+func (l *ContrastiveLossLayer) forwardHost() {
+	a, b, sim := l.x[0].Data.Data(), l.x[1].Data.Data(), l.x[2].Data.Data()
+	loss := float32(0)
+	for i := 0; i < l.n; i++ {
+		d2 := float32(0)
+		for j := 0; j < l.dim; j++ {
+			d := a[i*l.dim+j] - b[i*l.dim+j]
+			l.diff[i*l.dim+j] = d
+			d2 += d * d
 		}
-		out[0] = loss / float32(2*l.n)
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
+		l.dist[i] = sqrt32(d2)
+		if sim[i] > 0.5 {
+			loss += d2
+		} else {
+			m := max32(0, l.margin-l.dist[i])
+			loss += m * m
+		}
 	}
-	return ctx.Barrier()
+	l.y.Data.Data()[0] = loss / float32(2*l.n)
 }
 
 // Backward implements Layer.
 func (l *ContrastiveLossLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob) error {
-	sim := bottom[2].Data.Data()
+	return l.backward(ctx, top, propagate, bottom)
+}
+
+func (l *ContrastiveLossLayer) backwardHost(bi int, sign float32) {
+	sim, dst := l.x[2].Data.Data(), l.x[bi].Diff.Data()
 	scale := l.weight / float32(l.n)
-	for bi := 0; bi < 2; bi++ {
-		if !propagate[bi] {
-			continue
-		}
-		sign := float32(1)
-		if bi == 1 {
-			sign = -1
-		}
-		dst := bottom[bi].Diff.Data()
-		k := kernels.Elementwise("contrastive_bwd", l.name, l.n*l.dim, 12, 4, func() {
-			for i := 0; i < l.n; i++ {
-				if sim[i] > 0.5 {
-					for j := 0; j < l.dim; j++ {
-						dst[i*l.dim+j] += sign * scale * l.diff[i*l.dim+j]
-					}
-				} else {
-					dist := l.dist[i]
-					if dist >= l.margin {
-						continue
-					}
-					// ∂/∂a max(0, m−‖d‖)² = −2(m−‖d‖)·d/‖d‖ (halved by the ½ in L)
-					coef := -(l.margin - dist) / max32(dist, 1e-9)
-					for j := 0; j < l.dim; j++ {
-						dst[i*l.dim+j] += sign * scale * coef * l.diff[i*l.dim+j]
-					}
-				}
+	for i := 0; i < l.n; i++ {
+		if sim[i] > 0.5 {
+			for j := 0; j < l.dim; j++ {
+				dst[i*l.dim+j] += sign * scale * l.diff[i*l.dim+j]
 			}
-		})
-		if err := ctx.Dispatch(k, bi); err != nil {
-			return err
+		} else {
+			dist := l.dist[i]
+			if dist >= l.margin {
+				continue
+			}
+			// ∂/∂a max(0, m−‖d‖)² = −2(m−‖d‖)·d/‖d‖ (halved by the ½ in L)
+			coef := -(l.margin - dist) / max32(dist, 1e-9)
+			for j := 0; j < l.dim; j++ {
+				dst[i*l.dim+j] += sign * scale * coef * l.diff[i*l.dim+j]
+			}
 		}
 	}
-	return ctx.Barrier()
 }

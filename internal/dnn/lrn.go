@@ -31,6 +31,7 @@ type LRNLayer struct {
 
 	n, c, h, w int
 	scale      []float32 // cached scale_i for backward
+	unaryOps
 }
 
 // NewLRN constructs an LRN layer.
@@ -53,25 +54,19 @@ func (l *LRNLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 	l.n, l.c, l.h, l.w = b.Num(), b.Channels(), b.Height(), b.Width()
 	top[0].Reshape(b.Shape()...)
 	l.scale = make([]float32, b.Count())
+	win := float64(l.cfg.LocalSize)
+	l.fwd = desc{kernels.Elementwise("lrn_fwd", fwdKey(l.name), l.name, b.Count(), 4*(win+2), 4*win), l.forwardHost}
+	l.bwd = desc{kernels.Elementwise("lrn_bwd", bwdKey(l.name), l.name, b.Count(), 4*(win+4), 6*win), l.backwardHost}
 	return nil
 }
 
 // Forward implements Layer.
 func (l *LRNLayer) Forward(ctx *Context, bottom, top []*Blob) error {
-	src := bottom[0].Data.Data()
-	dst := top[0].Data.Data()
-	nElems := len(src)
-	win := float64(l.cfg.LocalSize)
-	k := kernels.Elementwise("lrn_fwd", l.name, nElems, 4*(win+2), 4*win, func() {
-		l.forwardHost(src, dst)
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
-	}
-	return ctx.Barrier()
+	return l.forward(ctx, bottom, top)
 }
 
-func (l *LRNLayer) forwardHost(src, dst []float32) {
+func (l *LRNLayer) forwardHost() {
+	src, dst := l.x.Data.Data(), l.y.Data.Data()
 	half := l.cfg.LocalSize / 2
 	alphaOverN := l.cfg.Alpha / float32(l.cfg.LocalSize)
 	hw := l.h * l.w
@@ -104,24 +99,12 @@ func (l *LRNLayer) forwardHost(src, dst []float32) {
 //
 //	dx_i += dy_i·scale_i^{-β} − (2αβ/n)·x_i·Σ_{j: i∈win(j)} dy_j·y_j/scale_j.
 func (l *LRNLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob) error {
-	if !propagate[0] {
-		return nil
-	}
-	x := bottom[0].Data.Data()
-	y := top[0].Data.Data()
-	dy := top[0].Diff.Data()
-	dx := bottom[0].Diff.Data()
-	win := float64(l.cfg.LocalSize)
-	k := kernels.Elementwise("lrn_bwd", l.name, len(x), 4*(win+4), 6*win, func() {
-		l.backwardHost(x, y, dy, dx)
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
-	}
-	return ctx.Barrier()
+	return l.backward(ctx, top, propagate, bottom)
 }
 
-func (l *LRNLayer) backwardHost(x, y, dy, dx []float32) {
+func (l *LRNLayer) backwardHost() {
+	x, y := l.x.Data.Data(), l.y.Data.Data()
+	dy, dx := l.y.Diff.Data(), l.x.Diff.Data()
 	half := l.cfg.LocalSize / 2
 	factor := 2 * l.cfg.Alpha * l.cfg.Beta / float32(l.cfg.LocalSize)
 	hw := l.h * l.w

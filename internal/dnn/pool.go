@@ -38,6 +38,7 @@ type PoolLayer struct {
 
 	n, c, h, w, oh, ow int
 	mask               []int32 // argmax indices for MaxPool backward
+	unaryOps
 }
 
 // NewPool constructs a pooling layer.
@@ -61,26 +62,20 @@ func (l *PoolLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 	if l.cfg.Method == MaxPool {
 		l.mask = make([]int32, top[0].Count())
 	}
+	nOut := top[0].Count()
+	window := float64(l.cfg.KernelH * l.cfg.KernelW)
+	fwd, bwd := "maxpool_fwd", "maxpool_bwd"
+	if l.cfg.Method == AvePool {
+		fwd, bwd = "avepool_fwd", "avepool_bwd"
+	}
+	l.fwd = desc{kernels.Elementwise(fwd, fwdKey(l.name), l.name, nOut, 4*(window+1), window), l.forwardHost}
+	l.bwd = desc{kernels.Elementwise(bwd, bwdKey(l.name), l.name, nOut, 4*(window+1), window), l.backwardHost}
 	return nil
 }
 
 // Forward implements Layer.
 func (l *PoolLayer) Forward(ctx *Context, bottom, top []*Blob) error {
-	nOut := top[0].Count()
-	window := float64(l.cfg.KernelH * l.cfg.KernelW)
-	name := "maxpool_fwd"
-	if l.cfg.Method == AvePool {
-		name = "avepool_fwd"
-	}
-	src := bottom[0].Data.Data()
-	dst := top[0].Data.Data()
-	k := kernels.Elementwise(name, l.name, nOut, 4*(window+1), window, func() {
-		l.forwardHost(src, dst)
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
-	}
-	return ctx.Barrier()
+	return l.forward(ctx, bottom, top)
 }
 
 // forwardHost pools plane by plane, each output row in runs of windows of
@@ -89,7 +84,8 @@ func (l *PoolLayer) Forward(ctx *Context, bottom, top []*Blob) error {
 // fire — are one run stepped by the stride. The method is tested per run.
 // Elements are visited in row-major order within a window, as ever: max
 // ties, masks and average sums keep their bits.
-func (l *PoolLayer) forwardHost(src, dst []float32) {
+func (l *PoolLayer) forwardHost() {
+	src, dst := l.x.Data.Data(), l.y.Data.Data()
 	kh, kw, sh, sw, ph, pw := l.cfg.KernelH, l.cfg.KernelW, l.cfg.StrideH, l.cfg.StrideW, l.cfg.PadH, l.cfg.PadW
 	h, w, oh, ow := l.h, l.w, l.oh, l.ow
 	isMax, area := l.cfg.Method == MaxPool, float32(kh*kw) // Caffe averages over the full (padded) window
@@ -152,27 +148,11 @@ func aveRun(plane []float32, w, y0, y1, x0, kw, sw int, area float32, out []floa
 
 // Backward implements Layer.
 func (l *PoolLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob) error {
-	if !propagate[0] {
-		return nil
-	}
-	nOut := top[0].Count()
-	window := float64(l.cfg.KernelH * l.cfg.KernelW)
-	name := "maxpool_bwd"
-	if l.cfg.Method == AvePool {
-		name = "avepool_bwd"
-	}
-	dtop := top[0].Diff.Data()
-	dbot := bottom[0].Diff.Data()
-	k := kernels.Elementwise(name, l.name, nOut, 4*(window+1), window, func() {
-		l.backwardHost(dtop, dbot)
-	})
-	if err := ctx.Dispatch(k, 0); err != nil {
-		return err
-	}
-	return ctx.Barrier()
+	return l.backward(ctx, top, propagate, bottom)
 }
 
-func (l *PoolLayer) backwardHost(dtop, dbot []float32) {
+func (l *PoolLayer) backwardHost() {
+	dtop, dbot := l.y.Diff.Data(), l.x.Diff.Data()
 	kh, kw := l.cfg.KernelH, l.cfg.KernelW
 	sh, sw := l.cfg.StrideH, l.cfg.StrideW
 	ph, pw := l.cfg.PadH, l.cfg.PadW

@@ -78,6 +78,17 @@ func compileProgram(label string, ops []entry, blobs map[string]*Blob, isInput m
 	return p, nil
 }
 
+// checkFilled refuses real math on parameters a timing-only build left
+// unfilled (see fillParam): it would silently train zeros.
+func checkFilled(label string, params []*Blob) error {
+	for _, b := range params {
+		if b.unset {
+			return fmt.Errorf("%s: parameter %s was never filled or loaded (the net was built timing-only); load weights first", label, b.Name)
+		}
+	}
+	return nil
+}
+
 // transferInputs models the host→device copy of every program input through
 // the launcher: on its dedicated copy stream when staged is set and it has
 // one (InputStager), so copies overlap compute; else on the default stream
@@ -160,6 +171,11 @@ type foldScratch struct {
 // the scheduler goroutine otherwise. The first error is returned, after
 // every in-flight op has drained; no hook fires for a failed op or after it.
 func (p *program) run(ctx *Context, backward, dagOn bool, hooks []func(layer int)) error {
+	if ctx.Compute {
+		if err := checkFilled(p.label, p.params); err != nil {
+			return err
+		}
+	}
 	nOps := len(p.ops)
 	forker := p.wavefront(ctx, backward, dagOn)
 	if forker == nil {
@@ -256,6 +272,7 @@ func (p *program) run(ctx *Context, backward, dagOn bool, hooks []func(layer int
 		}
 	}
 
+	subs := ctx.subContexts(nOps)
 	group := hostpool.NewGroup(nOps)
 	running, finished := 0, 0
 	var firstErr error
@@ -269,7 +286,7 @@ func (p *program) run(ctx *Context, backward, dagOn bool, hooks []func(layer int
 				if nb == nil {
 					nb = p.ops[id].bottomB
 				}
-				group.Go(id, func() error { return p.runNode(ctx, forker, id, backward, nb) })
+				group.Go(id, func() error { return p.runNode(ctx, subs[id], forker, id, backward, nb) })
 			}
 		}
 		if running == 0 {
@@ -327,15 +344,15 @@ func (p *program) run(ctx *Context, backward, dagOn bool, hooks []func(layer int
 	return firstErr
 }
 
-// runNode executes one op on a private context: a forked launcher session
-// and a private chain set, sharing the phase, RNG, compute flag and host
-// pool with the parent.
-func (p *program) runNode(ctx *Context, forker LayerSessionForker, id int, backward bool, bottomB []*Blob) error {
+// runNode executes one op on nctx, the op's private context: a forked
+// launcher session and private chain sets, sharing the phase, RNG, compute
+// flag and host pool with the parent.
+func (p *program) runNode(ctx, nctx *Context, forker LayerSessionForker, id int, backward bool, bottomB []*Blob) error {
 	sub, ok := forker.ForkLayerSession().(Launcher)
 	if !ok {
 		return fmt.Errorf("%s: launcher %T forked a session that is not a Launcher", p.label, ctx.L)
 	}
-	nctx := &Context{L: sub, Phase: ctx.Phase, RNG: ctx.RNG, Compute: ctx.Compute, Pool: ctx.Pool}
+	nctx.L, nctx.Phase, nctx.RNG, nctx.Compute, nctx.Pool = sub, ctx.Phase, ctx.RNG, ctx.Compute, ctx.Pool
 	err := p.invoke(nctx, id, backward, bottomB)
 	// Layers end with ctx.Barrier(), which already drained the private
 	// chain set; this covers layers (or error paths) that bailed out with

@@ -48,6 +48,18 @@ type RNNLayer struct {
 	partB   []*tensor.Buf
 	dhBuf   []*tensor.Buf // per-chain dh_{t} carry
 	dpreBuf []*tensor.Buf // per-chain dpre scratch (was a per-step alloc)
+
+	// Prebuilt launch sites: per sample n (chain n) the forward steps
+	// fwd[n][t], the backward carry reset bwdInit[n] and the reversed
+	// backward steps bwd[n][t]; fold[kind][j] folds chain j's partials,
+	// grown with the widest plan seen. Their closures read the pass's
+	// operands from the fields below.
+	fwd, bwd [][]desc
+	bwdInit  []desc
+	fold     [3][]desc // wx, wh, b
+	x, y     *Blob
+	width    int
+	prop     bool
 }
 
 // NewRNN constructs a recurrent layer.
@@ -78,19 +90,36 @@ func (l *RNNLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 
 	rng := fillerRNG(l.cfg.Seed, l.name)
 	l.wx = NewBlob(l.name+".wx", l.h, l.d)
-	l.cfg.WeightFiller.Fill(l.wx.Data, rng)
+	fillParam(ctx, l.wx, l.cfg.WeightFiller, rng)
 	l.wh = NewBlob(l.name+".wh", l.h, l.h)
-	l.cfg.WeightFiller.Fill(l.wh.Data, rng)
-	// Scale the recurrent matrix down for stability over long horizons.
-	tensor.Scal(0.5, l.wh.Data.Data())
+	fillParam(ctx, l.wh, l.cfg.WeightFiller, rng)
+	if ctx.Compute {
+		// Scale the recurrent matrix down for stability over long horizons.
+		tensor.Scal(0.5, l.wh.Data.Data())
+	}
 	l.b = NewBlob(l.name+".bias", l.h)
 	l.b.LrMult, l.b.DecayMult = 2, 0
-	l.cfg.BiasFiller.Fill(l.b.Data, rng)
+	fillParam(ctx, l.b, l.cfg.BiasFiller, rng)
 	l.param = []*Blob{l.wx, l.wh, l.b}
 
 	top[0].Reshape(l.n, l.t, l.h)
 	l.hs = make([]float32, l.n*(l.t+1)*l.h)
 	l.pre = make([]float32, l.n*l.t*l.h)
+
+	fk, bk := fwdKey(l.name), bwdKey(l.name)
+	l.fwd, l.bwd, l.bwdInit = make([][]desc, l.n), make([][]desc, l.n), make([]desc, l.n)
+	for n := range l.fwd {
+		tag := fmt.Sprintf("%s/n%d", l.name, n)
+		l.bwdInit[n] = desc{kernels.AxpyKernel("rnn_bwd_init", bk, tag, l.h), func() { zero(l.dhBuf[n%l.width].Data) }}
+		l.fwd[n], l.bwd[n] = make([]desc, l.t), make([]desc, l.t)
+		for t := range l.fwd[n] {
+			l.fwd[n][t] = desc{kernels.Elementwise("rnn_step", fk, tag, l.h, 4*float64(l.d+l.h+3), float64(2*(l.d+l.h)+8)), func() { l.stepHost(n, t) }}
+			// bwd[n][k] is the k-th step of sample n's reversed chain.
+			bt := l.t - 1 - t
+			l.bwd[n][t] = desc{kernels.Elementwise("rnn_step_bwd", bk, tag, l.h, 4*float64(l.d+2*l.h+4), float64(4*(l.d+l.h)+10)), func() { l.stepBackHost(n, bt) }}
+		}
+	}
+	l.fold = [3][]desc{}
 	return nil
 }
 
@@ -112,32 +141,10 @@ func (l *RNNLayer) releaseScratch() {
 
 // Forward implements Layer: per sample, a chain of T rnn_step kernels.
 func (l *RNNLayer) Forward(ctx *Context, bottom, top []*Blob) error {
-	x := bottom[0].Data.Data()
-	y := top[0].Data.Data()
-	wx := l.wx.Data.Data()
-	wh := l.wh.Data.Data()
-	bias := l.b.Data.Data()
-	for n := 0; n < l.n; n++ {
-		n := n
-		for t := 0; t < l.t; t++ {
-			t := t
-			tag := fmt.Sprintf("%s/n%d", l.name, n)
-			k := kernels.Elementwise("rnn_step", tag, l.h, 4*float64(l.d+l.h+3), float64(2*(l.d+l.h)+8), func() {
-				hPrev := l.hs[(n*(l.t+1)+t)*l.h : (n*(l.t+1)+t+1)*l.h]
-				hCur := l.hs[(n*(l.t+1)+t+1)*l.h : (n*(l.t+1)+t+2)*l.h]
-				xt := x[(n*l.t+t)*l.d : (n*l.t+t+1)*l.d]
-				preT := l.pre[(n*l.t+t)*l.h : (n*l.t+t+1)*l.h]
-				copy(preT, bias)
-				tensor.Gemv(false, l.h, l.d, 1, wx, xt, 1, preT)
-				tensor.Gemv(false, l.h, l.h, 1, wh, hPrev, 1, preT)
-				out := y[(n*l.t+t)*l.h : (n*l.t+t+1)*l.h]
-				for i, v := range preT {
-					hv := tanh32(v)
-					hCur[i] = hv
-					out[i] = hv
-				}
-			})
-			if err := ctx.Dispatch(k, n); err != nil {
+	l.x, l.y = bottom[0], top[0]
+	for n, steps := range l.fwd {
+		for t := range steps {
+			if err := ctx.launch(&steps[t], n); err != nil {
 				return err
 			}
 		}
@@ -145,12 +152,31 @@ func (l *RNNLayer) Forward(ctx *Context, bottom, top []*Blob) error {
 	return ctx.Barrier()
 }
 
+// stepHost is sample n's timestep t: h_t = tanh(Wx·x_t + Wh·h_{t−1} + b).
+func (l *RNNLayer) stepHost(n, t int) {
+	x, y := l.x.Data.Data(), l.y.Data.Data()
+	hPrev := l.hs[(n*(l.t+1)+t)*l.h : (n*(l.t+1)+t+1)*l.h]
+	hCur := l.hs[(n*(l.t+1)+t+1)*l.h : (n*(l.t+1)+t+2)*l.h]
+	xt := x[(n*l.t+t)*l.d : (n*l.t+t+1)*l.d]
+	preT := l.pre[(n*l.t+t)*l.h : (n*l.t+t+1)*l.h]
+	copy(preT, l.b.Data.Data())
+	tensor.Gemv(false, l.h, l.d, 1, l.wx.Data.Data(), xt, 1, preT)
+	tensor.Gemv(false, l.h, l.h, 1, l.wh.Data.Data(), hPrev, 1, preT)
+	out := y[(n*l.t+t)*l.h : (n*l.t+t+1)*l.h]
+	for i, v := range preT {
+		hv := tanh32(v)
+		hCur[i] = hv
+		out[i] = hv
+	}
+}
+
 // Backward implements Layer: per sample, BPTT as a chain of T reversed
 // rnn_step_bwd kernels; weight gradients land in per-chain partials.
 func (l *RNNLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob) error {
 	width := ctx.Width()
+	l.x, l.y, l.width, l.prop = bottom[0], top[0], width, propagate[0]
 	l.leaseScratch(width)
-	err := l.backwardDispatch(ctx, top, propagate, bottom, width)
+	err := l.backwardDispatch(ctx, width)
 	berr := ctx.Barrier()
 	l.releaseScratch()
 	if err != nil {
@@ -159,7 +185,7 @@ func (l *RNNLayer) Backward(ctx *Context, top []*Blob, propagate []bool, bottom 
 	return berr
 }
 
-func (l *RNNLayer) backwardDispatch(ctx *Context, top []*Blob, propagate []bool, bottom []*Blob, width int) error {
+func (l *RNNLayer) backwardDispatch(ctx *Context, width int) error {
 	if ctx.Compute {
 		// Arena slabs arrive with unspecified contents; the accumulating
 		// partials must start the pass at zero.
@@ -169,58 +195,13 @@ func (l *RNNLayer) backwardDispatch(ctx *Context, top []*Blob, propagate []bool,
 			zero(l.partB[j].Data)
 		}
 	}
-	x := bottom[0].Data.Data()
-	dy := top[0].Diff.Data()
-	dx := bottom[0].Diff.Data()
-	wx := l.wx.Data.Data()
-	wh := l.wh.Data.Data()
-	prop := propagate[0]
-	for n := 0; n < l.n; n++ {
-		n := n
-		j := n % width
-		tag := fmt.Sprintf("%s/n%d", l.name, n)
+	for n, steps := range l.bwd {
 		// reset dh carry for this chain
-		reset := kernels.AxpyKernel("rnn_bwd_init", tag, l.h, func() { zero(l.dhBuf[j].Data) })
-		if err := ctx.Dispatch(reset, n); err != nil {
+		if err := ctx.launch(&l.bwdInit[n], n); err != nil {
 			return err
 		}
-		for t := l.t - 1; t >= 0; t-- {
-			t := t
-			k := kernels.Elementwise("rnn_step_bwd", tag, l.h, 4*float64(l.d+2*l.h+4), float64(4*(l.d+l.h)+10), func() {
-				dh := l.dhBuf[j].Data
-				for i := 0; i < l.h; i++ {
-					dh[i] += dy[(n*l.t+t)*l.h+i]
-				}
-				// through tanh: dpre = dh ⊙ (1 − h²). Chains sharing lane j
-				// run serialized, so the per-chain scratch replaces what used
-				// to be a per-step allocation.
-				hCur := l.hs[(n*(l.t+1)+t+1)*l.h : (n*(l.t+1)+t+2)*l.h]
-				dpre := l.dpreBuf[j].Data
-				for i := 0; i < l.h; i++ {
-					dpre[i] = dh[i] * (1 - hCur[i]*hCur[i])
-				}
-				xt := x[(n*l.t+t)*l.d : (n*l.t+t+1)*l.d]
-				hPrev := l.hs[(n*(l.t+1)+t)*l.h : (n*(l.t+1)+t+1)*l.h]
-				// dWx += dpre ⊗ xt ; dWh += dpre ⊗ hPrev ; db += dpre
-				pwx, pwh, pb := l.partWx[j].Data, l.partWh[j].Data, l.partB[j].Data
-				for i := 0; i < l.h; i++ {
-					g := dpre[i]
-					if g == 0 {
-						continue
-					}
-					tensor.Axpy(g, xt, pwx[i*l.d:(i+1)*l.d])
-					tensor.Axpy(g, hPrev, pwh[i*l.h:(i+1)*l.h])
-					pb[i] += g
-				}
-				if prop {
-					// dx_t += Wxᵀ·dpre
-					tensor.Gemv(true, l.h, l.d, 1, wx, dpre, 1, dx[(n*l.t+t)*l.d:(n*l.t+t+1)*l.d])
-				}
-				// dh_{t−1} = Whᵀ·dpre
-				zero(dh)
-				tensor.Gemv(true, l.h, l.h, 1, wh, dpre, 1, dh)
-			})
-			if err := ctx.Dispatch(k, n); err != nil {
+		for t := range steps {
+			if err := ctx.launch(&steps[t], n); err != nil {
 				return err
 			}
 		}
@@ -229,25 +210,68 @@ func (l *RNNLayer) backwardDispatch(ctx *Context, top []*Blob, propagate []bool,
 		return err
 	}
 	// Fixed-order fold of partials, on the default stream.
-	fold := func(kind string, parts []*tensor.Buf, dst []float32) error {
+	l.growFolds(width)
+	for kind := range l.fold {
 		for j := 0; j < width; j++ {
-			part := parts[j].Data
-			if err := ctx.Dispatch(kernels.AxpyKernel("axpy_fold_"+kind, l.name, len(part), func() {
-				tensor.Axpy(1, part, dst)
-			}), -1); err != nil {
+			if err := ctx.launch(&l.fold[kind][j], -1); err != nil {
 				return err
 			}
 		}
-		return nil
-	}
-	if err := fold("wx", l.partWx, l.wx.Diff.Data()); err != nil {
-		return err
-	}
-	if err := fold("wh", l.partWh, l.wh.Diff.Data()); err != nil {
-		return err
-	}
-	if err := fold("b", l.partB, l.b.Diff.Data()); err != nil {
-		return err
 	}
 	return nil
+}
+
+// stepBackHost is sample n's BPTT step at timestep t.
+func (l *RNNLayer) stepBackHost(n, t int) {
+	j := n % l.width
+	dh := l.dhBuf[j].Data
+	dy := l.y.Diff.Data()
+	for i := 0; i < l.h; i++ {
+		dh[i] += dy[(n*l.t+t)*l.h+i]
+	}
+	// through tanh: dpre = dh ⊙ (1 − h²). Chains sharing lane j run
+	// serialized, so the per-chain scratch replaces what used to be a
+	// per-step allocation.
+	hCur := l.hs[(n*(l.t+1)+t+1)*l.h : (n*(l.t+1)+t+2)*l.h]
+	dpre := l.dpreBuf[j].Data
+	for i := 0; i < l.h; i++ {
+		dpre[i] = dh[i] * (1 - hCur[i]*hCur[i])
+	}
+	xt := l.x.Data.Data()[(n*l.t+t)*l.d : (n*l.t+t+1)*l.d]
+	hPrev := l.hs[(n*(l.t+1)+t)*l.h : (n*(l.t+1)+t+1)*l.h]
+	// dWx += dpre ⊗ xt ; dWh += dpre ⊗ hPrev ; db += dpre
+	pwx, pwh, pb := l.partWx[j].Data, l.partWh[j].Data, l.partB[j].Data
+	for i := 0; i < l.h; i++ {
+		g := dpre[i]
+		if g == 0 {
+			continue
+		}
+		tensor.Axpy(g, xt, pwx[i*l.d:(i+1)*l.d])
+		tensor.Axpy(g, hPrev, pwh[i*l.h:(i+1)*l.h])
+		pb[i] += g
+	}
+	if l.prop {
+		// dx_t += Wxᵀ·dpre
+		tensor.Gemv(true, l.h, l.d, 1, l.wx.Data.Data(), dpre, 1, l.x.Diff.Data()[(n*l.t+t)*l.d:(n*l.t+t+1)*l.d])
+	}
+	// dh_{t−1} = Whᵀ·dpre
+	zero(dh)
+	tensor.Gemv(true, l.h, l.h, 1, l.wh.Data.Data(), dpre, 1, dh)
+}
+
+// growFolds extends the fold sites to width chains; chain j's closures fold
+// its partials into the parameter gradients read when they run.
+func (l *RNNLayer) growFolds(width int) {
+	for j := len(l.fold[0]); j < width; j++ {
+		bk := bwdKey(l.name)
+		for kind, f := range []struct {
+			name  string
+			parts *[]*tensor.Buf
+			param *Blob
+		}{{"axpy_fold_wx", &l.partWx, l.wx}, {"axpy_fold_wh", &l.partWh, l.wh}, {"axpy_fold_b", &l.partB, l.b}} {
+			l.fold[kind] = append(l.fold[kind], desc{kernels.AxpyKernel(f.name, bk, l.name, f.param.Count()), func() {
+				tensor.Axpy(1, (*f.parts)[j].Data, f.param.Diff.Data())
+			}})
+		}
+	}
 }

@@ -14,7 +14,12 @@ type SliceLayer struct {
 	n, h, w  int
 	points   []int // requested per-top channel counts; empty = even split
 	channels []int
+	offsets  []int // channel offset of each top in the bottom
 	total    int
+
+	fwd, bwd []desc // per top
+	x        *Blob  // the pass's bottom and tops, read by the closures
+	y        []*Blob
 }
 
 // NewSlice constructs a channel-axis slice layer. With no channel sizes
@@ -56,34 +61,38 @@ func (l *SliceLayer) Setup(ctx *Context, bottom, top []*Blob) error {
 		}
 		l.channels = append(l.channels, l.points...)
 	}
+	l.offsets = l.offsets[:0]
+	l.fwd, l.bwd = make([]desc, len(top)), make([]desc, len(top))
+	off := 0
 	for ti, t := range top {
 		t.Reshape(l.n, l.channels[ti], l.h, l.w)
+		l.offsets = append(l.offsets, off)
+		off += l.channels[ti]
+		tag := fmt.Sprintf("%s/t%d", l.name, ti)
+		l.fwd[ti] = desc{kernels.AxpyKernel("slice_copy", fwdKey(l.name), tag, t.Count()), func() { l.copyHost(ti) }}
+		l.bwd[ti] = desc{kernels.AxpyKernel("slice_scatter", bwdKey(l.name), tag, t.Count()), func() { l.scatterHost(ti) }}
 	}
 	return nil
 }
 
 // Forward implements Layer: one copy kernel per top.
 func (l *SliceLayer) Forward(ctx *Context, bottom, top []*Blob) error {
-	hw := l.h * l.w
-	offset := 0
-	for ti, t := range top {
-		src := bottom[0].Data.Data()
-		dst := t.Data.Data()
-		c := l.channels[ti]
-		off := offset
-		k := kernels.AxpyKernel("slice_copy", fmt.Sprintf("%s/t%d", l.name, ti), t.Count(), func() {
-			for n := 0; n < l.n; n++ {
-				from := src[(n*l.total+off)*hw : (n*l.total+off+c)*hw]
-				to := dst[n*c*hw : (n+1)*c*hw]
-				copy(to, from)
-			}
-		})
-		if err := ctx.Dispatch(k, ti); err != nil {
+	l.x, l.y = bottom[0], top
+	for ti := range top {
+		if err := ctx.launch(&l.fwd[ti], ti); err != nil {
 			return err
 		}
-		offset += c
 	}
 	return ctx.Barrier()
+}
+
+// copyHost copies top ti's channel range of the bottom.
+func (l *SliceLayer) copyHost(ti int) {
+	src, dst := l.x.Data.Data(), l.y[ti].Data.Data()
+	hw, c, off := l.h*l.w, l.channels[ti], l.offsets[ti]
+	for n := 0; n < l.n; n++ {
+		copy(dst[n*c*hw:(n+1)*c*hw], src[(n*l.total+off)*hw:(n*l.total+off+c)*hw])
+	}
 }
 
 // Backward implements Layer: scatters each top gradient into its channel
@@ -95,26 +104,25 @@ func (l *SliceLayer) Backward(ctx *Context, top []*Blob, propagate []bool, botto
 	if !propagate[0] {
 		return nil
 	}
-	hw := l.h * l.w
-	offset := 0
-	for ti, t := range top {
-		dtop := t.Diff.Data()
-		dbot := bottom[0].Diff.Data()
-		c := l.channels[ti]
-		off := offset
-		k := kernels.AxpyKernel("slice_scatter", fmt.Sprintf("%s/t%d", l.name, ti), t.Count(), func() {
-			for n := 0; n < l.n; n++ {
-				from := dtop[n*c*hw : (n+1)*c*hw]
-				to := dbot[(n*l.total+off)*hw : (n*l.total+off+c)*hw]
-				for i, v := range from {
-					to[i] += v
-				}
-			}
-		})
-		if err := ctx.Dispatch(k, ti); err != nil {
+	l.x, l.y = bottom[0], top
+	for ti := range top {
+		if err := ctx.launch(&l.bwd[ti], ti); err != nil {
 			return err
 		}
-		offset += c
 	}
 	return ctx.Barrier()
+}
+
+// scatterHost accumulates top ti's gradient into its channel range of the
+// bottom gradient.
+func (l *SliceLayer) scatterHost(ti int) {
+	dtop, dbot := l.y[ti].Diff.Data(), l.x.Diff.Data()
+	hw, c, off := l.h*l.w, l.channels[ti], l.offsets[ti]
+	for n := 0; n < l.n; n++ {
+		from := dtop[n*c*hw : (n+1)*c*hw]
+		to := dbot[(n*l.total+off)*hw : (n*l.total+off+c)*hw]
+		for i, v := range from {
+			to[i] += v
+		}
+	}
 }

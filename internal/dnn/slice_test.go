@@ -87,13 +87,12 @@ func TestSliceBackwardScatter(t *testing.T) {
 	}
 }
 
-// countingLauncher counts kernel launches while executing them inline.
+// countingLauncher counts kernel launches.
 type countingLauncher struct{ n *int }
 
 func (l countingLauncher) BeginLayer(string) {}
 func (l countingLauncher) Launch(k *simgpu.Kernel, _ int) error {
 	*l.n++
-	k.Fn()
 	return nil
 }
 func (l countingLauncher) Sync() error { return nil }

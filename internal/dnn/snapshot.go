@@ -116,8 +116,12 @@ func readTensorInto(r io.Reader, dst *tensor.Tensor) error {
 	return nil
 }
 
-// SaveWeights serializes every learnable parameter of the net.
+// SaveWeights serializes every learnable parameter of the net. A net built
+// timing-only, whose weights were never filled or loaded, is refused.
 func (n *Net) SaveWeights(w io.Writer) error {
+	if err := checkFilled("net "+n.name, n.Params()); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := io.WriteString(bw, weightsMagic); err != nil {
 		return err
@@ -142,7 +146,8 @@ func (n *Net) SaveWeights(w io.Writer) error {
 
 // LoadWeights restores parameters saved by SaveWeights. Parameters are
 // matched by name; every stored parameter must exist with the same element
-// count (shapes are informative).
+// count (shapes are informative). A loaded parameter counts as filled, even
+// on a net built timing-only.
 func (n *Net) LoadWeights(r io.Reader) error {
 	br := bufio.NewReader(r)
 	if err := expectMagic(br, weightsMagic); err != nil {
@@ -177,6 +182,7 @@ func (n *Net) LoadWeights(r io.Reader) error {
 		if err := readTensorInto(br, p.Data); err != nil {
 			return fmt.Errorf("dnn: loading %q: %w", name, err)
 		}
+		p.unset = false
 	}
 	return nil
 }

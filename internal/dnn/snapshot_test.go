@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -155,5 +156,72 @@ func TestSolverRestoreErrors(t *testing.T) {
 	}
 	if err := s.Restore(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("weights-only stream accepted as solver state")
+	}
+}
+
+// TestTimingOnlyBuildFillsNoWeights: a net built by a timing-only context
+// leaves its parameters unfilled — their pages untouched — and still steps
+// timing-only; a real-math pass (training or frozen) and a weight save
+// refuse it rather than train or ship zeros; loading weights clears the
+// refusal and the net then computes exactly what the saved net does.
+func TestTimingOnlyBuildFillsNoWeights(t *testing.T) {
+	bctx := NewContext(HostLauncher{}, 3)
+	bctx.Compute = false
+	net := buildTinyNetWith(t, bctx, 4, 3)
+	fillTinyInputs(t, net, 4)
+	for _, p := range net.Params() {
+		for i, v := range p.Data.Data() {
+			if v != 0 {
+				t.Fatalf("%s[%d] = %v: a timing-only build filled it", p.Name, i, v)
+			}
+		}
+	}
+	tctx := NewContext(HostLauncher{}, 5)
+	tctx.Compute = false
+	if _, err := NewSolver(net, tctx, CIFAR10QuickSolver()).Step(); err != nil {
+		t.Fatalf("timing-only step on a timing-only build: %v", err)
+	}
+
+	const refusal = "never filled or loaded"
+	if _, err := net.ForwardBackward(NewContext(HostLauncher{}, 5)); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("real-math pass on unfilled weights: err %v, want a refusal", err)
+	}
+	frozen, err := Freeze(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := frozen.Forward(NewContext(HostLauncher{}, 5)); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("frozen real-math pass on unfilled weights: err %v, want a refusal", err)
+	}
+	if err := net.SaveWeights(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("weight save of unfilled weights: err %v, want a refusal", err)
+	}
+
+	ref := buildTinyNet(t, 4, 3)
+	fillTinyInputs(t, ref, 4)
+	var saved bytes.Buffer
+	if err := ref.SaveWeights(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.LoadWeights(bytes.NewReader(saved.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	got, err := net.ForwardBackward(NewContext(HostLauncher{}, 5))
+	if err != nil {
+		t.Fatalf("real-math pass after loading weights: %v", err)
+	}
+	want, err := ref.ForwardBackward(NewContext(HostLauncher{}, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("loaded net's loss %v, the saved net's %v", got, want)
+	}
+	if err := frozen.Forward(NewContext(HostLauncher{}, 5)); err != nil {
+		t.Fatalf("frozen pass after loading weights: %v", err)
+	}
+	var resaved bytes.Buffer
+	if err := net.SaveWeights(&resaved); err != nil || !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
+		t.Fatalf("re-save after loading: err %v, equal bytes %v", err, bytes.Equal(resaved.Bytes(), saved.Bytes()))
 	}
 }

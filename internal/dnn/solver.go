@@ -42,6 +42,20 @@ type Solver struct {
 	ctx     *Context
 	iter    int
 	history map[*Blob]*tensor.Tensor
+
+	// updates are the prebuilt sgd_update launch sites, one per parameter
+	// in Params() order, rebuilt when that list changes (ShareParams
+	// recompiles it); lr is the step's rate their closures read.
+	updates []paramUpdate
+	lr      float32
+}
+
+// paramUpdate is one parameter's update site and the momentum history its
+// closure reads, set before each launch.
+type paramUpdate struct {
+	p    *Blob
+	hist *tensor.Tensor
+	site desc
 }
 
 // NewSolver builds a solver over a net and context.
@@ -124,32 +138,54 @@ func (s *Solver) RestoreHistory(snap map[*Blob][]float32) {
 	}
 }
 
+// updateKey is the launcher key of the solver's update phase.
+const updateKey = "solver/update"
+
 // ApplyUpdate launches one sgd_update kernel per parameter blob.
 func (s *Solver) ApplyUpdate() error {
-	s.ctx.Begin("solver/update")
-	lr := s.Rate()
-	for _, p := range s.net.Params() {
-		hist := s.history[p]
-		if hist == nil {
-			hist = tensor.New(p.Shape()...)
-			s.history[p] = hist
+	s.ctx.Begin(updateKey)
+	s.lr = s.Rate()
+	s.bindUpdates(s.net.Params())
+	for i := range s.updates {
+		u := &s.updates[i]
+		if u.hist = s.history[u.p]; u.hist == nil {
+			u.hist = tensor.New(u.p.Shape()...)
+			s.history[u.p] = u.hist
 		}
-		p := p
-		h := hist.Data()
-		data := p.Data.Data()
-		diff := p.Diff.Data()
-		plr := lr * p.LrMult
-		pwd := s.cfg.WeightDecay * p.DecayMult
-		mom := s.cfg.Momentum
-		k := kernels.SGDUpdate(p.Name, p.Count(), func() {
-			for i := range data {
-				h[i] = mom*h[i] + plr*(diff[i]+pwd*data[i])
-				data[i] -= h[i]
-			}
-		})
-		if err := s.ctx.Dispatch(k, -1); err != nil {
-			return fmt.Errorf("solver: update %s: %w", p.Name, err)
+		if err := s.ctx.launch(&u.site, -1); err != nil {
+			return fmt.Errorf("solver: update %s: %w", u.p.Name, err)
 		}
 	}
 	return s.ctx.Barrier()
+}
+
+// bindUpdates (re)builds the update sites when the parameter list differs
+// from the one they were built for.
+func (s *Solver) bindUpdates(params []*Blob) {
+	if len(s.updates) == len(params) {
+		same := true
+		for i, u := range s.updates {
+			same = same && u.p == params[i]
+		}
+		if same {
+			return
+		}
+	}
+	s.updates = make([]paramUpdate, len(params))
+	for i, p := range params {
+		s.updates[i] = paramUpdate{p: p, site: desc{kernels.SGDUpdate(updateKey, p.Name, p.Count()), func() { s.updateHost(i) }}}
+	}
+}
+
+// updateHost is parameter i's momentum SGD step.
+func (s *Solver) updateHost(i int) {
+	u := &s.updates[i]
+	data, diff, h := u.p.Data.Data(), u.p.Diff.Data(), u.hist.Data()
+	plr := s.lr * u.p.LrMult
+	pwd := s.cfg.WeightDecay * u.p.DecayMult
+	mom := s.cfg.Momentum
+	for i := range data {
+		h[i] = mom*h[i] + plr*(diff[i]+pwd*data[i])
+		data[i] -= h[i]
+	}
 }

@@ -87,23 +87,9 @@ func (p *Pool) Run(tasks int, fn func(task int)) error {
 	if tasks == 1 {
 		return protectTask(fn, 0)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var errs []error
-	loop := func() {
-		for {
-			t := int(next.Add(1)) - 1
-			if t >= tasks {
-				return
-			}
-			if err := protectTask(fn, t); err != nil {
-				errMu.Lock()
-				errs = append(errs, err)
-				errMu.Unlock()
-			}
-		}
-	}
+	r := runs.Get().(*run)
+	r.pool, r.fn, r.tasks = p, fn, tasks
+	r.next.Store(0)
 	helpers := tasks - 1
 	if w := cap(p.sem); helpers > w {
 		helpers = w
@@ -112,16 +98,55 @@ func (p *Pool) Run(tasks int, fn func(task int)) error {
 		if !p.tryAcquire() {
 			break
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer p.release()
-			loop()
-		}()
+		r.wg.Add(1)
+		go r.helper()
 	}
-	loop()
-	wg.Wait()
-	return errors.Join(errs...)
+	r.loop()
+	r.wg.Wait()
+	err := errors.Join(r.errs...)
+	clear(r.errs)
+	r.errs, r.fn, r.pool = r.errs[:0], nil, nil
+	runs.Put(r)
+	return err
+}
+
+// run is the shared state of one Run call, recycled through runs so a warm
+// Run allocates nothing: helper, the body of a helper goroutine, is built
+// once with the state, so starting one allocates no closure either.
+type run struct {
+	pool   *Pool
+	fn     func(task int)
+	tasks  int
+	next   atomic.Int64
+	wg     sync.WaitGroup
+	errMu  sync.Mutex
+	errs   []error
+	helper func()
+}
+
+var runs = sync.Pool{New: func() any {
+	r := new(run)
+	r.helper = func() {
+		defer r.wg.Done()
+		defer r.pool.release()
+		r.loop()
+	}
+	return r
+}}
+
+// loop runs tasks until none is left.
+func (r *run) loop() {
+	for {
+		t := int(r.next.Add(1)) - 1
+		if t >= r.tasks {
+			return
+		}
+		if err := protectTask(r.fn, t); err != nil {
+			r.errMu.Lock()
+			r.errs = append(r.errs, err)
+			r.errMu.Unlock()
+		}
+	}
 }
 
 // protectTask runs fn(t), converting a panic into an error.
@@ -162,13 +187,18 @@ type ChainSet struct {
 	errs  []error
 }
 
-// lane is one in-order task queue with at most one in-flight runner.
+// lane is one in-order task queue with at most one in-flight runner. The
+// queue is queue[head:]; it rewinds to its start whenever it drains, so a
+// warm lane appends without allocating, and runFn is run bound once, so
+// starting the runner allocates no closure.
 type lane struct {
 	cs *ChainSet
 
 	mu     sync.Mutex
 	queue  []func()
+	head   int
 	active bool
+	runFn  func()
 }
 
 // NewChainSet builds a chain set with the given number of lanes (minimum 1)
@@ -179,7 +209,9 @@ func (p *Pool) NewChainSet(lanes int) *ChainSet {
 	}
 	cs := &ChainSet{pool: p, lanes: make([]*lane, lanes)}
 	for i := range cs.lanes {
-		cs.lanes[i] = &lane{cs: cs}
+		l := &lane{cs: cs}
+		l.runFn = l.run
+		cs.lanes[i] = l
 	}
 	return cs
 }
@@ -203,7 +235,7 @@ func (cs *ChainSet) Submit(i int, fn func()) {
 	if !l.active {
 		l.active = true
 		cs.wg.Add(1)
-		go l.run()
+		go l.runFn()
 	}
 	l.mu.Unlock()
 }
@@ -215,14 +247,15 @@ func (l *lane) run() {
 	defer l.cs.wg.Done()
 	for {
 		l.mu.Lock()
-		if len(l.queue) == 0 {
+		if l.head == len(l.queue) {
+			l.queue, l.head = l.queue[:0], 0
 			l.active = false
 			l.mu.Unlock()
 			return
 		}
-		fn := l.queue[0]
-		l.queue[0] = nil
-		l.queue = l.queue[1:]
+		fn := l.queue[l.head]
+		l.queue[l.head] = nil
+		l.head++
 		l.mu.Unlock()
 
 		l.cs.pool.acquire()

@@ -387,3 +387,42 @@ func TestAcquireReleaseSharesBudget(t *testing.T) {
 		t.Fatal("task never ran after Release")
 	}
 }
+
+// TestRunSteadyStateAllocs (part of `make alloc`): a warm Run and a warm
+// chain set's Submit/Wait allocate nothing — a Run's shared state is
+// recycled and its helper bound once, a lane's queue rewinds when it drains
+// and its runner is bound once — so a pooled real-math step pays no
+// allocation per row-parallel GEMM or per chain closure.
+func TestRunSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed by race instrumentation")
+	}
+	p := New(2)
+	var n atomic.Int64
+	task := func(int) { n.Add(1) }
+	run := func() {
+		if err := p.Run(8, task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := p.NewChainSet(3)
+	step := func() { n.Add(1) }
+	chains := func() {
+		for c := 0; c < 12; c++ {
+			cs.Submit(c, step)
+		}
+		if err := cs.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		run()
+		chains()
+	}
+	if a := testing.AllocsPerRun(50, run); a != 0 {
+		t.Errorf("a warm Run allocates %.1f objects, want 0", a)
+	}
+	if a := testing.AllocsPerRun(50, chains); a != 0 {
+		t.Errorf("a warm chain set's Submit and Wait allocate %.1f objects, want 0", a)
+	}
+}

@@ -3,8 +3,10 @@
 // sgemm, the bias "gemmk", pooling, ReLU, LRN, dropout, softmax, SGD
 // updates), a constructor derives the launch configuration (grid, block,
 // registers, shared memory) and the cost descriptor (effective FLOPs and
-// DRAM bytes) from the tensor shapes, and binds the real host computation as
-// the kernel closure.
+// DRAM bytes) from the tensor shapes. A constructor returns a descriptor
+// (simgpu.Kernel) by value, built once by its owner and launched by
+// reference every pass; the host computation is the owner's, run by
+// dnn.Context.Dispatch after the launch.
 //
 // These configurations are what GLP4NN's resource tracker observes at
 // runtime; their fidelity to Caffe's CUDA kernels is what makes the
@@ -42,6 +44,20 @@ const (
 // 64×16 and 16×64 A/B tiles of float32).
 const gemmSmemBytes = 2 * (64*16 + 16*64) * 4
 
+// describe builds a descriptor whose tag is resolved under the layer key it
+// launches with (simgpu.Kernel.KeyTag).
+func describe(name, key, tag string, cfg simgpu.LaunchConfig, cost simgpu.Cost) simgpu.Kernel {
+	k := simgpu.Kernel{Name: name, Config: cfg, Cost: cost, Tag: tag}
+	switch {
+	case key == "":
+	case tag == "":
+		k.KeyTag = key
+	default:
+		k.KeyTag = key + "|" + tag
+	}
+	return k
+}
+
 // gridFor returns a 1-D elementwise grid over n items.
 func gridFor(n int) simgpu.LaunchConfig {
 	blocks := (n + NumThreads - 1) / NumThreads
@@ -55,179 +71,107 @@ func gridFor(n int) simgpu.LaunchConfig {
 	}
 }
 
-// Elementwise builds a memory-bound map kernel over n elements with the
-// given per-element traffic and arithmetic and a bound host closure.
-func Elementwise(name, tag string, n int, bytesPerElem, flopsPerElem float64, fn func()) *simgpu.Kernel {
-	cfg := gridFor(n)
-	return &simgpu.Kernel{
-		Name:   name,
-		Tag:    tag,
-		Config: cfg,
-		Cost: simgpu.Cost{
-			FLOPs: float64(n) * flopsPerElem,
-			Bytes: float64(n) * bytesPerElem / memEff,
-		},
-		Fn: fn,
-	}
+// tiles2D returns the 64×64-tile GEMM grid of an m×n output.
+func tiles2D(m, n int) simgpu.Dim3 {
+	return simgpu.D2(max((n+63)/64, 1), max((m+63)/64, 1))
 }
 
-// Im2col builds Caffe's im2col_gpu kernel for one image: one thread per
-// column element, grid sized by channels × output pixels. A nil col launches
-// it with no host closure: a 1×1, stride-1, unpadded convolution's column
-// matrix is the image itself, which its GEMMs read in place.
-func Im2col(tag string, img []float32, g tensor.ConvGeom, col []float32) *simgpu.Kernel {
+// Elementwise describes a memory-bound map kernel over n elements with the
+// given per-element traffic and arithmetic, launched under layer key key.
+func Elementwise(name, key, tag string, n int, bytesPerElem, flopsPerElem float64) simgpu.Kernel {
+	return describe(name, key, tag, gridFor(n), simgpu.Cost{
+		FLOPs: float64(n) * flopsPerElem,
+		Bytes: float64(n) * bytesPerElem / memEff,
+	})
+}
+
+// Im2col describes Caffe's im2col_gpu kernel for one image: one thread per
+// column element, grid sized by channels × output pixels. A 1×1, stride-1,
+// unpadded convolution launches it with no host work: its column matrix is
+// the image itself, which its GEMMs read in place.
+func Im2col(key, tag string, g tensor.ConvGeom) simgpu.Kernel {
 	n := g.Channels * g.OutH() * g.OutW() // Caffe's num_kernels
-	blocks := (n + NumThreads - 1) / NumThreads
-	if blocks < 1 {
-		blocks = 1
-	}
+	cfg := gridFor(n)
+	cfg.RegsPerThread = regsIm2col
 	reads := float64(g.Channels * g.Height * g.Width * 4)
 	writes := float64(g.ColRows() * g.ColCols() * 4)
-	kn := &simgpu.Kernel{
-		Name: "im2col_gpu",
-		Tag:  tag,
-		Config: simgpu.LaunchConfig{
-			Grid:          simgpu.D1(blocks),
-			Block:         simgpu.D1(NumThreads),
-			RegsPerThread: regsIm2col,
-		},
-		Cost: simgpu.Cost{
-			FLOPs: float64(n) * 8, // index arithmetic, negligible
-			Bytes: (reads + writes) / memEff,
-		},
-	}
-	if col != nil {
-		kn.Fn = func() { tensor.Im2col(img, g, col) }
-	}
-	return kn
+	return describe("im2col_gpu", key, tag, cfg, simgpu.Cost{
+		FLOPs: float64(n) * 8, // index arithmetic, negligible
+		Bytes: (reads + writes) / memEff,
+	})
 }
 
-// Col2im builds the adjoint scatter kernel used by convolution backward
+// Col2im describes the adjoint scatter kernel used by convolution backward
 // w.r.t. data.
-func Col2im(tag string, col []float32, g tensor.ConvGeom, img []float32) *simgpu.Kernel {
+func Col2im(key, tag string, g tensor.ConvGeom) simgpu.Kernel {
 	n := g.Channels * g.Height * g.Width // Caffe's col2im grid: one thread per image element
-	blocks := (n + NumThreads - 1) / NumThreads
-	if blocks < 1 {
-		blocks = 1
-	}
+	cfg := gridFor(n)
+	cfg.RegsPerThread = regsIm2col
 	reads := float64(g.ColRows() * g.ColCols() * 4)
 	writes := float64(n * 4)
-	return &simgpu.Kernel{
-		Name: "col2im_gpu",
-		Tag:  tag,
-		Config: simgpu.LaunchConfig{
-			Grid:          simgpu.D1(blocks),
-			Block:         simgpu.D1(NumThreads),
-			RegsPerThread: regsIm2col,
-		},
-		Cost: simgpu.Cost{
-			FLOPs: float64(g.ColRows()*g.ColCols()) * 2,
-			Bytes: (reads + writes) / memEff,
-		},
-		Fn: func() { tensor.Col2im(col, g, img) },
-	}
+	return describe("col2im_gpu", key, tag, cfg, simgpu.Cost{
+		FLOPs: float64(g.ColRows()*g.ColCols()) * 2,
+		Bytes: (reads + writes) / memEff,
+	})
 }
 
-// Sgemm builds a tiled GEMM kernel computing C = alpha·op(A)op(B) + beta·C
-// with the 64×64-tile launch geometry of cuBLAS. Its host closure is
-// tensor.GemmParallelPacked, bit-identical to the serial kernel whatever the
-// optional arguments:
-//
-//   - a non-nil par shards disjoint row bands of C across the runner's
-//     workers;
-//   - a non-nil pa is op(A) packed once for the launches that share it (a
-//     conv layer's W across its batch), read instead of packing per call;
-//   - a non-nil epi is a fused per-row epilogue (bias add, activation)
-//     applied while each C tile is still cache hot — the fusion the dnn
-//     conv/ip layers use to collapse their separate bias/ReLU output passes
-//     into the GEMM (see tensor.GemmEpilogue for the elementwise
-//     bit-identity contract). epiOps is its per-element FLOP count for the
-//     cost model; the fused kernel charges no extra DRAM bytes because the
-//     separate pass's output round trip is exactly what fusion eliminates.
-//
-// Only epi changes the simulated kernel (its name and FLOPs); par and pa
-// change the closure's wall clock and nothing else.
-func Sgemm(tag string, par tensor.RowParallel, pa *tensor.PackedA, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, epi tensor.GemmEpilogue, epiOps float64) *simgpu.Kernel {
-	gx := (n + 63) / 64
-	gy := (m + 63) / 64
-	if gx < 1 {
-		gx = 1
-	}
-	if gy < 1 {
-		gy = 1
-	}
+// Sgemm describes a tiled GEMM kernel computing an m×n output over inner
+// dimension k, with the 64×64-tile launch geometry of cuBLAS; its host math
+// is tensor.GemmParallelPacked. epiOps > 0 marks a GEMM with a fused
+// per-row epilogue (bias add, activation) of that many FLOPs per output
+// element — the fusion the dnn conv/ip layers use to collapse their
+// separate bias/ReLU output passes into the GEMM (see tensor.GemmEpilogue
+// for the elementwise bit-identity contract). The fused kernel charges no
+// extra DRAM bytes because the separate pass's output round trip is exactly
+// what fusion eliminates.
+func Sgemm(key, tag string, m, n, k int, epiOps float64) simgpu.Kernel {
 	name := "sgemm_64x64"
 	flops := 2 * float64(m) * float64(n) * float64(k)
-	if epi != nil {
+	if epiOps > 0 {
 		name = "sgemm_64x64_fused"
 		flops += epiOps * float64(m) * float64(n)
 	}
 	traffic := 4 * (float64(m)*float64(k) + float64(k)*float64(n) + 2*float64(m)*float64(n))
-	return &simgpu.Kernel{
-		Name: name,
-		Tag:  tag,
-		Config: simgpu.LaunchConfig{
-			Grid:           simgpu.D2(gx, gy),
-			Block:          simgpu.D1(256),
-			RegsPerThread:  regsGemm,
-			SharedMemBytes: gemmSmemBytes,
-		},
-		Cost: simgpu.Cost{
-			FLOPs: flops / gemmEff,
-			Bytes: traffic / memEff,
-		},
-		Fn: func() { tensor.GemmParallelPacked(par, pa, transA, transB, m, n, k, alpha, a, b, beta, c, epi) },
-	}
+	return describe(name, key, tag, simgpu.LaunchConfig{
+		Grid:           tiles2D(m, n),
+		Block:          simgpu.D1(256),
+		RegsPerThread:  regsGemm,
+		SharedMemBytes: gemmSmemBytes,
+	}, simgpu.Cost{
+		FLOPs: flops / gemmEff,
+		Bytes: traffic / memEff,
+	})
 }
 
-// BiasGemm builds the K=1 rank-one update Caffe performs to add biases:
+// BiasGemm describes the K=1 rank-one update Caffe performs to add biases:
 // C(Co×P) += bias(Co×1) · ones(1×P). The paper's traces show this as the
 // "gemmk" kernel.
-func BiasGemm(tag string, co, p int, bias, ones, out []float32) *simgpu.Kernel {
-	gx := (p + 63) / 64
-	gy := (co + 63) / 64
-	if gx < 1 {
-		gx = 1
-	}
-	if gy < 1 {
-		gy = 1
-	}
-	return &simgpu.Kernel{
-		Name: "gemmk_1xN",
-		Tag:  tag,
-		Config: simgpu.LaunchConfig{
-			Grid:           simgpu.D2(gx, gy),
-			Block:          simgpu.D1(256),
-			RegsPerThread:  regsGemmK,
-			SharedMemBytes: 2048,
-		},
-		Cost: simgpu.Cost{
-			FLOPs: 2 * float64(co) * float64(p),
-			Bytes: 4 * (float64(co) + float64(p) + 2*float64(co)*float64(p)) / memEff,
-		},
-		Fn: func() { tensor.Gemm(false, false, co, p, 1, 1, bias, ones, 1, out) },
-	}
-}
-
-// BiasBackward builds the reduction of output gradients into bias
-// gradients: db(Co) += dTop(Co×P) · ones(P).
-func BiasBackward(tag string, co, p int, dtop, ones, dbias []float32) *simgpu.Kernel {
-	n := co * p
-	k := Elementwise("gemv_bias_bwd", tag, n, 4, 2, func() {
-		tensor.Gemv(false, co, p, 1, dtop, ones, 1, dbias)
+func BiasGemm(key, tag string, co, p int) simgpu.Kernel {
+	return describe("gemmk_1xN", key, tag, simgpu.LaunchConfig{
+		Grid:           tiles2D(co, p),
+		Block:          simgpu.D1(256),
+		RegsPerThread:  regsGemmK,
+		SharedMemBytes: 2048,
+	}, simgpu.Cost{
+		FLOPs: 2 * float64(co) * float64(p),
+		Bytes: 4 * (float64(co) + float64(p) + 2*float64(co)*float64(p)) / memEff,
 	})
-	return k
 }
 
-// SGDUpdate builds the fused momentum+update kernel the solver launches per
-// parameter blob: hist = lr·(diff + wd·data) + momentum·hist; data −= hist.
-// The closure is supplied by the solver; the cost model is 3 reads + 2
-// writes and ~4 FLOPs per element.
-func SGDUpdate(tag string, n int, fn func()) *simgpu.Kernel {
-	return Elementwise("sgd_update", tag, n, 20, 4, fn)
+// BiasBackward describes the reduction of output gradients into bias
+// gradients: db(Co) += dTop(Co×P) · ones(P).
+func BiasBackward(key, tag string, co, p int) simgpu.Kernel {
+	return Elementwise("gemv_bias_bwd", key, tag, co*p, 4, 2)
 }
 
-// AxpyKernel models a generic saxpy-style device copy/accumulate.
-func AxpyKernel(name, tag string, n int, fn func()) *simgpu.Kernel {
-	return Elementwise(name, tag, n, 12, 2, fn)
+// SGDUpdate describes the fused momentum+update kernel the solver launches
+// per parameter blob: hist = lr·(diff + wd·data) + momentum·hist; data −=
+// hist. The cost model is 3 reads + 2 writes and ~4 FLOPs per element.
+func SGDUpdate(key, tag string, n int) simgpu.Kernel {
+	return Elementwise("sgd_update", key, tag, n, 20, 4)
+}
+
+// AxpyKernel describes a generic saxpy-style device copy/accumulate.
+func AxpyKernel(name, key, tag string, n int) simgpu.Kernel {
+	return Elementwise(name, key, tag, n, 12, 2)
 }

@@ -17,9 +17,6 @@ type hostWidthLauncher struct{ w int }
 func (hostWidthLauncher) BeginLayer(string) {}
 
 func (hostWidthLauncher) Launch(k *simgpu.Kernel, _ int) error {
-	if k.Fn != nil {
-		k.Fn()
-	}
 	return nil
 }
 

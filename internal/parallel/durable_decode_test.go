@@ -131,8 +131,9 @@ func TestPeekRefusesPlanOutOfRange(t *testing.T) {
 
 // FuzzCheckpointDecode runs PeekCheckpoint on arbitrary bytes: it never
 // panics, and every file it accepts carries only plans InstallPlan can
-// honour. Seeds: a real v2 file from a two-replica CIFAR10 GLP trainer, the
-// same file rewritten as v1, and both hostile inputs above.
+// honour. Seeds: a real v2 file from a two-replica real-math CIFAR10 GLP
+// trainer (a timing-only one never fills the weights a checkpoint saves),
+// the same file rewritten as v1, and both hostile inputs above.
 func FuzzCheckpointDecode(f *testing.F) {
 	w, err := models.Get("CIFAR10")
 	if err != nil {
@@ -140,7 +141,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}
 	tr, err := NewTrainer(simgpu.NewMachine(simgpu.TeslaP100, simgpu.TeslaP100), func(ctx *dnn.Context) (*dnn.Net, error) {
 		return w.Build(ctx, 2, 1)
-	}, Config{Solver: chaosSolver(), UseGLP: true, Seed: 1})
+	}, Config{Solver: chaosSolver(), UseGLP: true, Compute: true, Seed: 1})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -19,9 +19,10 @@
 //     memory bandwidth are shared, work-conservingly, among all resident
 //     block cohorts.
 //
-// All timing is virtual (an int-free float64 nanosecond clock); the kernel
-// *computation* runs eagerly on the host when a kernel carries a closure, so
-// numerical results are real while performance results are simulated.
+// All timing is virtual (an int-free float64 nanosecond clock). The device
+// simulates time only: the kernel *computation* is the caller's, run on the
+// host after a successful launch (dnn.Context.Dispatch), so numerical
+// results are real while performance results are simulated.
 package simgpu
 
 import (

@@ -12,11 +12,10 @@ import (
 // launches and synchronizes may arrive from any goroutine (the data-parallel
 // trainer drives each replica's device from its own goroutine). The launch
 // order observed under the device lock is the order that defines the virtual
-// timeline. Kernel closures run inline at launch on the *caller's*
-// goroutine, before the lock is taken — which is exactly what lets the
-// host-side parallel engine (internal/hostpool) strip a closure, launch the
-// timing-only kernel in program order, and run the math elsewhere: the
-// timeline is unchanged while host work proceeds in parallel.
+// timeline. The device simulates time only: it runs no host computation, so
+// the caller decides where and when a kernel's math runs (inline after the
+// launch, on a host-pool lane, or not at all on a timing-only pass) without
+// moving the timeline.
 type Device struct {
 	spec DeviceSpec
 	id   int
@@ -159,26 +158,33 @@ func (d *Device) ActiveStreams() int {
 	return d.activeStrms
 }
 
-// Launch submits a kernel to a stream. A nil stream means the default
-// stream. The kernel's host closure (if any) runs synchronously before the
-// launch is recorded, so numerical side effects happen in launch order. The
-// launch charges T_launch to the host dispatch timeline.
+// Launch submits a kernel to a stream, recording it under k.Tag. A nil
+// stream means the default stream. The launch charges T_launch to the host
+// dispatch timeline.
 func (d *Device) Launch(k *Kernel, s *Stream) error {
+	return d.LaunchTagged(k, k.Tag, s)
+}
+
+// LaunchTagged is Launch recording the kernel under tag instead of k.Tag:
+// how a launcher that keys its records launches a shared descriptor without
+// copying or writing to it.
+func (d *Device) LaunchTagged(k *Kernel, tag string, s *Stream) error {
 	if s == nil {
 		s = d.def
 	}
 	if s.dev != d {
 		return fmt.Errorf("simgpu: launch of %q on a stream of a different device", k.Name)
 	}
-	if err := k.Validate(d.spec); err != nil {
+	if err := k.validate(&d.spec); err != nil {
 		return err
 	}
 	// A destroyed stream is refused, and the fault decision made, before
-	// the host closure: a failed launch never executes the kernel, so a
-	// retried launch runs the math exactly once — the property that keeps
-	// recovery convergence-invariant even for non-idempotent (accumulating)
-	// kernels. A stream destroyed after this check still takes the launch,
-	// as CUDA completes work issued before cudaStreamDestroy.
+	// anything is recorded: a failed launch leaves no trace, so the caller,
+	// which runs the kernel's math only after a successful launch, runs it
+	// exactly once across retries — the property that keeps recovery
+	// convergence-invariant even for non-idempotent (accumulating) kernels.
+	// A stream destroyed after this check still takes the launch, as CUDA
+	// completes work issued before cudaStreamDestroy.
 	if s.destroyed.Load() {
 		return fmt.Errorf("simgpu: launch of %q on destroyed %v", k.Name, s)
 	}
@@ -190,16 +196,13 @@ func (d *Device) Launch(k *Kernel, s *Stream) error {
 		}
 		hang = float64(f.Delay.Nanoseconds())
 	}
-	if k.Fn != nil {
-		k.Fn()
-	}
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	blocks := k.Config.Blocks()
 	d.submit(&kernelExec{
 		name:          k.Name,
-		tag:           k.Tag,
+		tag:           tag,
 		cfg:           k.Config,
 		totalBlocks:   blocks,
 		flopsPerBlock: k.Cost.FLOPs / float64(blocks),

@@ -99,28 +99,6 @@ func TestInjectedCreateStreamAndSync(t *testing.T) {
 	}
 }
 
-// TestInjectedLaunchFailureSkipsClosure: a failed launch must not execute
-// the kernel's host math — retried launches would otherwise run
-// non-idempotent kernels twice and break convergence invariance.
-func TestInjectedLaunchFailureSkipsClosure(t *testing.T) {
-	d := NewDevice(testSpec, WithInjector(FaultPlan{Seed: 3, Launch: 1, MaxFaults: 1}.Injector()))
-	runs := 0
-	k := computeKernel("fn", 1, 64, 1000)
-	k.Fn = func() { runs++ }
-	if err := d.Launch(k, nil); err == nil {
-		t.Fatal("first launch should fail")
-	}
-	if runs != 0 {
-		t.Fatalf("closure ran %d times on a failed launch", runs)
-	}
-	if err := d.Launch(k, nil); err != nil {
-		t.Fatalf("retry after budget: %v", err)
-	}
-	if runs != 1 {
-		t.Fatalf("closure ran %d times after one successful launch", runs)
-	}
-}
-
 // TestInjectedHangStretchesKernel: a hang-scheduled kernel occupies the
 // device for at least the configured delay (what a watchdog must detect).
 func TestInjectedHangStretchesKernel(t *testing.T) {

@@ -62,24 +62,32 @@ func (c Cost) Add(o Cost) Cost {
 	return Cost{FLOPs: c.FLOPs + o.FLOPs, Bytes: c.Bytes + o.Bytes}
 }
 
-// Kernel is one launchable unit of GPU work: a name (as the profiler will
-// report it), a launch configuration, a cost descriptor, and an optional
-// host closure holding the real computation. The closure runs exactly once,
-// synchronously, at launch time on the dispatching goroutine; the simulator
-// only decides *when* the kernel would have run on the device.
+// Kernel is one launchable unit of GPU work, as a descriptor: a name (as
+// the profiler will report it), a launch configuration, a cost descriptor
+// and a tag. The device simulates only *when* the kernel would have run; the
+// real computation is the caller's, run after a successful launch (see
+// dnn.Context.Dispatch). A descriptor is built once and launched by
+// reference any number of times: nothing on the launch path writes to it.
 type Kernel struct {
 	Name   string
 	Config LaunchConfig
 	Cost   Cost
-	Fn     func()
 	// Tag is free-form metadata (layer name, batch index) carried into the
 	// kernel record for timeline analysis.
 	Tag string
+	// KeyTag is Tag qualified by the layer key the kernel launches under,
+	// "key|tag", resolved once when the descriptor is built. A launcher
+	// that keys its records (GLP4NN's runtime) records it in place of Tag
+	// when the key matches, and joins the two itself otherwise.
+	KeyTag string
 }
 
 // Validate checks the launch against device limits, mirroring the checks the
 // CUDA driver performs at launch time.
-func (k *Kernel) Validate(spec DeviceSpec) error {
+func (k *Kernel) Validate(spec DeviceSpec) error { return k.validate(&spec) }
+
+// validate is Validate without copying the spec, for the launch path.
+func (k *Kernel) validate(spec *DeviceSpec) error {
 	if k.Name == "" {
 		return fmt.Errorf("simgpu: kernel with empty name")
 	}
